@@ -22,8 +22,8 @@ import numpy as np
 
 from . import hardness, instance_io, setfun, solvers, synth
 from .errors import CapacityError, InfeasibleError, InstanceFormatError
-from .linalg import Tolerance, numerical_rank
-from .system import is_feasible, reachability_matrix
+from .linalg import Tolerance
+from .system import is_feasible
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,11 +64,10 @@ def cmd_check_feasible(args) -> int:
     tol = _tolerance(args)
     S = args.actuate or []
     verdict = is_feasible(doc.system, S, tol)
-    rank = numerical_rank(reachability_matrix(doc.system, S, tol=tol), tol)
     payload = {
         "feasible": verdict.feasible,
         "residual_sq": verdict.residual_sq,
-        "reachability_rank": rank,
+        "reachability_rank": verdict.rank,
         "actuated": sorted(int(i) for i in S),
     }
     _emit(
@@ -77,7 +76,7 @@ def cmd_check_feasible(args) -> int:
         [
             "feasible" if verdict.feasible else "infeasible",
             f"residual_sq = {verdict.residual_sq:.6e}",
-            f"reachability rank = {rank}",
+            f"reachability rank = {verdict.rank}",
         ],
     )
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
@@ -146,37 +145,9 @@ def cmd_varsel(args) -> int:
     return EXIT_OK
 
 
-def _matrix_from_file(path: str) -> np.ndarray:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if isinstance(data, dict):
-        for keys in (("U",), ("varsel", "U"), ("setfun", "M")):
-            node = data
-            for key in keys:
-                node = node.get(key) if isinstance(node, dict) else None
-                if node is None:
-                    break
-            if node is not None:
-                data = node
-                break
-        else:
-            raise InstanceFormatError(
-                f"{path}: no matrix found (expected a bare array, 'U', "
-                "'varsel.U', or 'setfun.M')"
-            )
-    M = np.asarray(data, dtype=float)
-    if M.ndim != 2:
-        raise InstanceFormatError(f"{path}: matrix must be an array of row arrays")
-    return M
-
-
 def _generate_from_args(args) -> hardness.HardInstance:
     if args.U is not None:
-        U = _matrix_from_file(args.U)
+        U = instance_io.load_matrix(args.U)
     elif args.random is not None:
         m, l = args.random
         if m < 1 or l < 1:
@@ -276,18 +247,14 @@ def cmd_roundtrip(args) -> int:
     )
     extraction = hardness.extract_solution(inst, result.nodes, inst.sys.x1, tol)
     y = extraction.y
-    norm0 = int(np.sum(np.abs(y) > 1e-12))
-    fit = float(np.linalg.norm(inst.source.U @ y - inst.source.z))
-    slack = tol.feas_rel * max(1.0, float(np.linalg.norm(inst.source.z)))
-    fit_ok = fit <= inst.source.delta + slack
-    sparsity_ok = norm0 <= result.cardinality
-    verified = fit_ok and sparsity_ok
+    check = solvers.check_varsel_solution(inst.source, y, tol)
+    verified = check.fits and check.norm0 <= result.cardinality
     payload = {
         "S": list(result.nodes),
         "cardinality": result.cardinality,
         "y": [float(v) for v in y],
-        "norm0": norm0,
-        "fit_residual": fit,
+        "norm0": check.norm0,
+        "fit_residual": check.residual,
         "verified": verified,
         "dims": {
             "m": inst.dims.m,
@@ -302,8 +269,8 @@ def cmd_roundtrip(args) -> int:
         [
             f"S = {_node_list(result.nodes)} (cardinality {result.cardinality})",
             f"recovered y = {np.array2string(y, precision=6)}",
-            f"norm0 = {norm0}",
-            f"||U y - z|| = {fit:.6e}",
+            f"norm0 = {check.norm0}",
+            f"||U y - z|| = {check.residual:.6e}",
             "verified" if verified else "NOT verified",
         ],
     )

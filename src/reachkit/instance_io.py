@@ -55,9 +55,25 @@ class InstanceDoc:
 
 
 def _require(mapping: dict, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise InstanceFormatError(f"{where} must be a JSON object")
     if key not in mapping:
         raise InstanceFormatError(f"missing key '{key}' in {where}")
     return mapping[key]
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where} is not an integer: {value!r}") from exc
+
+
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where} is not a number: {value!r}") from exc
 
 
 def _as_rows(value, where: str) -> np.ndarray:
@@ -80,13 +96,13 @@ def _as_list(value, where: str) -> np.ndarray:
 
 
 def _parse_system(data: dict) -> LinearSystem:
-    n = int(_require(data, "n", "system section"))
-    m = int(_require(data, "m", "system section"))
+    n = _int(_require(data, "n", "system section"), "key 'n'")
+    m = _int(_require(data, "m", "system section"), "key 'm'")
     raw_A = _require(data, "A", "system section")
     if isinstance(raw_A, dict):
         stack = _require(raw_A, "stack", "key 'A'")
         U = _as_rows(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'")
-        d = int(_require(stack, "d", "key 'A.stack'"))
+        d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
         A = stacked_corner(U, n, d)
     else:
         A = _as_rows(raw_A, "key 'A'")
@@ -100,8 +116,8 @@ def _parse_system(data: dict) -> LinearSystem:
         return LinearSystem(
             A=A,
             B=B,
-            t0=float(_require(data, "t0", "system section")),
-            t1=float(_require(data, "t1", "system section")),
+            t0=_float(_require(data, "t0", "system section"), "key 't0'"),
+            t1=_float(_require(data, "t1", "system section"), "key 't1'"),
             x0=_as_list(_require(data, "x0", "system section"), "key 'x0'"),
             x1=_as_list(_require(data, "x1", "system section"), "key 'x1'"),
         )
@@ -114,7 +130,7 @@ def _parse_varsel(data: dict, where: str) -> VarSelInstance:
         return VarSelInstance(
             U=_as_rows(_require(data, "U", where), f"{where} key 'U'"),
             z=_as_list(_require(data, "z", where), f"{where} key 'z'"),
-            delta=float(_require(data, "delta", where)),
+            delta=_float(_require(data, "delta", where), f"{where} key 'delta'"),
         )
     except ValueError as exc:
         raise InstanceFormatError(f"inconsistent {where}: {exc}") from exc
@@ -133,7 +149,7 @@ def parse_instance(data: dict) -> InstanceDoc:
             fn = ColumnSelectionFunction(
                 v=_as_list(_require(section, "v", "'setfun' section"), "'setfun.v'"),
                 M=_as_rows(_require(section, "M", "'setfun' section"), "'setfun.M'"),
-                c=float(section.get("c", 2.0)),
+                c=_float(section.get("c", 2.0), "'setfun.c'"),
             )
         except ValueError as exc:
             raise InstanceFormatError(f"inconsistent 'setfun' section: {exc}") from exc
@@ -144,25 +160,54 @@ def parse_instance(data: dict) -> InstanceDoc:
         source = _parse_varsel(data["source"], "'source' section")
         dims = _require(data["source"], "dims", "'source' section")
         source_dims = ReductionDims(
-            m=int(_require(dims, "m", "'source.dims'")),
-            l=int(_require(dims, "l", "'source.dims'")),
-            d=int(_require(dims, "d", "'source.dims'")),
-            n=int(_require(dims, "n", "'source.dims'")),
+            **{
+                k: _int(_require(dims, k, "'source.dims'"), f"'source.dims.{k}'")
+                for k in ("m", "l", "d", "n")
+            }
         )
     return InstanceDoc(
         system=system, setfun=fn, varsel=varsel, source=source, source_dims=source_dims
     )
 
 
-def load_instance(path: str | Path) -> InstanceDoc:
+def _read_json(path: str | Path):
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_instance(data)
+
+
+def load_instance(path: str | Path) -> InstanceDoc:
+    return parse_instance(_read_json(path))
+
+
+# Where load_matrix looks for a matrix inside a JSON object, in order.
+_MATRIX_PATHS = (("U",), ("varsel", "U"), ("setfun", "M"))
+
+
+def load_matrix(path: str | Path) -> np.ndarray:
+    """Read a source matrix: a bare array of rows, or the first of ``U``,
+    ``varsel.U`` and ``setfun.M`` present in a JSON object."""
+    data = _read_json(path)
+    where = f"{path}: matrix"
+    if isinstance(data, dict):
+        for keys in _MATRIX_PATHS:
+            node = data
+            for key in keys:
+                node = node.get(key) if isinstance(node, dict) else None
+            if node is not None:
+                data = node
+                where = f"{path}: key '{'.'.join(keys)}'"
+                break
+        else:
+            raise InstanceFormatError(
+                f"{path}: no matrix found (expected a bare array, 'U', "
+                "'varsel.U', or 'setfun.M')"
+            )
+    return _as_rows(data, where)
 
 
 def _matrix_rows(M: np.ndarray) -> list[list[float]]:

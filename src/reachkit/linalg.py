@@ -1,10 +1,15 @@
-"""Dense numerical kernel: rank decisions, range bases, point-to-subspace
-distance, and the matrix exponential.
+"""Dense numerical kernel: rank decisions, orthonormal range bases,
+point-to-subspace distance, and the matrix exponential.
 
-Everything downstream (feasibility tests, solvers, set functions) reduces to
-these four primitives.  All rank and membership decisions are relative to a
-:class:`Tolerance`, so callers control numerical strictness in one place.
-Functions never modify their inputs and hold no state; concurrent use is safe.
+Every rank and membership decision in the package goes through one routine,
+:func:`extend_basis`, which grows an orthonormal basis by a block of new
+columns and keeps only the directions whose singular value clears
+``rank_rel`` times a caller-chosen scale.  :func:`numerical_rank`,
+:func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it,
+and the Krylov bases of :mod:`reachkit.system` are built by calling it once
+per block.  All thresholds come from a :class:`Tolerance`, so callers control
+numerical strictness in one place.  Functions never modify their inputs and
+hold no state; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ class Tolerance:
     """Relative thresholds for rank and membership decisions.
 
     rank_rel
-        Singular values below ``rank_rel * sigma_max`` count as zero when
-        computing numerical rank.  Relative thresholding keeps decisions
-        invariant under rescaling of the data.
+        Singular values below ``rank_rel * scale`` count as zero when
+        computing numerical rank.  For a single matrix the scale is its
+        largest singular value; for a Krylov block ``A Q_k`` appended to an
+        orthonormal basis it is ``||A||_F``.  Relative thresholding keeps
+        decisions invariant under rescaling of the data and of ``A``.
     feas_rel
         Residual threshold for subspace-membership tests: a vector ``w`` is
         accepted as a member when its squared distance to the subspace is at
@@ -64,15 +71,47 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
+def extend_basis(
+    Q: np.ndarray | None,
+    M,
+    tol: Tolerance = DEFAULT_TOL,
+    scale: float | None = None,
+) -> np.ndarray:
+    """Orthonormal basis of ``span(Q) + span(M)``, grown from ``Q``.
+
+    Every singular-value rank decision in the package is made here.  ``M`` is
+    projected off the orthonormal columns of ``Q`` twice (Gram-Schmidt with
+    one reorthogonalization pass), one SVD of the remainder follows, and its
+    left singular vectors with ``sigma >= rank_rel * scale`` are appended to
+    ``Q``.  ``scale`` defaults to ``sigma_max(M)``, so with ``Q`` empty (or
+    ``None``) this is the relative rank rule of a single matrix.  Callers that
+    grow a basis block by block pass the scale of the operator producing the
+    blocks instead, so that a block of pure roundoff never counts as new
+    directions.  ``Q`` itself is returned when nothing is added.
+    """
+    M = as_matrix(M)
+    if Q is None:
+        Q = np.zeros((M.shape[0], 0))
+    if M.size == 0:
+        return Q
+    R = M
+    if Q.shape[1]:
+        R = R - Q @ (Q.T @ R)
+        R = R - Q @ (Q.T @ R)
+    U, s, _ = np.linalg.svd(R, full_matrices=False)
+    if scale is None:
+        scale = float(np.linalg.norm(M, 2)) if Q.shape[1] else float(s[0])
+    if scale <= 0.0:
+        return Q
+    new = U[:, : np.count_nonzero(s >= tol.rank_rel * scale)]
+    if new.shape[1] == 0:
+        return Q
+    return np.hstack([Q, new]) if Q.shape[1] else new
+
+
 def numerical_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values at or above ``rank_rel * sigma_max``."""
-    M = as_matrix(M)
-    if min(M.shape) == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.sum(s >= tol.rank_rel * s[0]))
+    return extend_basis(None, M, tol).shape[1]
 
 
 def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -83,15 +122,14 @@ def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     entries zero, yields a basis with zero columns, representing the subspace
     ``{0}``.
     """
-    M = as_matrix(M)
-    rows = M.shape[0]
-    if M.shape[1] == 0:
-        return np.zeros((rows, 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((rows, 0))
-    rank = int(np.sum(s >= tol.rank_rel * s[0]))
-    return U[:, :rank]
+    return extend_basis(None, M, tol)
+
+
+def dist_sq_to_basis(v: np.ndarray, Q: np.ndarray) -> float:
+    """Squared distance from ``v`` to the span of the orthonormal columns of
+    ``Q`` (``||v||^2`` when ``Q`` has no columns)."""
+    r = v - Q @ (Q.T @ v)
+    return float(r @ r)
 
 
 def dist_sq_to_range(v, M, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -106,11 +144,7 @@ def dist_sq_to_range(v, M, tol: Tolerance = DEFAULT_TOL) -> float:
         raise ValueError(
             f"vector length {v.shape[0]} does not match matrix rows {M.shape[0]}"
         )
-    Q = range_basis(M, tol)
-    if Q.shape[1] == 0:
-        return float(v @ v)
-    r = v - Q @ (Q.T @ v)
-    return float(r @ r)
+    return dist_sq_to_basis(v, range_basis(M, tol))
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:

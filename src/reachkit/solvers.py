@@ -13,13 +13,14 @@ infeasible, and its ``optimal`` flag is always False).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dist_sq_to_range
-from .system import LinearSystem, reachability_matrix, transfer_offset
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
+from .system import LinearSystem, offset_feasibility, transfer_offset
 
 # Exact enumeration beyond this many nodes needs an explicit cardinality budget.
 DEFAULT_EXACT_CAP = 20
@@ -29,6 +30,10 @@ DEFAULT_VARSEL_CAP = 20
 
 # A greedy step must shrink the residual by more than this to count as progress.
 GREEDY_IMPROVEMENT_EPS = 1e-12
+
+# Entries of a variable-selection vector at or below this magnitude count as
+# zero when its support is read off.
+SUPPORT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,19 @@ class VarSelInstance:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "delta", delta)
 
+    @cached_property
+    def _z_norm(self) -> float:
+        return float(np.linalg.norm(self.z))
+
+    def fits(self, residual: float, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether a fit residual ``||U y - z||`` meets the budget.
+
+        The budget carries a small relative slack,
+        ``delta + feas_rel * max(1, ||z||)``, so exact fits survive float
+        noise when ``delta = 0``.
+        """
+        return residual <= self.delta + tol.feas_rel * max(1.0, self._z_norm)
+
 
 @dataclass(frozen=True)
 class VarSelResult:
@@ -80,9 +98,31 @@ class VarSelResult:
     residual: float
 
 
-def _residual_sq(sys: LinearSystem, S, w: np.ndarray, tol: Tolerance) -> float:
-    R = reachability_matrix(sys, S, tol=tol)
-    return dist_sq_to_range(w, R, tol)
+@dataclass(frozen=True)
+class VarSelCheck:
+    """Independent check of a candidate vector ``y`` against an instance:
+    its number of entries above ``1e-12`` in magnitude, its fit residual
+    ``||U y - z||`` and whether that residual meets the budget."""
+
+    norm0: int
+    residual: float
+    fits: bool
+
+
+def check_varsel_solution(
+    inst: VarSelInstance, y, tol: Tolerance = DEFAULT_TOL
+) -> VarSelCheck:
+    """Measure ``y`` against ``inst`` with the rule :func:`varsel_exact`
+    accepts supports by."""
+    y = as_vector(y, name="y")
+    if y.shape[0] != inst.U.shape[1]:
+        raise ValueError(f"y must have length {inst.U.shape[1]}, got {y.shape[0]}")
+    residual = float(np.linalg.norm(inst.U @ y - inst.z))
+    return VarSelCheck(
+        norm0=int(np.sum(np.abs(y) > SUPPORT_EPS)),
+        residual=residual,
+        fits=inst.fits(residual, tol),
+    )
 
 
 def exact_min_reach(
@@ -110,17 +150,16 @@ def exact_min_reach(
     if kmax < 0:
         raise ValueError("budget must be nonnegative")
     w = transfer_offset(sys)
-    bound = tol.feas_rel**2 * max(1.0, float(w @ w))
     explored = 0
     for k in range(kmax + 1):
         for S in combinations(range(1, n + 1), k):
             explored += 1
-            r = _residual_sq(sys, S, w, tol)
-            if r <= bound:
+            verdict = offset_feasibility(sys, S, w, tol)
+            if verdict.feasible:
                 return SolveResult(
                     nodes=S,
                     cardinality=k,
-                    residual_sq=r,
+                    residual_sq=verdict.residual_sq,
                     feasible=True,
                     optimal=True,
                     nodes_explored=explored,
@@ -149,29 +188,31 @@ def greedy_min_reach(
     n = sys.n
     iters = n if max_iters is None else min(int(max_iters), n)
     w = transfer_offset(sys)
-    bound = tol.feas_rel**2 * max(1.0, float(w @ w))
     selected: list[int] = []
-    current = _residual_sq(sys, selected, w, tol)
+    current = offset_feasibility(sys, selected, w, tol)
     explored = 0
-    while current > bound and len(selected) < iters:
+    while not current.feasible and len(selected) < iters:
         best_node = None
-        best_r = None
+        best = None
         for i in range(1, n + 1):
             if i in selected:
                 continue
             explored += 1
-            r = _residual_sq(sys, selected + [i], w, tol)
-            if best_r is None or r < best_r:
-                best_node, best_r = i, r
-        if best_node is None or current - best_r <= GREEDY_IMPROVEMENT_EPS:
+            verdict = offset_feasibility(sys, selected + [i], w, tol)
+            if best is None or verdict.residual_sq < best.residual_sq:
+                best_node, best = i, verdict
+        if (
+            best_node is None
+            or current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS
+        ):
             break
         selected.append(best_node)
-        current = best_r
+        current = best
     return SolveResult(
         nodes=tuple(sorted(selected)),
         cardinality=len(selected),
-        residual_sq=current,
-        feasible=current <= bound,
+        residual_sq=current.residual_sq,
+        feasible=current.feasible,
         optimal=False,
         nodes_explored=explored,
     )
@@ -187,26 +228,23 @@ def varsel_exact(
     Supports are scanned by increasing size and lexicographically within each
     size; each candidate support gets a least-squares fit of ``z`` over the
     selected columns, and the first support whose residual meets the budget
-    wins.  The budget comparison carries a small relative slack so exact fits
-    survive float noise when ``delta = 0``.
+    (:meth:`VarSelInstance.fits`) wins.
     """
     m, l = inst.U.shape
     if l > cap:
         raise CapacityError(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )
-    z_norm = float(np.linalg.norm(inst.z))
-    slack = tol.feas_rel * max(1.0, z_norm)
     for k in range(l + 1):
         for support in combinations(range(1, l + 1), k):
             if k == 0:
-                residual = z_norm
+                residual = float(np.linalg.norm(inst.z))
                 coef = np.zeros(0)
             else:
                 cols = inst.U[:, [j - 1 for j in support]]
                 coef, *_ = np.linalg.lstsq(cols, inst.z, rcond=None)
                 residual = float(np.linalg.norm(cols @ coef - inst.z))
-            if residual <= inst.delta + slack:
+            if inst.fits(residual, tol):
                 y = np.zeros(l)
                 for j, c in zip(support, coef):
                     y[j - 1] = c

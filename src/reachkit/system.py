@@ -6,9 +6,15 @@ iterables of 1-based node indices; :func:`actuation_mask` turns a set into the
 diagonal selector that gates which rows of ``B`` the input reaches.
 
 A transfer is feasible under node set ``S`` exactly when
-``x1 - exp(A (t1 - t0)) x0`` lies in the column space of the reachability
-matrix ``[M(S) B, A M(S) B, A^2 M(S) B, ...]`` with ``M(S)`` the actuation
-mask.
+``x1 - exp(A (t1 - t0)) x0`` lies in the Krylov space spanned by
+``[M(S) B, A M(S) B, A^2 M(S) B, ...]`` with ``M(S)`` the actuation mask.
+That space is represented by an orthonormal basis built by block Arnoldi
+(Saad, *Iterative Methods for Sparse Linear Systems*): each block is ``A``
+applied to the previous block's new directions, orthonormalized against the
+basis so far by :func:`reachkit.linalg.extend_basis`.  The first block is
+judged against its own largest singular value and every later block against
+``||A||_F``, so verdicts do not change when ``A`` and the time window are
+rescaled together (``A -> c A``, ``t -> t / c``).
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
-    dist_sq_to_range,
+    dist_sq_to_basis,
+    extend_basis,
     mat_exp,
-    numerical_rank,
 )
 
 NodeSet = Sequence[int]
@@ -83,8 +89,13 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """Verdict for one node set: the thresholded decision, the squared
+    distance of the transfer offset to the reachable space, and the dimension
+    of that space."""
+
     feasible: bool
     residual_sq: float
+    rank: int
 
 
 def check_node_set(S: Iterable[int], n: int) -> tuple[int, ...]:
@@ -122,35 +133,37 @@ def reachability_matrix(
     max_power: int | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Concatenation ``[M(S)B, A M(S)B, ..., A^p M(S)B]`` spanning the
-    reachable set under node set ``S``.
+    """Orthonormal basis of the reachable space
+    ``span[M(S)B, A M(S)B, ..., A^p M(S)B]`` under node set ``S``.
 
-    ``p`` defaults to ``n - 1`` but the loop stops as soon as the next power
-    no longer grows the numerical rank; the span is unchanged (each later
-    block maps into the stabilized subspace).  Identically-zero columns of the
-    leading block are dropped up front, which also leaves the span unchanged
-    and keeps subset-enumeration loops cheap.  An empty ``S`` yields the
-    all-zero ``n x m`` block.
+    The basis is built by block Arnoldi.  The first block is the nonzero
+    columns of ``M(S)B``, kept up to the rank threshold relative to their own
+    largest singular value.  Each later block is ``A`` times the previous
+    block's new directions, projected off the basis and kept where its
+    singular values reach ``rank_rel * ||A||_F``.  ``p`` defaults to ``n - 1``
+    and the loop stops as soon as a block adds no direction; the span is
+    unchanged, since ``A`` then maps the basis into itself.  An empty ``S``,
+    or one whose rows of ``B`` are all zero, yields the all-zero ``n x m``
+    block.
     """
     IB = masked_input_matrix(sys, S)
-    keep = np.any(IB != 0.0, axis=0)
-    pruned = IB[:, keep]
-    if pruned.shape[1] == 0:
+    Q = extend_basis(None, IB[:, np.any(IB != 0.0, axis=0)], tol)
+    if Q.shape[1] == 0:
         return np.zeros_like(sys.B)
     p = sys.n - 1 if max_power is None else int(max_power)
     if p < 0:
         raise ValueError("max_power must be nonnegative")
-    blocks = [pruned]
-    rank = numerical_rank(pruned, tol)
+    a_scale = float(np.linalg.norm(sys.A))
+    new = Q
     for _ in range(p):
-        nxt = sys.A @ blocks[-1]
-        grown = np.hstack(blocks + [nxt])
-        new_rank = numerical_rank(grown, tol)
-        if new_rank == rank:
+        rank = Q.shape[1]
+        if rank == sys.n:
             break
-        blocks.append(nxt)
-        rank = new_rank
-    return np.hstack(blocks)
+        Q = extend_basis(Q, sys.A @ new, tol, scale=a_scale)
+        if Q.shape[1] == rank:
+            break
+        new = Q[:, rank:]
+    return Q
 
 
 def transfer_offset(sys: LinearSystem) -> np.ndarray:
@@ -159,21 +172,38 @@ def transfer_offset(sys: LinearSystem) -> np.ndarray:
     return sys.x1 - mat_exp(sys.A, sys.t1 - sys.t0) @ sys.x0
 
 
+def offset_feasibility(
+    sys: LinearSystem, S: Iterable[int], w: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> FeasibilityResult:
+    """Decide whether the precomputed transfer offset ``w`` is reachable by
+    actuating ``S``.
+
+    The squared distance of ``w`` to the orthonormal Krylov basis is compared
+    with ``feas_rel**2 * max(1, ||w||^2)``; the floor of 1 makes the
+    degenerate ``w = 0`` transfer (already at the target under drift alone)
+    feasible for every ``S``.  Solvers that test many node sets compute ``w``
+    once with :func:`transfer_offset` and call this per set.
+    """
+    Q = reachability_matrix(sys, S, tol=tol)
+    residual_sq = dist_sq_to_basis(w, Q)
+    bound = tol.feas_rel**2 * max(1.0, float(w @ w))
+    # an empty reachable space comes back as the all-zero n x m block
+    rank = Q.shape[1] if Q.any() else 0
+    return FeasibilityResult(
+        feasible=residual_sq <= bound, residual_sq=residual_sq, rank=rank
+    )
+
+
 def is_feasible(
     sys: LinearSystem, S: Iterable[int], tol: Tolerance = DEFAULT_TOL
 ) -> FeasibilityResult:
     """Decide whether the transfer task is achievable by actuating ``S``.
 
-    Returns the squared distance of the transfer offset to the reachable set
-    and the thresholded verdict.  The threshold is relative to
-    ``max(1, ||w||^2)`` so the degenerate ``w = 0`` transfer (already at the
-    target under drift alone) is feasible for every ``S``.
+    Returns the squared distance of the transfer offset to the reachable
+    space, the thresholded verdict (see :func:`offset_feasibility`) and the
+    dimension of the reachable space.
     """
-    w = transfer_offset(sys)
-    R = reachability_matrix(sys, S, tol=tol)
-    residual_sq = dist_sq_to_range(w, R, tol)
-    bound = tol.feas_rel**2 * max(1.0, float(w @ w))
-    return FeasibilityResult(feasible=residual_sq <= bound, residual_sq=residual_sq)
+    return offset_feasibility(sys, S, transfer_offset(sys), tol)
 
 
 def star_system(

@@ -135,6 +135,31 @@ class TestGenHard:
         assert doc.system.n == 12
         assert doc.source_dims.d == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"U": COUNTEREXAMPLE["setfun"]["M"]},
+            {"varsel": {"U": COUNTEREXAMPLE["setfun"]["M"], "z": [1.0] * 3, "delta": 0.0}},
+            COUNTEREXAMPLE,
+        ],
+    )
+    def test_matrix_inside_object(self, tmp_path, capsys, doc):
+        upath = tmp_path / "U.json"
+        upath.write_text(json.dumps(doc))
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", "--U", str(upath), "--d", "3", "--out", str(out)]) == 0
+        assert "n = 12" in capsys.readouterr().out
+        assert np.array_equal(
+            load_instance(out).source.U, np.array(COUNTEREXAMPLE["setfun"]["M"])
+        )
+
+    def test_object_without_matrix_exits_2(self, tmp_path, capsys):
+        upath = tmp_path / "U.json"
+        upath.write_text(json.dumps({"setfun": {"v": [1.0]}}))
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", "--U", str(upath), "--d", "3", "--out", str(out)]) == 2
+        assert "no matrix found" in capsys.readouterr().err
+
     def test_random_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["gen-hard", "--random", "2", "4", "--seed", "7", "--d", "2"]
@@ -244,3 +269,23 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+class TestMalformedInstance:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("check-supermodular", {"setfun": 5}),
+            (
+                "check-feasible",
+                {"n": 2, "m": 2, "A": {"stack": 3}, "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
+            ),
+            ("varsel", {"varsel": {"U": [[1.0]], "z": [1.0], "delta": None}}),
+        ],
+    )
+    def test_mistyped_section_exits_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

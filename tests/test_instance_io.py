@@ -10,6 +10,7 @@ from reachkit.instance_io import (
     hard_instance_dict,
     instance_dict,
     load_instance,
+    load_matrix,
     parse_instance,
     write_instance,
 )
@@ -178,3 +179,43 @@ class TestParsing:
         doc = InstanceDoc(system=star_system(3))
         with pytest.raises(InstanceFormatError):
             doc.hard_instance()
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"setfun": [1.0]}, "'setfun' section must be a JSON object"),
+            ({"varsel": {"U": [[1.0]], "z": [1.0], "delta": "small"}}, "delta"),
+            ({"setfun": {"v": [1.0], "M": [[1.0]], "c": None}}, "setfun.c"),
+            (
+                {"n": "two", "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": 1, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": [1.0], "x0": [0.0], "x1": [1.0]},
+                "key 't1'",
+            ),
+        ],
+    )
+    def test_mistyped_values_name_the_key(self, doc, where):
+        with pytest.raises(InstanceFormatError, match=where):
+            parse_instance(doc)
+
+
+class TestLoadMatrix:
+    def test_bare_array(self, tmp_path):
+        path = tmp_path / "U.json"
+        path.write_text("[[1, 0], [0, 1]]")
+        assert np.array_equal(load_matrix(path), np.eye(2))
+
+    def test_first_listed_key_wins(self, tmp_path):
+        path = tmp_path / "U.json"
+        path.write_text(json.dumps({"U": [[1.0]], "setfun": {"M": [[2.0]]}}))
+        assert np.array_equal(load_matrix(path), np.array([[1.0]]))
+
+    def test_flat_array_rejected(self, tmp_path):
+        path = tmp_path / "U.json"
+        path.write_text(json.dumps({"U": [1.0, 2.0]}))
+        with pytest.raises(InstanceFormatError, match="'U' must be an array of row arrays"):
+            load_matrix(path)

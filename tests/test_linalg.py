@@ -5,6 +5,7 @@ import scipy.linalg
 from reachkit.linalg import (
     Tolerance,
     dist_sq_to_range,
+    extend_basis,
     mat_exp,
     numerical_rank,
     range_basis,
@@ -164,3 +165,30 @@ class TestTolerance:
         assert numerical_rank(A) == 2
         assert numerical_rank(1e8 * A) == 2
         assert numerical_rank(1e-8 * A) == 2
+
+
+class TestExtendBasis:
+    def test_appends_only_new_directions(self):
+        Q = range_basis(M[:, :2])
+        grown = extend_basis(Q, M)
+        assert grown.shape == (3, 3)
+        assert np.array_equal(grown[:, :2], Q)
+        assert np.allclose(grown.T @ grown, np.eye(3), atol=1e-12)
+
+    def test_columns_inside_span_add_nothing(self):
+        Q = range_basis(M[:, :2])
+        assert extend_basis(Q, M[:, :2] @ np.array([[2.0], [-3.0]])) is Q
+
+    def test_scale_sets_the_threshold(self):
+        # a column of norm 1e-6 is new relative to itself, roundoff relative
+        # to a scale of 1e4
+        tiny = np.array([[0.0], [0.0], [1e-6]])
+        Q = range_basis(M[:, :2])
+        assert extend_basis(Q, tiny).shape[1] == 3
+        assert extend_basis(Q, tiny, scale=1e4).shape[1] == 2
+
+    def test_none_basis_matches_range_basis(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            A = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 4))
+            assert extend_basis(None, A).shape[1] == numerical_rank(A) == 3

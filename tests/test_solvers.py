@@ -10,11 +10,14 @@ from reachkit.instance_io import load_instance
 from reachkit.linalg import mat_exp
 from reachkit.solvers import (
     VarSelInstance,
+    check_varsel_solution,
     exact_min_reach,
     greedy_min_reach,
     varsel_exact,
 )
 from reachkit.system import LinearSystem, is_feasible, star_system
+
+from helpers import plant_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -226,3 +229,33 @@ class TestVarselExact:
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             VarSelInstance(U=np.eye(2), z=np.zeros(2), delta=-1.0)
+
+
+class TestCheckVarselSolution:
+    def test_accepts_what_varsel_exact_returns(self):
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            U, _ = plant_instance(rng, 4, 6, 2)
+            inst = VarSelInstance(U=U, z=np.ones(4), delta=float(rng.choice([0.0, 0.5])))
+            result = varsel_exact(inst)
+            check = check_varsel_solution(inst, result.y)
+            assert check.fits
+            assert check.norm0 <= result.norm0
+            assert check.residual == pytest.approx(result.residual, abs=1e-9)
+
+    def test_slack_is_relative_to_target_norm(self):
+        inst = VarSelInstance(U=np.eye(2), z=np.array([1e6, 0.0]), delta=0.0)
+        # feas_rel * ||z|| = 1e-3 absorbs a fit error of 5e-4 but not 2e-3
+        assert check_varsel_solution(inst, [1e6 - 5e-4, 0.0]).fits
+        assert not check_varsel_solution(inst, [1e6 - 2e-3, 0.0]).fits
+
+    def test_tiny_entries_leave_the_support(self):
+        inst = VarSelInstance(U=np.eye(3), z=np.array([1.0, 0.0, 0.0]), delta=0.0)
+        check = check_varsel_solution(inst, [1.0, 1e-13, 0.0])
+        assert check.norm0 == 1
+        assert check.fits
+
+    def test_rejects_wrong_length(self):
+        inst = VarSelInstance(U=np.eye(3), z=np.ones(3), delta=0.0)
+        with pytest.raises(ValueError):
+            check_varsel_solution(inst, [1.0, 1.0])
