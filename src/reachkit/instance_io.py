@@ -63,6 +63,9 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _int(value, where: str) -> int:
+    # int() would silently truncate 2.7 to 2 and read true as 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InstanceFormatError(f"{where} is not an integer: {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

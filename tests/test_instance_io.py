@@ -196,6 +196,20 @@ class TestParsing:
                  "t0": 0.0, "t1": [1.0], "x0": [0.0], "x1": [1.0]},
                 "key 't1'",
             ),
+            (
+                json.loads('{"setfun": {"v": [1.0], "M": [[1.0]], "c": 1e999}}'),
+                "'setfun' section: exponent c",
+            ),
+            (
+                {"n": 2.7, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": True, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
         ],
     )
     def test_mistyped_values_name_the_key(self, doc, where):

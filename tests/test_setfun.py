@@ -46,6 +46,67 @@ def brute_verdicts(fn):
     return monotone, supermodular
 
 
+def nested_pair_scan(fn):
+    """Reference scan over every nested pair ``A <= A'``: bases by size
+    descending, supersets by size ascending, both lexicographic within a
+    size, then ``x`` ascending.  Returns (monotone, supermodular, witness)
+    with witness ``(subset, superset, element, lhs, rhs)`` or None."""
+    ground = tuple(range(1, fn.ground_size + 1))
+    values = {}
+    for size in range(len(ground) + 1):
+        for sub in combinations(ground, size):
+            values[frozenset(sub)] = evaluate(fn, sub)
+    monotone = all(
+        values[a | {x}] <= values[a] + 1e-9
+        for a in values
+        for x in ground
+        if x not in a
+    )
+    for size_a in range(len(ground), -1, -1):
+        for a in combinations(ground, size_a):
+            a_set = frozenset(a)
+            rest = tuple(k for k in ground if k not in a_set)
+            for extra_size in range(len(rest) + 1):
+                for extra in combinations(rest, extra_size):
+                    sup = a_set | set(extra)
+                    for x in ground:
+                        if x in sup:
+                            continue
+                        lhs = values[a_set] - values[a_set | {x}]
+                        rhs = values[sup] - values[sup | {x}]
+                        if lhs < rhs - 1e-9:
+                            subset, superset = tuple(sorted(a_set)), tuple(sorted(sup))
+                            return monotone, False, (subset, superset, x, lhs, rhs)
+    return monotone, True, None
+
+
+def planted_violation_fn(rng, l):
+    """Columns p = v + u and q = u with u orthogonal to v and ||u|| = ||v||:
+    adding p to {} lowers f by ||v||^2 / 2, adding p to {q} by ||v||^2."""
+    m = l // 2 + 2
+    v = rng.normal(size=m)
+    u = rng.normal(size=m)
+    u -= (u @ v) / (v @ v) * v
+    u *= np.linalg.norm(v) / np.linalg.norm(u)
+    M = rng.normal(size=(m, l))
+    p, q = rng.choice(l, size=2, replace=False)
+    M[:, p] = v + u
+    M[:, q] = u
+    return ColumnSelectionFunction(v=v, M=M)
+
+
+def orthonormal_fn(rng, l):
+    """Orthonormal columns make the function modular, hence supermodular."""
+    Q, _ = np.linalg.qr(rng.normal(size=(l + 2, l)))
+    return ColumnSelectionFunction(v=rng.normal(size=l + 2), M=Q)
+
+
+def report_tuple(report):
+    w = report.violation
+    witness = None if w is None else (w.subset, w.superset, w.element, w.lhs, w.rhs)
+    return report.monotone_nonincreasing, report.supermodular, witness
+
+
 class TestEvaluate:
     @pytest.mark.parametrize(
         "subset,expected",
@@ -121,6 +182,40 @@ class TestCheckSupermodular:
             assert report.supermodular == supermodular
             assert report.monotone_nonincreasing == monotone
 
+    def test_matches_nested_pair_scan(self):
+        rng = np.random.default_rng(53)
+        fns = []
+        for _ in range(25):
+            rows = int(rng.integers(2, 5))
+            cols = int(rng.integers(1, 5))
+            fns.append(
+                ColumnSelectionFunction(
+                    v=rng.normal(size=rows), M=rng.normal(size=(rows, cols))
+                )
+            )
+        rng = np.random.default_rng(61)
+        for l in (6, 7, 8):
+            fns += [planted_violation_fn(rng, l), orthonormal_fn(rng, l)]
+        for fn in fns:
+            assert report_tuple(check_supermodular(fn)) == nested_pair_scan(fn)
+
+    def test_at_cap(self):
+        rng = np.random.default_rng(67)
+        report = check_supermodular(orthonormal_fn(rng, 12))
+        assert report.supermodular
+        assert report.violation is None
+        fn = planted_violation_fn(rng, 12)
+        report = check_supermodular(fn)
+        assert not report.supermodular
+        w = report.violation
+        (y,) = set(w.superset) - set(w.subset)
+        assert w.superset == tuple(sorted(w.subset + (y,)))
+        assert w.element not in w.superset
+        x = (w.element,)
+        assert w.lhs == evaluate(fn, w.subset) - evaluate(fn, w.subset + x)
+        assert w.rhs == evaluate(fn, w.superset) - evaluate(fn, w.superset + x)
+        assert w.lhs < w.rhs - 1e-9
+
     def test_witness_is_deterministic(self):
         a = check_supermodular(counterexample()).violation
         b = check_supermodular(counterexample()).violation
@@ -156,6 +251,10 @@ class TestValidation:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             ColumnSelectionFunction(v=V, M=M, c=0.0)
+
+    def test_rejects_infinite_exponent(self):
+        with pytest.raises(ValueError):
+            ColumnSelectionFunction(v=V, M=M, c=float("inf"))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
