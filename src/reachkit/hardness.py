@@ -16,8 +16,8 @@ Solutions translate both ways:
   among the stacked rows, a pigeonhole argument yields a full block of ``m``
   consecutive target rows untouched by ``S``
   (:func:`find_disjoint_block`), and a least-squares fit of those rows over
-  the actuated columns of ``U`` recovers a variable-selection solution no
-  denser than ``S`` (:func:`extract_solution`).
+  the actuated columns of ``U`` (:func:`reachkit.solvers.fit_support`)
+  recovers a solution no denser than ``S`` (:func:`extract_solution`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ReductionIntegrityError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
-from .solvers import VarSelInstance
+from .solvers import VarSelInstance, fit_support
 from .system import LinearSystem, check_node_set, is_feasible
 
 
@@ -214,11 +214,5 @@ def extract_solution(
     block = find_disjoint_block(nodes, m, d)
     target = xhat1[[i - 1 for i in block.indices]]
     col_ids = [s - (n - l) for s in nodes if s > n - l]
-    y = np.zeros(l)
-    if col_ids:
-        cols = inst.source.U[:, [k - 1 for k in col_ids]]
-        coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-        for k, c in zip(col_ids, coef):
-            y[k - 1] = c
-    residual = inst.source.U @ y - target
-    return ExtractionResult(y=y, residual_sq=float(residual @ residual))
+    y, residual = fit_support(inst.source.U, col_ids, target)
+    return ExtractionResult(y=y, residual_sq=residual**2)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InstanceFormatError
-from .hardness import HardInstance, ReductionDims, stacked_corner
+from .hardness import HardInstance, ReductionDims, generate, stacked_corner
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
 from .system import LinearSystem
@@ -47,11 +47,33 @@ class InstanceDoc:
     source_dims: ReductionDims | None = None
 
     def hard_instance(self) -> HardInstance:
+        """The bundled reduction instance, checked against a rebuild of
+        ``generate(source.U, dims.d, source.delta)``: the dims, the system's
+        ``A``, ``B``, ``x0`` and ``x1``, and ``source.z`` must all match."""
         if self.system is None or self.source is None or self.source_dims is None:
             raise InstanceFormatError(
                 "document does not bundle a system with a 'source' section"
             )
-        return HardInstance(sys=self.system, source=self.source, dims=self.source_dims)
+        try:
+            built = generate(self.source.U, self.source_dims.d, self.source.delta)
+        except ValueError as exc:
+            raise InstanceFormatError(f"'source' section: {exc}") from exc
+        dims = self.source_dims
+        pairs = [
+            *((f"'source.dims.{k}'", getattr(dims, k), getattr(built.dims, k))
+              for k in ("m", "l", "d", "n")),
+            *((f"key '{k}'", getattr(self.system, k), getattr(built.sys, k))
+              for k in ("A", "B", "x0", "x1")),
+            ("'source.z'", self.source.z, built.source.z),
+        ]
+        for where, got, want in pairs:
+            if not np.array_equal(got, want):
+                value = f" ({got}, expected {want})" if np.ndim(got) == 0 else ""
+                raise InstanceFormatError(
+                    f"{where} does not match the instance generated from "
+                    f"'source.U' with d = {dims.d}{value}"
+                )
+        return HardInstance(sys=self.system, source=self.source, dims=dims)
 
 
 def _require(mapping: dict, key: str, where: str):

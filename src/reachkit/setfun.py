@@ -48,6 +48,14 @@ class ColumnSelectionFunction:
         c = float(self.c)
         if not (np.isfinite(c) and c > 0.0):
             raise ValueError(f"exponent c must be finite and positive, got {self.c!r}")
+        # f never increases, so f({}) = ||v||**c, computed as evaluate does,
+        # bounds every value
+        try:
+            top = float(v @ v) ** (c / 2.0)
+        except OverflowError:
+            top = np.inf
+        if not np.isfinite(top):
+            raise ValueError(f"||v||**c overflows a float with exponent c = {c!r}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "c", c)

@@ -7,7 +7,9 @@ minimal size.  The greedy solver adds one node at a time, always the node
 whose addition shrinks the residual most; because the underlying
 distance-to-subspace objective is not supermodular, greedy can stall or
 overshoot the optimum, and its result is reported honestly (it may be
-infeasible, and its ``optimal`` flag is always False).
+infeasible, and its ``optimal`` flag is always False).  Both decide each node
+set with :func:`reachkit.system.is_feasible`; variable selection and the
+reduction's backward map fit supports with :func:`fit_support`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
-from .system import LinearSystem, offset_feasibility, transfer_offset
+from .system import LinearSystem, is_feasible
 
 # Exact enumeration beyond this many nodes needs an explicit cardinality budget.
 DEFAULT_EXACT_CAP = 20
@@ -125,6 +128,23 @@ def check_varsel_solution(
     )
 
 
+def fit_support(
+    U: np.ndarray, support: Sequence[int], target: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Least-squares fit of ``target`` over the 1-based ``support`` columns
+    of ``U``: the length-``l`` coefficients ``y``, zero off the support, and
+    the residual ``||U y - target||`` (``||target||`` for an empty support).
+    """
+    y = np.zeros(U.shape[1])
+    idx = [j - 1 for j in support]
+    if not idx:
+        return y, float(np.linalg.norm(target))
+    cols = U[:, idx]
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    y[idx] = coef
+    return y, float(np.linalg.norm(cols @ coef - target))
+
+
 def exact_min_reach(
     sys: LinearSystem,
     tol: Tolerance = DEFAULT_TOL,
@@ -149,12 +169,11 @@ def exact_min_reach(
     kmax = n if budget is None else min(int(budget), n)
     if kmax < 0:
         raise ValueError("budget must be nonnegative")
-    w = transfer_offset(sys)
     explored = 0
     for k in range(kmax + 1):
         for S in combinations(range(1, n + 1), k):
             explored += 1
-            verdict = offset_feasibility(sys, S, w, tol)
+            verdict = is_feasible(sys, S, tol)
             if verdict.feasible:
                 return SolveResult(
                     nodes=S,
@@ -187,9 +206,8 @@ def greedy_min_reach(
     """
     n = sys.n
     iters = n if max_iters is None else min(int(max_iters), n)
-    w = transfer_offset(sys)
     selected: list[int] = []
-    current = offset_feasibility(sys, selected, w, tol)
+    current = is_feasible(sys, selected, tol)
     explored = 0
     while not current.feasible and len(selected) < iters:
         best_node = None
@@ -198,7 +216,7 @@ def greedy_min_reach(
             if i in selected:
                 continue
             explored += 1
-            verdict = offset_feasibility(sys, selected + [i], w, tol)
+            verdict = is_feasible(sys, selected + [i], tol)
             if best is None or verdict.residual_sq < best.residual_sq:
                 best_node, best = i, verdict
         if (
@@ -237,17 +255,8 @@ def varsel_exact(
         )
     for k in range(l + 1):
         for support in combinations(range(1, l + 1), k):
-            if k == 0:
-                residual = float(np.linalg.norm(inst.z))
-                coef = np.zeros(0)
-            else:
-                cols = inst.U[:, [j - 1 for j in support]]
-                coef, *_ = np.linalg.lstsq(cols, inst.z, rcond=None)
-                residual = float(np.linalg.norm(cols @ coef - inst.z))
+            y, residual = fit_support(inst.U, support, inst.z)
             if inst.fits(residual, tol):
-                y = np.zeros(l)
-                for j, c in zip(support, coef):
-                    y[j - 1] = c
                 return VarSelResult(
                     y=y, support=support, norm0=k, residual=residual
                 )

@@ -5,9 +5,10 @@ transfer task ``x(t0) = x0 -> x(t1) = x1``.  Actuated node sets are plain
 iterables of 1-based node indices; :func:`actuation_mask` turns a set into the
 diagonal selector that gates which rows of ``B`` the input reaches.
 
-A transfer is feasible under node set ``S`` exactly when
-``x1 - exp(A (t1 - t0)) x0`` lies in the Krylov space spanned by
-``[M(S) B, A M(S) B, A^2 M(S) B, ...]`` with ``M(S)`` the actuation mask.
+A transfer is feasible under node set ``S`` exactly when the offset
+``x1 - exp(A (t1 - t0)) x0``, cached as ``LinearSystem.offset``, lies in the
+Krylov space spanned by ``[M(S) B, A M(S) B, A^2 M(S) B, ...]`` with ``M(S)``
+the actuation mask; :func:`is_feasible` is the one call that decides it.
 That space is represented by an orthonormal basis built by block Arnoldi
 (Saad, *Iterative Methods for Sparse Linear Systems*): each block is ``A``
 applied to the previous block's new directions, orthonormalized against the
@@ -20,6 +21,7 @@ rescaled together (``A -> c A``, ``t -> t / c``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +87,12 @@ class LinearSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """:func:`transfer_offset`, computed once per system and shared by
+        every node set tested against it."""
+        return transfer_offset(self)
 
 
 @dataclass(frozen=True)
@@ -172,18 +180,18 @@ def transfer_offset(sys: LinearSystem) -> np.ndarray:
     return sys.x1 - mat_exp(sys.A, sys.t1 - sys.t0) @ sys.x0
 
 
-def offset_feasibility(
-    sys: LinearSystem, S: Iterable[int], w: np.ndarray, tol: Tolerance = DEFAULT_TOL
+def is_feasible(
+    sys: LinearSystem, S: Iterable[int], tol: Tolerance = DEFAULT_TOL
 ) -> FeasibilityResult:
-    """Decide whether the precomputed transfer offset ``w`` is reachable by
-    actuating ``S``.
+    """Decide whether the transfer task is achievable by actuating ``S``.
 
-    The squared distance of ``w`` to the orthonormal Krylov basis is compared
-    with ``feas_rel**2 * max(1, ||w||^2)``; the floor of 1 makes the
-    degenerate ``w = 0`` transfer (already at the target under drift alone)
-    feasible for every ``S``.  Solvers that test many node sets compute ``w``
-    once with :func:`transfer_offset` and call this per set.
+    The squared distance of ``w = sys.offset`` to the orthonormal Krylov
+    basis is compared with ``feas_rel**2 * max(1, ||w||^2)``; the floor of 1
+    makes the degenerate ``w = 0`` transfer (already at the target under
+    drift alone) feasible for every ``S``.  Returns that distance, the
+    verdict and the dimension of the reachable space.
     """
+    w = sys.offset
     Q = reachability_matrix(sys, S, tol=tol)
     residual_sq = dist_sq_to_basis(w, Q)
     bound = tol.feas_rel**2 * max(1.0, float(w @ w))
@@ -192,18 +200,6 @@ def offset_feasibility(
     return FeasibilityResult(
         feasible=residual_sq <= bound, residual_sq=residual_sq, rank=rank
     )
-
-
-def is_feasible(
-    sys: LinearSystem, S: Iterable[int], tol: Tolerance = DEFAULT_TOL
-) -> FeasibilityResult:
-    """Decide whether the transfer task is achievable by actuating ``S``.
-
-    Returns the squared distance of the transfer offset to the reachable
-    space, the thresholded verdict (see :func:`offset_feasibility`) and the
-    dimension of the reachable space.
-    """
-    return offset_feasibility(sys, S, transfer_offset(sys), tol)
 
 
 def star_system(

@@ -23,3 +23,18 @@ def plant_instance(rng, m, l, k):
     y[planted_cols] = 1.0
     assert np.array_equal(U @ y, np.ones(m))
     return U, y
+
+
+def random_source_matrix(rng):
+    """A planted 0/1 or a dense Gaussian matrix, sometimes with a repeated
+    column or a column that is the sum of two others."""
+    m = int(rng.integers(1, 6))
+    l = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        U, _ = plant_instance(rng, m, l, int(rng.integers(1, min(m, l) + 1)))
+    else:
+        U = rng.normal(size=(m, l))
+    if l >= 3 and rng.random() < 0.5:
+        i, j, k = rng.choice(l, size=3, replace=False)
+        U[:, k] = U[:, i] if rng.random() < 0.5 else U[:, i] + U[:, j]
+    return U

@@ -212,6 +212,12 @@ class TestCheckSupermodular:
         write_instance(doc, path)
         assert main(["check-supermodular", str(path)]) == 0
 
+    def test_overflowing_exponent_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps({"setfun": dict(COUNTEREXAMPLE["setfun"], c=2000)}))
+        assert main(["check-supermodular", str(path)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_thirteen_columns_exits_3(self, tmp_path):
         doc = InstanceDoc(
             setfun=ColumnSelectionFunction(v=np.zeros(2), M=np.zeros((2, 13)))
@@ -255,6 +261,16 @@ class TestRoundtrip:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
         assert payload["norm0"] <= payload["cardinality"]
+
+    def test_source_disagreeing_with_dims_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", "--random", "2", "3", "--seed", "1", "--d", "2", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["source"]["dims"]["l"] = 5
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["roundtrip", "--file", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'source.dims.l'")
 
 
 class TestUsage:

@@ -9,9 +9,27 @@ from reachkit.hardness import (
     stacked_corner,
 )
 from reachkit.solvers import VarSelInstance, exact_min_reach, varsel_exact
-from reachkit.system import is_feasible
+from reachkit.system import check_node_set, is_feasible
 
-from helpers import plant_instance
+from helpers import plant_instance, random_source_matrix
+
+
+def lstsq_extract(inst, S, xhat1):
+    """Reference backward map with its own least-squares fit over the
+    actuated columns; returns ``(y, residual_sq)``."""
+    m, l, d, n = inst.dims.m, inst.dims.l, inst.dims.d, inst.dims.n
+    nodes = check_node_set(S, n)
+    block = find_disjoint_block(nodes, m, d)
+    target = xhat1[[i - 1 for i in block.indices]]
+    col_ids = [s - (n - l) for s in nodes if s > n - l]
+    y = np.zeros(l)
+    if col_ids:
+        cols = inst.source.U[:, [k - 1 for k in col_ids]]
+        coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+        for k, c in zip(col_ids, coef):
+            y[k - 1] = c
+    residual = inst.source.U @ y - target
+    return y, float(residual @ residual)
 
 
 class TestStackedCorner:
@@ -184,6 +202,28 @@ class TestExtractSolution:
             norm0 = int(np.sum(np.abs(out.y) > 1e-12))
             assert norm0 <= result.cardinality
             assert np.linalg.norm(U @ out.y - np.ones(m)) <= 1e-9
+
+    def test_matches_actuated_column_lstsq(self):
+        rng = np.random.default_rng(131)
+        for _ in range(80):
+            U = random_source_matrix(rng)
+            delta = float(rng.choice([0.0, 1e-3, 0.5]))
+            inst = generate(U, d=int(rng.integers(2, 6)), delta=delta)
+            n, l, d = inst.dims.n, inst.dims.l, inst.dims.d
+            # fewer than d nodes keep a target block free (pigeonhole)
+            size = int(rng.integers(0, d))
+            pool = np.arange(n - l + 1, n + 1) if rng.random() < 0.7 else np.arange(1, n + 1)
+            S = rng.choice(pool, size=min(size, pool.size), replace=False).tolist()
+            xhat1 = inst.sys.x1 + (0.0 if rng.random() < 0.5 else rng.normal(scale=1e-3, size=n))
+            out = extract_solution(inst, S, xhat1)
+            y, residual_sq = lstsq_extract(inst, S, xhat1)
+            np.testing.assert_allclose(out.y, y, rtol=1e-12, atol=0)
+            # the residual is summed over the selected columns only, so an
+            # exact fit's roundoff (~eps * ||target||) may differ
+            roundoff = (16 * np.finfo(float).eps * np.linalg.norm(xhat1)) ** 2
+            np.testing.assert_allclose(
+                out.residual_sq, residual_sq, rtol=1e-12, atol=roundoff
+            )
 
 
 class TestReductionConsistency:

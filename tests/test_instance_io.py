@@ -210,6 +210,10 @@ class TestParsing:
                  "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
                 "key 'n'",
             ),
+            (
+                {"setfun": {"v": [-1.0, 1.0, 1.0], "M": [[1.0], [1.0], [0.0]], "c": 2000}},
+                "'setfun' section: .*overflows",
+            ),
         ],
     )
     def test_mistyped_values_name_the_key(self, doc, where):
@@ -233,3 +237,39 @@ class TestLoadMatrix:
         path.write_text(json.dumps({"U": [1.0, 2.0]}))
         with pytest.raises(InstanceFormatError, match="'U' must be an array of row arrays"):
             load_matrix(path)
+
+
+class TestHardInstanceConsistency:
+    """A bundled instance must equal ``generate(source.U, dims.d,
+    source.delta)`` in its dims, ``A``, ``B``, ``x0``, ``x1`` and ``source.z``."""
+
+    @staticmethod
+    def document():
+        # the shape of a ``gen-hard --random 2 3 --d 2`` file
+        U = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        return json.loads(json.dumps(hard_instance_dict(generate(U, d=2))))
+
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (("source", "dims", "l"), 5, r"'source.dims.l' .*\(5, expected 3\)"),
+            (("source", "dims", "m"), 1, r"'source.dims.m'"),
+            (("source", "dims", "d"), 1, r"'source.dims.n' .*\(9, expected 6\)"),
+            (("source", "dims", "n"), 12, r"'source.dims.n'"),
+            (("source", "dims", "d"), 0, r"'source' section: stack count d"),
+            (("A", "stack", "U"), [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "key 'A'"),
+            (("B",), [[2.0 * (i == j) for j in range(9)] for i in range(9)], "key 'B'"),
+            (("x0",), [1.0] + [0.0] * 8, "key 'x0'"),
+            (("x1",), [1.0] * 9, "key 'x1'"),
+            (("source", "z"), [1.0, 2.0], "'source.z'"),
+        ],
+    )
+    def test_mismatch_names_the_key(self, keys, value, where):
+        data = self.document()
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        doc = parse_instance(data)
+        with pytest.raises(InstanceFormatError, match=where):
+            doc.hard_instance()

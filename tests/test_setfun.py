@@ -256,6 +256,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ColumnSelectionFunction(v=V, M=M, c=float("inf"))
 
+    def test_rejects_overflowing_largest_value(self):
+        # f({}) = ||V||**c = 3**1000 is not a finite float
+        with pytest.raises(ValueError, match="overflows"):
+            ColumnSelectionFunction(v=V, M=M, c=2000.0)
+        unit = ColumnSelectionFunction(v=np.array([1.0, 0.0, 0.0]), M=M, c=2000.0)
+        assert evaluate(unit, ()) == 1.0
+        assert check_supermodular(unit).monotone_nonincreasing
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ColumnSelectionFunction(v=np.ones(2), M=M)

@@ -12,16 +12,38 @@ from reachkit.solvers import (
     VarSelInstance,
     check_varsel_solution,
     exact_min_reach,
+    fit_support,
     greedy_min_reach,
     varsel_exact,
 )
-from reachkit.system import LinearSystem, is_feasible, star_system
+from reachkit.system import LinearSystem, is_feasible, star_system, transfer_offset
 
-from helpers import plant_instance
+from helpers import plant_instance, random_source_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 COUNTEREXAMPLE_M = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def lstsq_varsel(inst):
+    """Reference support scan with its own least-squares fit per support;
+    returns ``(y, support, norm0, residual)`` or None when no support fits."""
+    m, l = inst.U.shape
+    for k in range(l + 1):
+        for support in combinations(range(1, l + 1), k):
+            if k == 0:
+                residual = float(np.linalg.norm(inst.z))
+                coef = np.zeros(0)
+            else:
+                cols = inst.U[:, [j - 1 for j in support]]
+                coef, *_ = np.linalg.lstsq(cols, inst.z, rcond=None)
+                residual = float(np.linalg.norm(cols @ coef - inst.z))
+            if inst.fits(residual):
+                y = np.zeros(l)
+                for j, c in zip(support, coef):
+                    y[j - 1] = c
+                return y, support, k, residual
+    return None
 
 
 def brute_force_optimum(sys):
@@ -259,3 +281,64 @@ class TestCheckVarselSolution:
         inst = VarSelInstance(U=np.eye(3), z=np.ones(3), delta=0.0)
         with pytest.raises(ValueError):
             check_varsel_solution(inst, [1.0, 1.0])
+
+
+class TestFitSupport:
+    def test_scatters_coefficients_off_support_zero(self):
+        U = np.array([[1.0, 5.0, 0.0], [0.0, 5.0, 2.0]])
+        y, residual = fit_support(U, (1, 3), np.array([3.0, 4.0]))
+        assert np.allclose(y, [3.0, 0.0, 2.0])
+        assert residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_support_calls_no_lstsq(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("lstsq called for an empty support")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        y, residual = fit_support(np.ones((2, 3)), (), np.array([3.0, 4.0]))
+        assert not y.any() and y.shape == (3,)
+        assert residual == 5.0
+
+    def test_varsel_matches_per_support_lstsq(self):
+        rng = np.random.default_rng(113)
+        for _ in range(80):
+            U = random_source_matrix(rng)
+            z = np.ones(U.shape[0]) if rng.random() < 0.5 else rng.normal(size=U.shape[0])
+            inst = VarSelInstance(U=U, z=z, delta=float(rng.choice([0.0, 1e-3, 0.5])))
+            ref = lstsq_varsel(inst)
+            if ref is None:
+                with pytest.raises(InfeasibleError):
+                    varsel_exact(inst)
+                continue
+            result = varsel_exact(inst)
+            assert result.support == ref[1]
+            assert result.norm0 == ref[2]
+            np.testing.assert_allclose(result.y, ref[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(result.residual, ref[3], rtol=1e-12, atol=0)
+
+
+class TestTransferOffset:
+    def test_cached_offset_is_transfer_offset(self):
+        rng = np.random.default_rng(127)
+        A = rng.normal(size=(4, 4))
+        sys = LinearSystem(
+            A=A, B=np.eye(4), t0=0.5, t1=2.0, x0=rng.normal(size=4), x1=rng.normal(size=4)
+        )
+        assert np.array_equal(sys.offset, transfer_offset(sys))
+        assert sys.offset is sys.offset
+
+    def test_greedy_solve_computes_offset_once(self, monkeypatch):
+        import reachkit.system
+
+        calls = []
+        original = reachkit.system.transfer_offset
+
+        def counting(sys):
+            calls.append(sys)
+            return original(sys)
+
+        monkeypatch.setattr(reachkit.system, "transfer_offset", counting)
+        sys = generate(np.array([[1.0, 0.0], [1.0, 1.0]]), d=3).sys
+        result = greedy_min_reach(sys)
+        assert result.nodes_explored > 1
+        assert len(calls) == 1
