@@ -128,7 +128,10 @@ def _parse_system(data: dict) -> LinearSystem:
         stack = _require(raw_A, "stack", "key 'A'")
         U = _as_rows(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'")
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
-        A = stacked_corner(U, n, d)
+        try:
+            A = stacked_corner(U, n, d)
+        except ValueError as exc:
+            raise InstanceFormatError(f"inconsistent key 'A.stack': {exc}") from exc
     else:
         A = _as_rows(raw_A, "key 'A'")
     raw_B = _require(data, "B", "system section")

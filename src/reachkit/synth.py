@@ -2,10 +2,13 @@
 simulation.
 
 Feasibility of a transfer is a rank statement; this module backs it up with
-an actual input signal.  The reachability Gramian over the transfer window
-yields the minimum-energy open-loop input steering the system to the target,
-and a fixed-step RK4 simulation of the actuated dynamics independently
-confirms (or honestly refutes) that the target is hit.
+an actual input signal.  Everything is read off one input response stack
+``H[j] = exp(A (t1 - tau_j)) M(S) B`` on the grid ``tau_0 < ... < tau_N``,
+propagated once: the reachability Gramian is the Simpson quadrature of
+``H[j] H[j]^T``, and the minimum-energy open-loop input steering the system
+to the target is ``H[j]^T W^+ w``.  A fixed-step RK4 simulation of the
+actuated dynamics then independently confirms (or honestly refutes) that the
+target is hit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_exp
-from .system import LinearSystem, check_node_set, masked_input_matrix, transfer_offset
+from .system import LinearSystem, check_node_set, masked_input_matrix
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,32 @@ class SynthesisResult:
     gramian_rank: int
 
 
+def _input_response(
+    sys: LinearSystem, S: Iterable[int], N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid, its Gramian, the nonzero input columns and their response.
+
+    ``H[j] = exp(A (t1 - tau_j)) M(S) B[:, cols]`` for the ``N + 1`` grid
+    times ``tau_j``, with ``cols`` the nonzero columns of ``M(S) B``; the
+    stack is built backwards from ``H[N] = M(S) B[:, cols]`` by one
+    ``exp(A h)`` product per interval.  The Gramian is the Simpson rule over
+    ``H[j] H[j]^T``, symmetrized after assembly.
+    """
+    N = int(N)
+    if N < 2:
+        raise ValueError(f"need at least 2 grid intervals, got {N}")
+    IB = masked_input_matrix(sys, check_node_set(S, sys.n))
+    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
+    step = mat_exp(sys.A, (sys.t1 - sys.t0) / N)
+    H = np.empty((N + 1, sys.n, cols.size))
+    H[N] = IB[:, cols]
+    for j in range(N, 0, -1):
+        H[j - 1] = step @ H[j]
+    grid = np.linspace(sys.t0, sys.t1, N + 1)
+    W = simpson(H @ H.transpose(0, 2, 1), x=grid, axis=0)
+    return grid, 0.5 * (W + W.T), cols, H
+
+
 def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
     """Reachability Gramian of the actuated system over ``[t0, t1]``.
 
@@ -46,24 +75,7 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     result is symmetrized after assembly, so it is symmetric by construction
     and positive semidefinite up to quadrature noise.
     """
-    N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least 2 quadrature intervals, got {N}")
-    nodes = check_node_set(S, sys.n)
-    IB = masked_input_matrix(sys, nodes)
-    h = (sys.t1 - sys.t0) / N
-    grid = np.linspace(sys.t0, sys.t1, N + 1)
-    step = mat_exp(sys.A, h)
-    # propagators[k] = exp(A * k h); index N - j matches tau = grid[j].
-    propagators = [np.eye(sys.n)]
-    for _ in range(N):
-        propagators.append(step @ propagators[-1])
-    integrand = np.empty((N + 1, sys.n, sys.n))
-    for j in range(N + 1):
-        G = propagators[N - j] @ IB
-        integrand[j] = G @ G.T
-    W = simpson(integrand, x=grid, axis=0)
-    return 0.5 * (W + W.T)
+    return _input_response(sys, S, N)[1]
 
 
 def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
@@ -88,39 +100,21 @@ def min_energy_transfer(
 
     The input is ``u(t) = B^T M(S) exp(A^T (t1 - t)) W^+ w`` with ``W`` the
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
-    ``w`` the transfer offset.  The state is then integrated by fixed-step
-    RK4 on the same ``N``-interval grid the quadrature used, which avoids any
-    interpolation bookkeeping between the two.  For infeasible targets the
-    synthesized input reaches only the projection of ``w`` onto the reachable
-    set and ``terminal_error`` stays large.
+    ``w`` the transfer offset ``sys.offset``.  The state is then integrated
+    by fixed-step RK4 on the same ``N``-interval grid the quadrature used,
+    which avoids any interpolation bookkeeping between the two.  For
+    infeasible targets the synthesized input reaches only the projection of
+    ``w`` onto the reachable set and ``terminal_error`` stays large.
     """
-    N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least 2 grid intervals, got {N}")
-    nodes = check_node_set(S, sys.n)
-    IB = masked_input_matrix(sys, nodes)
-    w = transfer_offset(sys)
-    W = reach_gramian(sys, nodes, N)
+    grid, W, cols, H = _input_response(sys, S, N)
     W_pinv, gramian_rank = _thresholded_pinv(W, tol)
-    g = W_pinv @ w
-
+    g = W_pinv @ sys.offset
+    N = grid.size - 1
     h = (sys.t1 - sys.t0) / N
-    grid = np.linspace(sys.t0, sys.t1, N + 1)
-    # psi[k] = exp(A^T * k h/2) @ g on the half-step grid; the input at
-    # t = t0 + k h/2 is B^T M(S) psi[2N - k] since t1 - t = (2N - k) h/2.
-    half_step_T = mat_exp(sys.A, h / 2.0).T
-    psi = np.empty((2 * N + 1, sys.n))
-    psi[0] = g
-    for k in range(2 * N):
-        psi[k + 1] = half_step_T @ psi[k]
-
-    selector = np.zeros(sys.n)
-    selector[[i - 1 for i in nodes]] = 1.0
-
-    def input_at(k: int) -> np.ndarray:
-        return sys.B.T @ (selector * psi[2 * N - k])
-
-    u_half = np.array([input_at(k) for k in range(2 * N + 1)])
+    IB = H[N]  # M(S) B on its nonzero columns
+    u_grid = g @ H
+    # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
+    u_mid = (mat_exp(sys.A, h / 2.0).T @ g) @ H[1:]
 
     def f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return sys.A @ x + IB @ u
@@ -129,7 +123,7 @@ def min_energy_transfer(
     x_samples[0] = sys.x0
     x = sys.x0.copy()
     for j in range(N):
-        u1, u2, u4 = u_half[2 * j], u_half[2 * j + 1], u_half[2 * j + 2]
+        u1, u2, u4 = u_grid[j], u_mid[j], u_grid[j + 1]
         k1 = f(x, u1)
         k2 = f(x + 0.5 * h * k1, u2)
         k3 = f(x + 0.5 * h * k2, u2)
@@ -137,10 +131,12 @@ def min_energy_transfer(
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x_samples[j + 1] = x
 
+    u_samples = np.zeros((N + 1, sys.m))
+    u_samples[:, cols] = u_grid
     terminal_error = float(np.linalg.norm(x - sys.x1))
     return SynthesisResult(
         grid=grid,
-        u_samples=u_half[::2],
+        u_samples=u_samples,
         x_samples=x_samples,
         terminal_error=terminal_error,
         gramian_rank=gramian_rank,

@@ -176,8 +176,21 @@ def reachability_matrix(
 
 def transfer_offset(sys: LinearSystem) -> np.ndarray:
     """The vector ``x1 - exp(A (t1 - t0)) x0`` whose reachability decides the
-    transfer."""
-    return sys.x1 - mat_exp(sys.A, sys.t1 - sys.t0) @ sys.x0
+    transfer.
+
+    A zero start state gives ``x1`` without forming the exponential, which
+    may overflow.  Raises ValueError when the drift term is not finite.
+    """
+    if not sys.x0.any():
+        return sys.x1.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = sys.x1 - mat_exp(sys.A, sys.t1 - sys.t0) @ sys.x0
+    if not np.all(np.isfinite(w)):
+        raise ValueError(
+            "transfer offset x1 - exp(A (t1 - t0)) x0 is not finite: "
+            "the drift term overflows"
+        )
+    return w
 
 
 def is_feasible(

@@ -7,7 +7,7 @@ from reachkit.cli import main
 from reachkit.instance_io import InstanceDoc, load_instance, write_instance
 from reachkit.setfun import ColumnSelectionFunction
 from reachkit.solvers import VarSelInstance
-from reachkit.system import star_system
+from reachkit.system import LinearSystem, star_system
 
 COUNTEREXAMPLE = {
     "setfun": {
@@ -47,6 +47,17 @@ class TestCheckFeasible:
 
     def test_missing_file(self, tmp_path):
         assert main(["check-feasible", str(tmp_path / "absent.json")]) == 2
+
+    def test_overflowing_drift_exits_2(self, tmp_path, capsys):
+        # exp(A) overflows, so the offset x1 - exp(A) x0 is not finite
+        sys = LinearSystem(
+            A=np.diag([800.0, 0.0]), B=np.eye(2), t0=0.0, t1=1.0,
+            x0=np.array([0.0, 1.0]), x1=np.array([1.0, 0.0]),
+        )
+        path = tmp_path / "overflow.json"
+        write_instance(InstanceDoc(system=sys), path)
+        assert main(["check-feasible", str(path), "--actuate", "1"]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_json_output(self, star_file, capsys):
         assert main(["check-feasible", star_file, "--actuate", "1", "--json"]) == 0

@@ -214,6 +214,23 @@ class TestParsing:
                 {"setfun": {"v": [-1.0, 1.0, 1.0], "M": [[1.0], [1.0], [0.0]], "c": 2000}},
                 "'setfun' section: .*overflows",
             ),
+            (
+                {"n": 2, "m": 2, "A": {"stack": {"U": [[1.0]], "d": 0}}, "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
+                "key 'A.stack': stack count d",
+            ),
+            (
+                {"n": 2, "m": 2, "A": {"stack": {"U": [[1.0]], "d": 3}}, "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
+                "key 'A.stack': n=2 is too small",
+            ),
+            (
+                json.loads(
+                    '{"n": 2, "m": 2, "A": {"stack": {"U": [[1e999]], "d": 1}}, "B": "identity",'
+                    ' "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]}'
+                ),
+                "key 'A.stack': .*non-finite",
+            ),
         ],
     )
     def test_mistyped_values_name_the_key(self, doc, where):

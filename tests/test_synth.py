@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from reachkit.linalg import mat_exp
-from reachkit.synth import min_energy_transfer, reach_gramian
+from reachkit.linalg import DEFAULT_TOL, mat_exp
+from reachkit.synth import _thresholded_pinv, min_energy_transfer, reach_gramian
 from reachkit.system import (
     LinearSystem,
     actuation_mask,
     is_feasible,
+    masked_input_matrix,
     reachability_matrix,
     star_system,
+    transfer_offset,
 )
 
 
@@ -36,6 +40,107 @@ def feasible_fixture(rng, n):
     sys = LinearSystem(A=A, B=np.eye(n), t0=0.0, t1=1.0, x0=x0, x1=x1)
     assert is_feasible(sys, S).feasible
     return sys, S
+
+
+def propagator_reference(sys, S, N):
+    """Gramian, input and state samples computed the long way: a list of
+    ``N + 1`` dense propagators ``exp(A k h)`` for the Gramian and a half-step
+    recursion ``psi[k] = exp(A^T k h/2) W^+ w`` for the input, followed by the
+    same RK4 simulation."""
+    n = sys.n
+    IB = masked_input_matrix(sys, S)
+    h = (sys.t1 - sys.t0) / N
+    grid = np.linspace(sys.t0, sys.t1, N + 1)
+    step = mat_exp(sys.A, h)
+    propagators = [np.eye(n)]
+    for _ in range(N):
+        propagators.append(step @ propagators[-1])
+    integrand = np.empty((N + 1, n, n))
+    for j in range(N + 1):
+        G = propagators[N - j] @ IB
+        integrand[j] = G @ G.T
+    W = simpson(integrand, x=grid, axis=0)
+    W = 0.5 * (W + W.T)
+
+    W_pinv, _ = _thresholded_pinv(W, DEFAULT_TOL)
+    half_step_T = mat_exp(sys.A, h / 2.0).T
+    psi = np.empty((2 * N + 1, n))
+    psi[0] = W_pinv @ transfer_offset(sys)
+    for k in range(2 * N):
+        psi[k + 1] = half_step_T @ psi[k]
+    selector = np.zeros(n)
+    selector[[i - 1 for i in S]] = 1.0
+    u_half = np.array([sys.B.T @ (selector * psi[2 * N - k]) for k in range(2 * N + 1)])
+
+    x_samples = np.empty((N + 1, n))
+    x_samples[0] = x = sys.x0
+    for j in range(N):
+        u1, u2, u4 = u_half[2 * j], u_half[2 * j + 1], u_half[2 * j + 2]
+        k1 = sys.A @ x + IB @ u1
+        k2 = sys.A @ (x + 0.5 * h * k1) + IB @ u2
+        k3 = sys.A @ (x + 0.5 * h * k2) + IB @ u2
+        k4 = sys.A @ (x + h * k3) + IB @ u4
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_samples[j + 1] = x
+    return W, u_half[::2], x_samples
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestResponseStack:
+    """The Gramian and input read off one input response stack agree with
+    the propagator-list reference; odd ``N`` exercises the last-interval
+    rule of ``simpson``."""
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 64, 101, 200])
+    def test_matches_propagator_reference(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(9):
+            sys, S = feasible_fixture(rng, int(rng.integers(2, 7)))
+            W_ref, u_ref, x_ref = propagator_reference(sys, S, N)
+            assert rel_diff(reach_gramian(sys, S, N=N), W_ref) <= 1e-12
+            result = min_energy_transfer(sys, S, N=N)
+            assert rel_diff(result.u_samples, u_ref) <= 1e-6
+            assert rel_diff(result.x_samples, x_ref) <= 1e-6
+
+    def test_transfer_computes_offset_once(self, monkeypatch):
+        import reachkit.synth
+        import reachkit.system
+
+        calls = []
+        original = reachkit.system.transfer_offset
+
+        def counting(sys):
+            calls.append(sys)
+            return original(sys)
+
+        # count direct calls from synth as well as those through sys.offset
+        for module in (reachkit.system, reachkit.synth):
+            monkeypatch.setattr(module, "transfer_offset", counting, raising=False)
+        rng = np.random.default_rng(113)
+        sys = LinearSystem(
+            A=rng.normal(size=(3, 3)), B=np.eye(3), t0=0.0, t1=1.0,
+            x0=rng.normal(size=3), x1=rng.normal(size=3),
+        )
+        verdict = is_feasible(sys, [1, 2, 3])
+        result = min_energy_transfer(sys, [1, 2, 3], N=50)
+        assert verdict.feasible and result.terminal_error <= 1e-3
+        assert len(calls) == 1
+
+    def test_peak_memory_stays_below_two_and_a_half_stacks(self):
+        # dense n x n propagators kept beside the integrand peak at 3.0 stacks
+        n, N = 60, 1000
+        sys = star_system(n)
+        min_energy_transfer(star_system(3), [1], N=10)  # warm lazy imports
+        tracemalloc.start()
+        try:
+            min_energy_transfer(sys, [1], N=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (N + 1) * n * n * 8
 
 
 class TestReachGramian:

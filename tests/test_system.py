@@ -11,6 +11,7 @@ from reachkit.system import (
     transfer_offset,
 )
 from reachkit.hardness import generate
+from reachkit.solvers import exact_min_reach
 
 
 def random_system(rng, n, zero_start=True):
@@ -153,3 +154,27 @@ class TestLinearSystemValidation:
         A = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(ValueError):
             LinearSystem(A, np.eye(2), 0.0, 1.0, np.zeros(2), np.ones(2))
+
+
+class TestOverflowingDrift:
+    """``exp(A (t1 - t0))`` overflows for ``A = diag(800, 0)``."""
+
+    @staticmethod
+    def system(x0):
+        return LinearSystem(
+            A=np.diag([800.0, 0.0]), B=np.eye(2), t0=0.0, t1=1.0,
+            x0=np.asarray(x0, dtype=float), x1=np.array([1.0, 0.0]),
+        )
+
+    def test_zero_start_offset_is_target(self):
+        sys = self.system([0.0, 0.0])
+        assert np.array_equal(transfer_offset(sys), sys.x1)
+        assert is_feasible(sys, [1]).feasible
+        assert exact_min_reach(sys).nodes == (1,)
+
+    def test_non_finite_offset_raises(self):
+        sys = self.system([0.0, 1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            transfer_offset(sys)
+        with pytest.raises(ValueError, match="not finite"):
+            is_feasible(sys, [1])
