@@ -90,6 +90,7 @@ def _solve_payload(result: solvers.SolveResult) -> dict:
         "feasible": result.feasible,
         "optimal": result.optimal,
         "nodes_explored": result.nodes_explored,
+        "nodes_pruned": result.nodes_pruned,
     }
 
 

@@ -15,7 +15,20 @@ applied to the previous block's new directions, orthonormalized against the
 basis so far by :func:`reachkit.linalg.extend_basis`.  The first block is
 judged against its own largest singular value and every later block against
 ``||A||_F``, so verdicts do not change when ``A`` and the time window are
-rescaled together (``A -> c A``, ``t -> t / c``).
+rescaled together (``A -> c A``, ``t -> t / c``).  The verdict is taken on
+the offset scaled by ``max(1, ||offset||)`` (``LinearSystem.scaled_offset``),
+so an offset whose squared norm overflows is still judged.
+
+``LinearSystem.reach`` caches the structural bound of Lin ("Structural
+controllability", IEEE TAC 1974) and Olshevsky ("Minimal controllability
+problems", IEEE TCNS 2014) that the solvers prune with.  Let ``R(S)`` be the
+nodes reachable in the graph of ``A`` (edge ``j -> i`` when ``A[i, j] != 0``)
+from the members of ``S`` whose row of ``B`` is nonzero.  Every Krylov block
+is supported on ``R(S)``, so the squared mass of the scaled offset off
+``R(S)`` is a lower bound on the scaled residual, and ``R`` grows with ``S``
+for every ``B``.  The computed basis leaks up to about ``1e-13`` off
+``R(S)``, so a bound is only trusted with a margin (see
+:mod:`reachkit.solvers`).
 """
 
 from __future__ import annotations
@@ -93,6 +106,76 @@ class LinearSystem:
         """:func:`transfer_offset`, computed once per system and shared by
         every node set tested against it."""
         return transfer_offset(self)
+
+    @cached_property
+    def offset_scale(self) -> float:
+        """``max(1, ||offset||)``, the scale that feasibility verdicts and
+        structural bounds divide the offset by.
+
+        The norm is taken after dividing by the largest entry, so squaring
+        does not overflow.  Raises ValueError when the norm itself exceeds
+        the float range.
+        """
+        w = self.offset
+        peak = float(np.max(np.abs(w), initial=0.0))
+        norm = peak * float(np.linalg.norm(w / peak)) if peak else 0.0
+        if norm == float("inf"):
+            raise ValueError("transfer offset norm exceeds the float range")
+        return max(1.0, norm)
+
+    @cached_property
+    def scaled_offset(self) -> np.ndarray:
+        """The offset divided by :attr:`offset_scale`; its norm is at most 1."""
+        return self.offset / self.offset_scale
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """Structural reach of every node as a bitmask: bit ``j - 1`` of
+        ``reach[i - 1]`` is set when node ``j`` is node ``i`` or a descendant
+        of it in the graph of ``A`` (edge ``j -> i`` when ``A[i, j] != 0``).
+
+        A node whose row of ``B`` is zero reaches nothing (mask 0), so the
+        reach ``R(S)`` of a node set is the union of its members' masks.  The
+        closure is taken by repeated boolean squaring of the adjacency
+        pattern.
+        """
+        closure = (self.A != 0.0).T | np.eye(self.n, dtype=bool)
+        while True:
+            longer = closure @ closure
+            if np.array_equal(longer, closure):
+                break
+            closure = longer
+        closure[~np.any(self.B != 0.0, axis=1)] = False
+        return tuple(
+            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in closure
+        )
+
+    def off_reach_sq(self, mask: int) -> float:
+        """Squared norm of :attr:`scaled_offset` on the nodes outside the
+        bitmask ``mask``.
+
+        For ``mask = R(S)`` this is a lower bound on the scaled squared
+        residual of ``S`` and of every subset of ``S``, up to the leak of the
+        computed Krylov basis off ``R(S)``.  Only nodes where the offset is
+        nonzero are summed, so a mask that covers them gives exactly zero.
+        """
+        support, weights = self._offset_weights
+        rest = support & ~mask
+        total = 0.0
+        while rest:
+            low = rest & -rest
+            total += weights[low.bit_length() - 1]
+            rest ^= low
+        return total
+
+    @cached_property
+    def _offset_weights(self) -> tuple[int, list[float]]:
+        """Bitmask of the nodes where :attr:`scaled_offset` is nonzero, and
+        its squared entries."""
+        weights = (self.scaled_offset**2).tolist()
+        support = sum(1 << j for j, value in enumerate(weights) if value)
+        return support, weights
 
 
 @dataclass(frozen=True)
@@ -198,20 +281,23 @@ def is_feasible(
 ) -> FeasibilityResult:
     """Decide whether the transfer task is achievable by actuating ``S``.
 
-    The squared distance of ``w = sys.offset`` to the orthonormal Krylov
-    basis is compared with ``feas_rel**2 * max(1, ||w||^2)``; the floor of 1
-    makes the degenerate ``w = 0`` transfer (already at the target under
-    drift alone) feasible for every ``S``.  Returns that distance, the
-    verdict and the dimension of the reachable space.
+    The offset ``w = sys.offset`` is feasible when its squared distance to
+    the orthonormal Krylov basis is at most
+    ``feas_rel**2 * max(1, ||w||^2)``; the floor of 1 makes the degenerate
+    ``w = 0`` transfer (already at the target under drift alone) feasible
+    for every ``S``.  The test is made on ``sys.scaled_offset`` against
+    ``feas_rel**2``, so it still holds when ``||w||^2`` overflows.  Returns
+    the verdict, the squared distance of ``w`` itself (``inf`` past the
+    float range) and the dimension of the reachable space.
     """
-    w = sys.offset
     Q = reachability_matrix(sys, S, tol=tol)
-    residual_sq = dist_sq_to_basis(w, Q)
-    bound = tol.feas_rel**2 * max(1.0, float(w @ w))
+    with np.errstate(over="ignore"):
+        residual_sq = dist_sq_to_basis(sys.offset, Q)
+    scaled_sq = dist_sq_to_basis(sys.scaled_offset, Q)
     # an empty reachable space comes back as the all-zero n x m block
     rank = Q.shape[1] if Q.any() else 0
     return FeasibilityResult(
-        feasible=residual_sq <= bound, residual_sq=residual_sq, rank=rank
+        feasible=scaled_sq <= tol.feas_rel**2, residual_sq=residual_sq, rank=rank
     )
 
 

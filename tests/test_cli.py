@@ -75,6 +75,24 @@ class TestSolve:
         assert "cardinality = 1" in out
         assert "optimal = yes" in out
 
+    def test_json_reports_pruned_candidates(self, star_file, capsys):
+        keys = {
+            "S", "cardinality", "residual_sq", "feasible", "optimal",
+            "nodes_explored", "nodes_pruned",
+        }
+        # star(5), target e1: only node 1 reaches it, so the empty set is
+        # pruned and {1} is the one evaluated subset
+        assert main(["solve-exact", star_file, "--json"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert set(exact) == keys
+        assert exact["S"] == [1]
+        assert (exact["nodes_explored"], exact["nodes_pruned"]) == (1, 1)
+        # every spoke drives the hub, so greedy can rule out no candidate
+        assert main(["solve-greedy", star_file, "--json"]) == 0
+        greedy = json.loads(capsys.readouterr().out)
+        assert set(greedy) == keys
+        assert (greedy["nodes_explored"], greedy["nodes_pruned"]) == (5, 0)
+
     def test_greedy_star(self, star_file, capsys):
         assert main(["solve-greedy", star_file]) == 0
         out = capsys.readouterr().out

@@ -139,3 +139,31 @@ class TestMetamorphic:
             twin = LinearSystem(A[np.ix_(perm, perm)], B[perm], 0.0, 1.0, zero, x1[perm])
             S_perm = sorted(int(inv[i - 1]) + 1 for i in S)
             assert is_feasible(twin, S_perm).feasible == base.feasible, (perm, S, T)
+
+
+class TestOffsetScale:
+    def test_huge_target_keeps_the_node_sets(self):
+        # ||x1||^2 overflows at 1e200, so verdicts must be taken on the
+        # scaled offset
+        rng = np.random.default_rng(151)
+        for _ in range(40):
+            A, B, x1, T = random_sparse_case(rng)
+            n = A.shape[0]
+            zero = np.zeros(n)
+            base = LinearSystem(A, B, 0.0, 1.0, zero, x1)
+            huge = LinearSystem(A, B, 0.0, 1.0, zero, 1e200 * x1)
+            S = random_subset(rng, n)
+            assert is_feasible(huge, S).feasible == is_feasible(base, S).feasible
+            assert is_feasible(huge, T).feasible
+            assert exact_min_reach(huge).nodes == exact_min_reach(base).nodes
+
+    def test_tiny_target_is_within_the_floor(self):
+        # the bound feas_rel**2 * max(1, ||w||^2) has a floor of feas_rel**2,
+        # so a target 1e-200 from the drift is met by the empty set
+        rng = np.random.default_rng(157)
+        for _ in range(10):
+            A, B, x1, T = random_sparse_case(rng)
+            n = A.shape[0]
+            tiny = LinearSystem(A, B, 0.0, 1.0, np.zeros(n), 1e-200 * x1)
+            result = exact_min_reach(tiny)
+            assert result.nodes == () and result.feasible

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from reachkit.errors import CapacityError, InfeasibleError
 from reachkit.hardness import generate
 from reachkit.instance_io import load_instance
-from reachkit.linalg import mat_exp
+from reachkit.linalg import DEFAULT_TOL, mat_exp
 from reachkit.solvers import (
+    DEFAULT_EXACT_CAP,
+    GREEDY_IMPROVEMENT_EPS,
+    SolveResult,
     VarSelInstance,
     check_varsel_solution,
     exact_min_reach,
@@ -44,6 +48,119 @@ def lstsq_varsel(inst):
                     y[j - 1] = c
                 return y, support, k, residual
     return None
+
+
+def unpruned_exact(sys, tol=DEFAULT_TOL, budget=None, cap=DEFAULT_EXACT_CAP):
+    """Reference exact search without the structural prune: every subset by
+    size, then lexicographically, each decided by ``is_feasible``."""
+    n = sys.n
+    if budget is None and n > cap:
+        raise CapacityError(
+            f"exact enumeration over {n} nodes exceeds the cap of {cap}; "
+            "pass a cardinality budget to proceed"
+        )
+    kmax = n if budget is None else min(int(budget), n)
+    if kmax < 0:
+        raise ValueError("budget must be nonnegative")
+    explored = 0
+    for k in range(kmax + 1):
+        for S in combinations(range(1, n + 1), k):
+            explored += 1
+            verdict = is_feasible(sys, S, tol)
+            if verdict.feasible:
+                return SolveResult(
+                    nodes=S,
+                    cardinality=k,
+                    residual_sq=verdict.residual_sq,
+                    feasible=True,
+                    optimal=True,
+                    nodes_explored=explored,
+                )
+    if budget is not None and kmax < n:
+        raise InfeasibleError(
+            f"no feasible actuated set of cardinality <= {kmax} (budget exhausted)"
+        )
+    raise InfeasibleError("transfer is infeasible even with every node actuated")
+
+
+def unpruned_greedy(sys, tol=DEFAULT_TOL, max_iters=None):
+    """Reference greedy scan that evaluates every candidate of every round."""
+    n = sys.n
+    iters = n if max_iters is None else min(int(max_iters), n)
+    selected = []
+    current = is_feasible(sys, selected, tol)
+    explored = 0
+    while not current.feasible and len(selected) < iters:
+        best_node = None
+        best = None
+        for i in range(1, n + 1):
+            if i in selected:
+                continue
+            explored += 1
+            verdict = is_feasible(sys, selected + [i], tol)
+            if best is None or verdict.residual_sq < best.residual_sq:
+                best_node, best = i, verdict
+        if (
+            best_node is None
+            or current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS
+        ):
+            break
+        selected.append(best_node)
+        current = best
+    return SolveResult(
+        nodes=tuple(sorted(selected)),
+        cardinality=len(selected),
+        residual_sq=current.residual_sq,
+        feasible=current.feasible,
+        optimal=False,
+        nodes_explored=explored,
+    )
+
+
+def random_input_matrix(rng, n):
+    """Identity, diagonal with tiny and zero entries, dense, or one input
+    broadcast to every node (not node-local: ``M(S)B`` mixes the rows of
+    ``S``)."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.eye(n)
+    if kind == 1:
+        return np.diag(rng.choice([1.0, 1e-11, 0.0], size=n, p=[0.6, 0.2, 0.2]))
+    if kind == 2:
+        return rng.normal(size=(n, int(rng.integers(1, 4))))
+    return rng.choice([-1.0, 1.0], size=(n, 1))
+
+
+def random_solver_system(rng):
+    """Sparse ``A`` scaled by 1e-3, 1 or 1e3 (with the time window scaled
+    back), a random ``B`` and, 40% of the time, a nonzero start state.  The
+    target is reachable from a random node set, a random vector, or a 0/1
+    vector."""
+    n = int(rng.integers(2, 7))
+    c = float(rng.choice([1e-3, 1.0, 1e3]))
+    A = c * rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < 0.3)
+    B = random_input_matrix(rng, n)
+    kind = rng.integers(3)
+    if kind == 0:
+        T = rng.random(size=n) < 0.5
+        block = B * T[:, None]
+        x1 = np.zeros(n)
+        for _ in range(int(rng.integers(1, n + 1))):
+            x1 += block @ rng.normal(size=B.shape[1])
+            block = A @ block
+    elif kind == 1:
+        x1 = rng.normal(size=n)
+    else:
+        x1 = rng.integers(0, 2, size=n).astype(float)
+    x0 = rng.normal(size=n) if rng.random() < 0.4 else np.zeros(n)
+    return LinearSystem(A=A, B=B, t0=0.0, t1=1.0 / c, x0=x0, x1=x1)
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except (InfeasibleError, CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def brute_force_optimum(sys):
@@ -342,3 +459,113 @@ class TestTransferOffset:
         result = greedy_min_reach(sys)
         assert result.nodes_explored > 1
         assert len(calls) == 1
+
+
+BROADCAST = LinearSystem(
+    A=np.zeros((2, 2)), B=np.array([[1.0], [1.0]]), t0=0.0, t1=1.0,
+    x0=np.zeros(2), x1=np.array([1.0, 0.0]),
+)
+
+
+class TestStructuralPrune:
+    """The pruned solvers against the unpruned reference scans."""
+
+    @staticmethod
+    def assert_same(result, ref):
+        if isinstance(ref, tuple):
+            assert result == ref
+            return
+        assert result.nodes == ref.nodes
+        assert result.cardinality == ref.cardinality
+        assert result.feasible == ref.feasible
+        assert result.residual_sq == ref.residual_sq  # bit-equal
+        assert result.nodes_explored <= ref.nodes_explored
+        # every candidate the reference evaluated was evaluated or pruned
+        assert result.nodes_explored + result.nodes_pruned == ref.nodes_explored
+
+    def test_matches_unpruned_scans_on_random_systems(self):
+        rng = np.random.default_rng(131)
+        systems = [BROADCAST] + [random_solver_system(rng) for _ in range(320)]
+        kinds = set()
+        for sys in systems:
+            budget = None if rng.random() < 0.7 else int(rng.integers(0, sys.n))
+            exact = outcome(exact_min_reach, sys, budget=budget)
+            self.assert_same(exact, outcome(unpruned_exact, sys, budget=budget))
+            max_iters = None if rng.random() < 0.8 else int(rng.integers(0, sys.n))
+            greedy = outcome(greedy_min_reach, sys, max_iters=max_iters)
+            self.assert_same(greedy, outcome(unpruned_greedy, sys, max_iters=max_iters))
+            kinds.add(exact[0] if isinstance(exact, tuple) else exact.cardinality)
+        # the draw covers both infeasible messages and several optimal sizes
+        assert {InfeasibleError, 0, 1, 2, 3} <= kinds
+
+    def test_broadcast_input_keeps_the_single_node(self):
+        # {1} is feasible and {1, 2} is not: M({1,2})B = e1 + e2
+        assert is_feasible(BROADCAST, [1]).feasible
+        assert not is_feasible(BROADCAST, [1, 2]).feasible
+        assert exact_min_reach(BROADCAST).nodes == (1,)
+        assert greedy_min_reach(BROADCAST).nodes == (1,)
+
+    def test_matches_unpruned_scans_on_generated_instances(self):
+        rng = np.random.default_rng(137)
+        for _ in range(6):
+            U = random_source_matrix(rng)
+            sys = generate(U, d=2).sys
+            budget = min(sys.n, 3)
+            self.assert_same(
+                outcome(exact_min_reach, sys, budget=budget),
+                outcome(unpruned_exact, sys, budget=budget),
+            )
+            self.assert_same(greedy_min_reach(sys), unpruned_greedy(sys))
+
+    def test_infeasible_full_set_evaluates_nothing(self, monkeypatch):
+        # node 3 carries no input and nothing drives it, yet the target needs it
+        import reachkit.solvers
+
+        calls = []
+        original = reachkit.solvers.is_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.solvers, "is_feasible", counting)
+        A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        B = np.diag([1.0, 1.0, 0.0])
+        sys = LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=np.zeros(3), x1=np.ones(3))
+        with pytest.raises(InfeasibleError, match="every node actuated"):
+            exact_min_reach(sys)
+        with pytest.raises(InfeasibleError, match="budget exhausted"):
+            exact_min_reach(sys, budget=1)
+        assert calls == []
+
+    def test_pruned_count_covers_skipped_subsets(self):
+        # the star target e1 is only reached through node 1: every subset
+        # without node 1 is pruned, {1} is the one evaluated set
+        result = exact_min_reach(star_system(6))
+        assert result.nodes == (1,)
+        assert (result.nodes_explored, result.nodes_pruned) == (1, 1)
+        # all-ones target of a driftless system: only the full set reaches it
+        n = 6
+        sys = LinearSystem(
+            A=np.zeros((n, n)), B=np.eye(n), t0=0.0, t1=1.0, x0=np.zeros(n), x1=np.ones(n)
+        )
+        result = exact_min_reach(sys)
+        assert result.nodes == tuple(range(1, n + 1))
+        assert result.nodes_explored == 1
+        assert result.nodes_pruned == sum(comb(n, k) for k in range(n))
+
+    def test_greedy_skips_candidates_on_a_diagonal_system(self):
+        # decoupled nodes: once a target node is found, nodes off the
+        # target's support cannot beat it
+        n = 30
+        x1 = np.zeros(n)
+        x1[[2, 11, 19]] = [1.0, -2.0, 0.5]
+        sys = LinearSystem(
+            A=np.diag(np.linspace(-1.0, 1.0, n)), B=np.eye(n), t0=0.0, t1=1.0,
+            x0=np.zeros(n), x1=x1,
+        )
+        result = greedy_min_reach(sys)
+        ref = unpruned_greedy(sys)
+        self.assert_same(result, ref)
+        assert result.nodes == (3, 12, 20)
+        assert result.nodes_pruned > result.nodes_explored

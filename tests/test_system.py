@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from reachkit.linalg import dist_sq_to_range
+from reachkit.linalg import DEFAULT_TOL, dist_sq_to_range
 from reachkit.system import (
     LinearSystem,
     actuation_mask,
@@ -11,7 +13,12 @@ from reachkit.system import (
     transfer_offset,
 )
 from reachkit.hardness import generate
-from reachkit.solvers import exact_min_reach
+from reachkit.solvers import (
+    EXACT_PRUNE_FACTOR,
+    GREEDY_SKIP_FACTOR,
+    exact_min_reach,
+    greedy_min_reach,
+)
 
 
 def random_system(rng, n, zero_start=True):
@@ -178,3 +185,134 @@ class TestOverflowingDrift:
             transfer_offset(sys)
         with pytest.raises(ValueError, match="not finite"):
             is_feasible(sys, [1])
+
+
+class TestOverflowingOffset:
+    """``||w||^2`` overflows although ``w`` itself is finite."""
+
+    def test_huge_target_is_not_feasible_for_every_set(self):
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.eye(2), t0=0.0, t1=1.0,
+            x0=np.zeros(2), x1=np.array([1e200, 0.0]),
+        )
+        empty = is_feasible(sys, [])
+        assert not empty.feasible
+        assert empty.residual_sq == np.inf
+        assert is_feasible(sys, [1]).feasible
+        assert not is_feasible(sys, [2]).feasible
+        assert exact_min_reach(sys).nodes == (1,)
+
+    def test_huge_drift_term(self):
+        # w = e2 - exp(400) e1 lies within relative 1e-173 of span{e1}
+        sys = LinearSystem(
+            A=np.diag([400.0, 0.0]), B=np.eye(2), t0=0.0, t1=1.0,
+            x0=np.array([1.0, 0.0]), x1=np.array([0.0, 1.0]),
+        )
+        assert not is_feasible(sys, []).feasible
+        assert not is_feasible(sys, [2]).feasible
+        verdict = is_feasible(sys, [1])
+        assert verdict.feasible
+        assert verdict.residual_sq == pytest.approx(1.0)
+        assert exact_min_reach(sys).nodes == (1,)
+        assert greedy_min_reach(sys).nodes == (1,)
+
+    def test_norm_beyond_float_range_raises(self):
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.eye(2), t0=0.0, t1=1.0,
+            x0=np.zeros(2), x1=np.array([1.7e308, 1.7e308]),
+        )
+        with pytest.raises(ValueError, match="float range"):
+            is_feasible(sys, [1])
+
+    def test_scaled_offset(self):
+        for x1, scale in (([0.3, 0.4], 1.0), ([3.0, 4.0], 5.0), ([3e200, 4e200], 5e200)):
+            sys = LinearSystem(
+                A=np.zeros((2, 2)), B=np.eye(2), t0=0.0, t1=1.0,
+                x0=np.zeros(2), x1=np.array(x1),
+            )
+            assert sys.offset_scale == pytest.approx(scale, rel=1e-15)
+            np.testing.assert_allclose(sys.scaled_offset, np.array(x1) / scale, rtol=1e-15)
+
+
+def graph_reach(A, B, i):
+    """Nodes reachable from node ``i`` (1-based) by breadth-first search over
+    the edges ``j -> k`` with ``A[k, j] != 0``; empty when row ``i`` of ``B``
+    is zero."""
+    if not np.any(B[i - 1]):
+        return set()
+    seen = {i}
+    frontier = [i]
+    while frontier:
+        j = frontier.pop()
+        for k in np.flatnonzero(A[:, j - 1]) + 1:
+            if int(k) not in seen:
+                seen.add(int(k))
+                frontier.append(int(k))
+    return seen
+
+
+def reach_of(sys, S):
+    mask = 0
+    for i in S:
+        mask |= sys.reach[i - 1]
+    return mask
+
+
+def structural_case(rng):
+    """Sparse ``A`` (sometimes with a cycle), ``B`` with some zero rows and
+    a random target, 40% of the time with a nonzero start state."""
+    n = int(rng.integers(3, 9))
+    A = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < 0.25)
+    if rng.random() < 0.3:
+        A[0, n - 1] = 1.0
+    B = rng.normal(size=(n, int(rng.integers(1, 3))))
+    B[rng.random(size=n) < 0.25] = 0.0
+    if rng.random() < 0.5:
+        x1 = rng.normal(size=n)
+    else:
+        x1 = np.zeros(n)
+        x1[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = 1.0
+    x0 = rng.normal(size=n) if rng.random() < 0.4 else np.zeros(n)
+    return LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=x0, x1=x1)
+
+
+class TestStructuralReach:
+    def test_reach_matches_graph_search(self):
+        rng = np.random.default_rng(139)
+        for _ in range(40):
+            sys = structural_case(rng)
+            for i in range(1, sys.n + 1):
+                expected = sum(1 << (k - 1) for k in graph_reach(sys.A, sys.B, i))
+                assert sys.reach[i - 1] == expected, (i, sys.A, sys.B)
+
+    def test_star_reach(self):
+        sys = star_system(4)
+        assert sys.reach == (0b0001, 0b0011, 0b0101, 0b1001)
+        assert sys.off_reach_sq(0b0001) == 0.0
+        assert sys.off_reach_sq(0b1110) == 1.0
+
+    def test_pruned_subsets_are_infeasible(self):
+        # every subset of every system: a subset the exact search prunes is
+        # one is_feasible rejects, and the scaled residual never falls below
+        # the bound by more than the greedy skip margin
+        rng = np.random.default_rng(149)
+        prune_at = EXACT_PRUNE_FACTOR * DEFAULT_TOL.feas_rel**2
+        pruned = leaky = 0
+        for _ in range(40):
+            sys = structural_case(rng)
+            nodes = range(1, sys.n + 1)
+            for S in (tuple(c) for k in range(sys.n + 1) for c in combinations(nodes, k)):
+                mask = reach_of(sys, S)
+                bound = sys.off_reach_sq(mask)
+                verdict = is_feasible(sys, S)
+                scaled_sq = verdict.residual_sq / sys.offset_scale**2
+                assert scaled_sq >= bound - GREEDY_SKIP_FACTOR * DEFAULT_TOL.feas_rel
+                if bound >= prune_at:
+                    pruned += 1
+                    assert not verdict.feasible, (S, bound, verdict)
+                off = [j for j in range(sys.n) if not mask >> j & 1]
+                Q = reachability_matrix(sys, S)
+                leaky += bool(off) and bool(Q[off].any())
+        assert pruned > 500
+        # the Krylov basis is not exactly zero off the reach in some cases
+        assert leaky > 0
