@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ def cmd_varsel(args) -> int:
         "support": list(result.support),
         "norm0": result.norm0,
         "residual": result.residual,
-        "y": [float(v) for v in result.y],
+        "y": result.y.tolist(),
     }
     _emit(
         args,
@@ -165,12 +166,11 @@ def _generate_from_args(args) -> hardness.HardInstance:
 def cmd_gen_hard(args) -> int:
     inst = _generate_from_args(args)
     instance_io.write_instance(inst, args.out)
-    dims = inst.dims
-    payload = {"m": dims.m, "l": dims.l, "d": dims.d, "n": dims.n, "out": str(args.out)}
+    dims = asdict(inst.dims)
     _emit(
         args,
-        payload,
-        [f"m = {dims.m}, l = {dims.l}, d = {dims.d}, n = {dims.n}", f"wrote {args.out}"],
+        {**dims, "out": str(args.out)},
+        [", ".join(f"{k} = {v}" for k, v in dims.items()), f"wrote {args.out}"],
     )
     return EXIT_OK
 
@@ -212,17 +212,14 @@ def cmd_synthesize(args) -> int:
     S = args.actuate or []
     verdict = is_feasible(doc.system, S, tol)
     result = synth.min_energy_transfer(doc.system, S, N=args.grid, tol=tol)
-    trajectories = {
-        "grid": [float(t) for t in result.grid],
-        "u": [[float(v) for v in row] for row in result.u_samples],
-        "x": [[float(v) for v in row] for row in result.x_samples],
-    }
     payload = {
         "terminal_error": result.terminal_error,
         "gramian_rank": result.gramian_rank,
         "feasible": verdict.feasible,
         "grid_intervals": args.grid,
-        **trajectories,
+        "grid": result.grid.tolist(),
+        "u": result.u_samples.tolist(),
+        "x": result.x_samples.tolist(),
     }
     lines = [
         f"terminal_error = {result.terminal_error:.6e}",
@@ -253,16 +250,11 @@ def cmd_roundtrip(args) -> int:
     payload = {
         "S": list(result.nodes),
         "cardinality": result.cardinality,
-        "y": [float(v) for v in y],
+        "y": y.tolist(),
         "norm0": check.norm0,
         "fit_residual": check.residual,
         "verified": verified,
-        "dims": {
-            "m": inst.dims.m,
-            "l": inst.dims.l,
-            "d": inst.dims.d,
-            "n": inst.dims.n,
-        },
+        "dims": asdict(inst.dims),
     }
     _emit(
         args,

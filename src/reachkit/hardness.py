@@ -100,8 +100,6 @@ def generate(U, d: int, delta: float = 0.0) -> HardInstance:
     """
     U = as_matrix(U, name="U")
     d = int(d)
-    if d < 1:
-        raise ValueError(f"stack count d must be at least 1, got {d}")
     m, l = U.shape
     n = max(m, l) * (d + 1)
     A = stacked_corner(U, n, d)

@@ -22,13 +22,14 @@ object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InstanceFormatError
 from .hardness import HardInstance, ReductionDims, generate, stacked_corner
+from .linalg import as_matrix
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
 from .system import LinearSystem
@@ -60,8 +61,8 @@ class InstanceDoc:
             raise InstanceFormatError(f"'source' section: {exc}") from exc
         dims = self.source_dims
         pairs = [
-            *((f"'source.dims.{k}'", getattr(dims, k), getattr(built.dims, k))
-              for k in ("m", "l", "d", "n")),
+            *((f"'source.dims.{k}'", v, getattr(built.dims, k))
+              for k, v in asdict(dims).items()),
             *((f"key '{k}'", getattr(self.system, k), getattr(built.sys, k))
               for k in ("A", "B", "x0", "x1")),
             ("'source.z'", self.source.z, built.source.z),
@@ -129,7 +130,8 @@ def _parse_system(data: dict) -> LinearSystem:
         U = _as_rows(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'")
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
         try:
-            A = stacked_corner(U, n, d)
+            # checked here so the message names the file key, not stacked_corner's M
+            A = stacked_corner(as_matrix(U, name="'A.stack.U'"), n, d)
         except ValueError as exc:
             raise InstanceFormatError(f"inconsistent key 'A.stack': {exc}") from exc
     else:
@@ -188,10 +190,10 @@ def parse_instance(data: dict) -> InstanceDoc:
         source = _parse_varsel(data["source"], "'source' section")
         dims = _require(data["source"], "dims", "'source' section")
         source_dims = ReductionDims(
-            **{
-                k: _int(_require(dims, k, "'source.dims'"), f"'source.dims.{k}'")
-                for k in ("m", "l", "d", "n")
-            }
+            *(
+                _int(_require(dims, f.name, "'source.dims'"), f"'source.dims.{f.name}'")
+                for f in fields(ReductionDims)
+            )
         )
     return InstanceDoc(
         system=system, setfun=fn, varsel=varsel, source=source, source_dims=source_dims
@@ -238,14 +240,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return _as_rows(data, where)
 
 
-def _matrix_rows(M: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in M]
-
-
-def _vector_list(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
-
-
 def _system_dict(sys: LinearSystem) -> dict:
     is_identity = sys.B.shape[0] == sys.B.shape[1] and np.array_equal(
         sys.B, np.eye(sys.n)
@@ -253,21 +247,17 @@ def _system_dict(sys: LinearSystem) -> dict:
     return {
         "n": sys.n,
         "m": sys.m,
-        "A": _matrix_rows(sys.A),
-        "B": "identity" if is_identity else _matrix_rows(sys.B),
+        "A": sys.A.tolist(),
+        "B": "identity" if is_identity else sys.B.tolist(),
         "t0": sys.t0,
         "t1": sys.t1,
-        "x0": _vector_list(sys.x0),
-        "x1": _vector_list(sys.x1),
+        "x0": sys.x0.tolist(),
+        "x1": sys.x1.tolist(),
     }
 
 
 def _varsel_dict(inst: VarSelInstance) -> dict:
-    return {
-        "U": _matrix_rows(inst.U),
-        "z": _vector_list(inst.z),
-        "delta": inst.delta,
-    }
+    return {"U": inst.U.tolist(), "z": inst.z.tolist(), "delta": inst.delta}
 
 
 def instance_dict(doc: InstanceDoc) -> dict:
@@ -277,18 +267,14 @@ def instance_dict(doc: InstanceDoc) -> dict:
         data.update(_system_dict(doc.system))
     if doc.setfun is not None:
         data["setfun"] = {
-            "v": _vector_list(doc.setfun.v),
-            "M": _matrix_rows(doc.setfun.M),
+            "v": doc.setfun.v.tolist(),
+            "M": doc.setfun.M.tolist(),
             "c": doc.setfun.c,
         }
     if doc.varsel is not None:
         data["varsel"] = _varsel_dict(doc.varsel)
     if doc.source is not None and doc.source_dims is not None:
-        dims = doc.source_dims
-        data["source"] = dict(
-            _varsel_dict(doc.source),
-            dims={"m": dims.m, "l": dims.l, "d": dims.d, "n": dims.n},
-        )
+        data["source"] = dict(_varsel_dict(doc.source), dims=asdict(doc.source_dims))
     return data
 
 
@@ -299,12 +285,8 @@ def hard_instance_dict(inst: HardInstance) -> dict:
     array, so the file records the construction and not just its expansion.
     """
     data = _system_dict(inst.sys)
-    data["A"] = {"stack": {"U": _matrix_rows(inst.source.U), "d": inst.dims.d}}
-    dims = inst.dims
-    data["source"] = dict(
-        _varsel_dict(inst.source),
-        dims={"m": dims.m, "l": dims.l, "d": dims.d, "n": dims.n},
-    )
+    data["A"] = {"stack": {"U": inst.source.U.tolist(), "d": inst.dims.d}}
+    data["source"] = dict(_varsel_dict(inst.source), dims=asdict(inst.dims))
     return data
 
 

@@ -19,12 +19,13 @@ each cardinality and drops a prefix when the prefix together with every later
 candidate already leaves mass ``>= 4 feas_rel**2`` off its reach; a subset
 whose own reach fails that test is not evaluated either.  If the full set
 fails, nothing is evaluated.  The greedy solver scans candidates in index
-order and skips one whose bound exceeds the best residual of the round so far
-by more than ``2 feas_rel``.  Both margins hold while the computed Krylov
-basis leaks less than ``feas_rel`` off ``R(S)`` (observed: about ``1e-13``),
-so every skipped set is one that :func:`reachkit.system.is_feasible` would
-reject or that greedy would not pick, and the answers are those of the
-unpruned scans.
+order and, once the round has a best candidate, skips one whose bound (the
+mass off the reach of the selected nodes and the candidate together) exceeds
+the best residual of the round so far by more than ``2 feas_rel``.  Both
+margins hold while the computed Krylov basis leaks less than ``feas_rel`` off
+``R(S)`` (observed: about ``1e-13``), so every skipped set is one that
+:func:`reachkit.system.is_feasible` would reject or that greedy would not
+pick, and the answers are those of the unpruned scans.
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ def fit_support(
     return y, float(np.linalg.norm(cols @ coef - target))
 
 
-def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """Bitmasks as the rows of a boolean array, column ``j - 1`` for bit
-    ``j - 1``."""
-    nbytes = -(-n // 8)
-    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    table = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(table, axis=1, count=n, bitorder="little").astype(bool)
-
-
 def exact_min_reach(
     sys: LinearSystem,
     tol: Tolerance = DEFAULT_TOL,
@@ -280,22 +272,21 @@ def greedy_min_reach(
     n = sys.n
     iters = n if max_iters is None else min(int(max_iters), n)
     scale = sys.offset_scale
-    weights = sys.scaled_offset**2
-    reach = _mask_rows(sys.reach, n)
+    reach = sys.reach
+    off = sys.off_reach_sq
     slack = GREEDY_SKIP_FACTOR * tol.feas_rel
-    covered = np.zeros(n, dtype=bool)  # reach of the selected nodes
+    covered = 0  # reach of the selected nodes
     selected: list[int] = []
     current = is_feasible(sys, selected, tol)
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
-        # lower bound on the scaled residual of selected + [i], for every i
-        bounds = ((~(reach | covered)) @ weights).tolist()
         best_node = None
         best = None
         for i in range(1, n + 1):
             if i in selected:
                 continue
-            if best is not None and bounds[i - 1] > best_scaled + slack:
+            # lower bound on the scaled residual of selected + [i]
+            if best is not None and off(covered | reach[i - 1]) > best_scaled + slack:
                 skipped += 1
                 continue
             explored += 1

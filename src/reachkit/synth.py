@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_exp
-from .system import LinearSystem, check_node_set, masked_input_matrix
+from .system import LinearSystem, masked_input_matrix
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _input_response(
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least 2 grid intervals, got {N}")
-    IB = masked_input_matrix(sys, check_node_set(S, sys.n))
+    IB = masked_input_matrix(sys, S)
     cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
     step = mat_exp(sys.A, (sys.t1 - sys.t0) / N)
     H = np.empty((N + 1, sys.n, cols.size))

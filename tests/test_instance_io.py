@@ -231,6 +231,13 @@ class TestParsing:
                 ),
                 "key 'A.stack': .*non-finite",
             ),
+            (
+                json.loads(
+                    '{"n": 2, "m": 2, "A": {"stack": {"U": [[1e999]], "d": 1}}, "B": "identity",'
+                    ' "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]}'
+                ),
+                r"A\.stack\.U",
+            ),
         ],
     )
     def test_mistyped_values_name_the_key(self, doc, where):

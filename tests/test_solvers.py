@@ -569,3 +569,40 @@ class TestStructuralPrune:
         self.assert_same(result, ref)
         assert result.nodes == (3, 12, 20)
         assert result.nodes_pruned > result.nodes_explored
+
+    @staticmethod
+    def diagonal_system(diagonal, targets):
+        n = len(diagonal)
+        x1 = np.zeros(n)
+        x1[[i - 1 for i in targets]] = list(targets.values())
+        return LinearSystem(
+            A=np.diag(diagonal), B=np.eye(n), t0=0.0, t1=1.0, x0=np.zeros(n), x1=x1
+        )
+
+    @pytest.mark.parametrize(
+        "name, solve, counts",
+        [
+            ("diag30", greedy_min_reach, ((3, 12, 20), 25, 62)),
+            ("generated", greedy_min_reach, ((7,), 7, 1)),
+            ("generated", exact_min_reach, ((7,), 1, 7)),
+            ("greedy_gap", exact_min_reach, ((5, 6), 11, 11)),
+            ("greedy_gap", greedy_min_reach, ((1, 3, 5), 15, 0)),
+            ("diag10", exact_min_reach, ((4, 8, 10), 1, 154)),
+            ("diag10", greedy_min_reach, ((4, 8, 10), 18, 9)),
+        ],
+    )
+    def test_work_counts_are_pinned(self, name, solve, counts):
+        # (nodes, nodes_explored, nodes_pruned): a change to the scan order or
+        # to the bound shows here even when the answer stays the same
+        systems = {
+            "diag30": lambda: self.diagonal_system(
+                np.linspace(-1.0, 1.0, 30), {3: 1.0, 12: -2.0, 20: 0.5}
+            ),
+            "generated": lambda: generate(np.array([[1.0, 0.0], [1.0, 1.0]]), d=3).sys,
+            "greedy_gap": lambda: load_instance(FIXTURES / "greedy_gap.json").system,
+            "diag10": lambda: self.diagonal_system(
+                np.arange(10) / 10, {4: 1.0, 8: 2.0, 10: -1.0}
+            ),
+        }
+        result = solve(systems[name]())
+        assert (result.nodes, result.nodes_explored, result.nodes_pruned) == counts
