@@ -31,9 +31,11 @@ class Tolerance:
     rank_rel
         Singular values below ``rank_rel * scale`` count as zero when
         computing numerical rank.  For a single matrix the scale is its
-        largest singular value; for a Krylov block ``A Q_k`` appended to an
-        orthonormal basis it is ``||A||_F``.  Relative thresholding keeps
-        decisions invariant under rescaling of the data and of ``A``.
+        largest singular value; for the first Krylov block ``M(S) B`` it is
+        ``sigma_max(B)``, whatever ``S``; for a Krylov block ``A Q_k``
+        appended to an orthonormal basis it is ``||A||_F``.  Relative
+        thresholding keeps decisions invariant under rescaling of the data
+        and of ``A``.
     feas_rel
         Residual threshold for subspace-membership tests: a vector ``w`` is
         accepted as a member when its squared distance to the subspace is at

@@ -6,9 +6,14 @@ an actual input signal.  Everything is read off one input response stack
 ``H[j] = exp(A (t1 - tau_j)) M(S) B`` on the grid ``tau_0 < ... < tau_N``,
 propagated once: the reachability Gramian is the Simpson quadrature of
 ``H[j] H[j]^T``, and the minimum-energy open-loop input steering the system
-to the target is ``H[j]^T W^+ w``.  A fixed-step RK4 simulation of the
-actuated dynamics then independently confirms (or honestly refutes) that the
-target is hit.
+to the target is ``H[j]^T W^+ w``.  The grid is uniform with spacing
+``h = (t1 - t0) / N``, so the quadrature is called with ``dx=h``.  A
+fixed-step RK4 simulation of the actuated dynamics then independently
+confirms (or honestly refutes) that the target is hit.  RK4 applied to a
+linear system is an affine map per interval, ``x_{j+1} = Phi x_j + d_j``;
+the stage formula is applied once to the identity (giving ``Phi``) and once
+to all ``N`` interval inputs stacked (giving every ``d_j``), and the state is
+then stepped with one matrix-vector product per interval.
 """
 
 from __future__ import annotations
@@ -49,21 +54,23 @@ def _input_response(
     ``H[j] = exp(A (t1 - tau_j)) M(S) B[:, cols]`` for the ``N + 1`` grid
     times ``tau_j``, with ``cols`` the nonzero columns of ``M(S) B``; the
     stack is built backwards from ``H[N] = M(S) B[:, cols]`` by one
-    ``exp(A h)`` product per interval.  The Gramian is the Simpson rule over
-    ``H[j] H[j]^T``, symmetrized after assembly.
+    ``exp(A h)`` product per interval, ``h = (t1 - t0) / N``.  The Gramian is
+    the Simpson rule over ``H[j] H[j]^T`` with the uniform spacing ``dx=h``,
+    symmetrized after assembly.
     """
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least 2 grid intervals, got {N}")
     IB = masked_input_matrix(sys, S)
     cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
-    step = mat_exp(sys.A, (sys.t1 - sys.t0) / N)
+    h = (sys.t1 - sys.t0) / N
+    step = mat_exp(sys.A, h)
     H = np.empty((N + 1, sys.n, cols.size))
     H[N] = IB[:, cols]
     for j in range(N, 0, -1):
         H[j - 1] = step @ H[j]
     grid = np.linspace(sys.t0, sys.t1, N + 1)
-    W = simpson(H @ H.transpose(0, 2, 1), x=grid, axis=0)
+    W = simpson(H @ H.transpose(0, 2, 1), dx=h, axis=0)
     return grid, 0.5 * (W + W.T), cols, H
 
 
@@ -102,9 +109,13 @@ def min_energy_transfer(
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
     ``w`` the transfer offset ``sys.offset``.  The state is then integrated
     by fixed-step RK4 on the same ``N``-interval grid the quadrature used,
-    which avoids any interpolation bookkeeping between the two.  For
-    infeasible targets the synthesized input reaches only the projection of
-    ``w`` onto the reachable set and ``terminal_error`` stays large.
+    which avoids any interpolation bookkeeping between the two.  Each RK4
+    step is the affine map ``x_{j+1} = Phi x_j + d_j``: the stage formula is
+    evaluated once on the identity with zero input, which gives ``Phi``, and
+    once on zero states with every interval's inputs (grid, midpoint, grid)
+    stacked, which gives all ``d_j``.  For infeasible targets the
+    synthesized input reaches only the projection of ``w`` onto the
+    reachable set and ``terminal_error`` stays large.
     """
     grid, W, cols, H = _input_response(sys, S, N)
     W_pinv, gramian_rank = _thresholded_pinv(W, tol)
@@ -117,23 +128,28 @@ def min_energy_transfer(
     u_mid = (mat_exp(sys.A, h / 2.0).T @ g) @ H[1:]
 
     def f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return sys.A @ x + IB @ u
+        return x @ sys.A.T + u @ IB.T
 
-    x_samples = np.empty((N + 1, sys.n))
-    x_samples[0] = sys.x0
-    x = sys.x0.copy()
-    for j in range(N):
-        u1, u2, u4 = u_grid[j], u_mid[j], u_grid[j + 1]
+    def rk4_step(x: np.ndarray, u1, u2, u4) -> np.ndarray:
+        """One RK4 step of ``x' = A x + IB u``, with states and inputs
+        stored as rows so that a block of rows steps in one pass."""
         k1 = f(x, u1)
         k2 = f(x + 0.5 * h * k1, u2)
         k3 = f(x + 0.5 * h * k2, u2)
         k4 = f(x + h * k3, u4)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_samples[j + 1] = x
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    no_input = np.zeros((sys.n, cols.size))
+    step_T = rk4_step(np.eye(sys.n), no_input, no_input, no_input)  # Phi^T
+    x_samples = np.empty((N + 1, sys.n))
+    x_samples[0] = sys.x0
+    x_samples[1:] = rk4_step(np.zeros((N, sys.n)), u_grid[:-1], u_mid, u_grid[1:])
+    for j in range(N):
+        x_samples[j + 1] += x_samples[j] @ step_T
 
     u_samples = np.zeros((N + 1, sys.m))
     u_samples[:, cols] = u_grid
-    terminal_error = float(np.linalg.norm(x - sys.x1))
+    terminal_error = float(np.linalg.norm(x_samples[N] - sys.x1))
     return SynthesisResult(
         grid=grid,
         u_samples=u_samples,

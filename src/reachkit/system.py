@@ -13,11 +13,12 @@ That space is represented by an orthonormal basis built by block Arnoldi
 (Saad, *Iterative Methods for Sparse Linear Systems*): each block is ``A``
 applied to the previous block's new directions, orthonormalized against the
 basis so far by :func:`reachkit.linalg.extend_basis`.  The first block is
-judged against its own largest singular value and every later block against
-``||A||_F``, so verdicts do not change when ``A`` and the time window are
-rescaled together (``A -> c A``, ``t -> t / c``).  The verdict is taken on
-the offset scaled by ``max(1, ||offset||)`` (``LinearSystem.scaled_offset``),
-so an offset whose squared norm overflows is still judged.
+judged against ``sigma_max(B)`` (``LinearSystem.input_scale``), which does
+not depend on ``S``, and every later block against ``||A||_F``, so verdicts
+do not change when ``A`` and the time window are rescaled together
+(``A -> c A``, ``t -> t / c``).  The verdict is taken on the offset scaled by
+``max(1, ||offset||)`` (``LinearSystem.scaled_offset``), so an offset whose
+squared norm overflows is still judged.
 
 ``LinearSystem.reach`` caches the structural bound of Lin ("Structural
 controllability", IEEE TAC 1974) and Olshevsky ("Minimal controllability
@@ -106,6 +107,12 @@ class LinearSystem:
         """:func:`transfer_offset`, computed once per system and shared by
         every node set tested against it."""
         return transfer_offset(self)
+
+    @cached_property
+    def input_scale(self) -> float:
+        """``sigma_max(B)``, the scale the first Krylov block of every node
+        set is judged against; computed once per system."""
+        return float(np.linalg.norm(self.B, 2))
 
     @cached_property
     def offset_scale(self) -> float:
@@ -228,17 +235,21 @@ def reachability_matrix(
     ``span[M(S)B, A M(S)B, ..., A^p M(S)B]`` under node set ``S``.
 
     The basis is built by block Arnoldi.  The first block is the nonzero
-    columns of ``M(S)B``, kept up to the rank threshold relative to their own
-    largest singular value.  Each later block is ``A`` times the previous
-    block's new directions, projected off the basis and kept where its
-    singular values reach ``rank_rel * ||A||_F``.  ``p`` defaults to ``n - 1``
+    columns of ``M(S)B``, kept where their singular values reach
+    ``rank_rel * sigma_max(B)``.  That scale does not depend on ``S``, so for
+    a node-local ``B`` (each column nonzero on at most one node, as for a
+    diagonal ``B``) a node kept in ``S`` stays kept in every superset, and
+    feasibility is monotone in ``S``.  Each later block is ``A`` times the
+    previous block's new directions, projected off the basis and kept where
+    its singular values reach ``rank_rel * ||A||_F``.  ``p`` defaults to ``n - 1``
     and the loop stops as soon as a block adds no direction; the span is
     unchanged, since ``A`` then maps the basis into itself.  An empty ``S``,
     or one whose rows of ``B`` are all zero, yields the all-zero ``n x m``
     block.
     """
     IB = masked_input_matrix(sys, S)
-    Q = extend_basis(None, IB[:, np.any(IB != 0.0, axis=0)], tol)
+    first = IB[:, np.any(IB != 0.0, axis=0)]
+    Q = extend_basis(None, first, tol, scale=sys.input_scale)
     if Q.shape[1] == 0:
         return np.zeros_like(sys.B)
     p = sys.n - 1 if max_power is None else int(max_power)

@@ -5,7 +5,12 @@ import pytest
 from scipy.integrate import simpson
 
 from reachkit.linalg import DEFAULT_TOL, mat_exp
-from reachkit.synth import _thresholded_pinv, min_energy_transfer, reach_gramian
+from reachkit.synth import (
+    _input_response,
+    _thresholded_pinv,
+    min_energy_transfer,
+    reach_gramian,
+)
 from reachkit.system import (
     LinearSystem,
     actuation_mask,
@@ -89,6 +94,32 @@ def rel_diff(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def stage_loop_reference(sys, S, N):
+    """State samples by the per-interval RK4 stage loop, fed the same grid
+    and midpoint inputs that ``min_energy_transfer`` computes."""
+    _, W, _, H = _input_response(sys, S, N)
+    g = _thresholded_pinv(W, DEFAULT_TOL)[0] @ sys.offset
+    h = (sys.t1 - sys.t0) / N
+    IB = H[N]
+    u_grid = g @ H
+    u_mid = (mat_exp(sys.A, h / 2.0).T @ g) @ H[1:]
+
+    def f(x, u):
+        return sys.A @ x + IB @ u
+
+    x_samples = np.empty((N + 1, sys.n))
+    x_samples[0] = x = sys.x0
+    for j in range(N):
+        u1, u2, u4 = u_grid[j], u_mid[j], u_grid[j + 1]
+        k1 = f(x, u1)
+        k2 = f(x + 0.5 * h * k1, u2)
+        k3 = f(x + 0.5 * h * k2, u2)
+        k4 = f(x + h * k3, u4)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_samples[j + 1] = x
+    return x_samples
+
+
 class TestResponseStack:
     """The Gramian and input read off one input response stack agree with
     the propagator-list reference; odd ``N`` exercises the last-interval
@@ -141,6 +172,48 @@ class TestResponseStack:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * (N + 1) * n * n * 8
+
+
+class TestStepMap:
+    """The precomputed RK4 step map reproduces the per-interval stage loop:
+    same tableau, grid and inputs, only the evaluation order differs."""
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 101])
+    def test_matches_stage_loop(self, N):
+        rng = np.random.default_rng(200 + N)
+        for _ in range(4):
+            n, m = 5, 3
+            sys = LinearSystem(
+                A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)),
+                t0=0.0, t1=1.5, x0=rng.normal(size=n), x1=rng.normal(size=n),
+            )
+            for S in ([2, 4], range(1, n + 1)):
+                x_ref = stage_loop_reference(sys, S, N)
+                x_samples = min_energy_transfer(sys, S, N=N).x_samples
+                assert rel_diff(x_samples, x_ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "S, dead_rows", [([], []), ([2, 3], [1, 2])], ids=["empty", "zero-rows"]
+    )
+    def test_zero_input_follows_the_drift(self, S, dead_rows):
+        # no input column reaches the batched stages, so only Phi acts
+        rng = np.random.default_rng(211)
+        n, m, N = 4, 2, 200
+        B = rng.normal(size=(n, m))
+        B[dead_rows] = 0.0
+        sys = LinearSystem(
+            A=0.5 * rng.normal(size=(n, n)), B=B, t0=0.0, t1=1.0,
+            x0=rng.normal(size=n), x1=rng.normal(size=n),
+        )
+        result = min_energy_transfer(sys, S, N=N)
+        drift = mat_exp(sys.A, 1.0) @ sys.x0
+        assert result.u_samples.shape == (N + 1, m)
+        assert not result.u_samples.any()
+        assert result.gramian_rank == 0
+        assert np.allclose(result.x_samples[-1], drift, rtol=1e-9, atol=1e-9)
+        assert result.terminal_error == pytest.approx(
+            np.linalg.norm(drift - sys.x1), rel=1e-9
+        )
 
 
 class TestReachGramian:

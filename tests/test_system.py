@@ -146,6 +146,55 @@ class TestIsFeasible:
                 assert r_big.feasible
 
 
+def diagonal_input_case(rng):
+    """Sparse ``A`` scaled by 1e-3..1e3, diagonal ``B`` with entries spanning
+    1e-11..1, and a target planted in the reachable space of a random set."""
+    n = int(rng.integers(3, 6))
+    A = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < 0.3)
+    A *= 10.0 ** rng.uniform(-3, 3)
+    B = np.diag(10.0 ** rng.uniform(-11, 0, size=n))
+    S = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+    sys0 = LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=np.zeros(n), x1=np.zeros(n))
+    basis = reachability_matrix(sys0, S)
+    x1 = basis @ rng.normal(size=basis.shape[1])
+    if not x1.any():
+        x1 = rng.normal(size=n)
+    return LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=np.zeros(n), x1=x1)
+
+
+class TestMonotoneRankRule:
+    """The first Krylov block is judged against ``sigma_max(B)``, not its
+    own largest singular value, so a weak input column that a superset
+    drops is dropped by every set."""
+
+    def test_weak_input_column_is_dropped_for_every_set(self):
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.diag([1.0, 1e-10]), t0=0.0, t1=1.0,
+            x0=np.zeros(2), x1=np.array([0.0, 1.0]),
+        )
+        assert sys.input_scale == 1.0
+        for S in ([2], [1, 2]):
+            assert not is_feasible(sys, S).feasible
+        assert is_feasible(sys, [2]).rank == 0
+
+    def test_no_single_node_extension_loses_feasibility(self):
+        rng = np.random.default_rng(157)
+        extensions = 0
+        for _ in range(200):
+            sys = diagonal_input_case(rng)
+            nodes = range(1, sys.n + 1)
+            feasible = {
+                S: is_feasible(sys, S).feasible
+                for k in range(sys.n + 1)
+                for S in combinations(nodes, k)
+            }
+            for S in (S for S, ok in feasible.items() if ok):
+                for i in set(nodes) - set(S):
+                    extensions += 1
+                    assert feasible[tuple(sorted(S + (i,)))], (S, i)
+        assert extensions > 1000
+
+
 class TestLinearSystemValidation:
     def test_rejects_time_order(self):
         with pytest.raises(ValueError):
