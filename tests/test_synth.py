@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from reachkit.linalg import DEFAULT_TOL, mat_exp
 from reachkit.synth import (
     _input_response,
+    _simpson_weights,
     _thresholded_pinv,
     min_energy_transfer,
     reach_gramian,
@@ -125,7 +126,7 @@ class TestResponseStack:
     the propagator-list reference; odd ``N`` exercises the last-interval
     rule of ``simpson``."""
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 64, 101, 200])
+    @pytest.mark.parametrize("N", [2, 3, 7, 64, 101, 200, 1000, 1001])
     def test_matches_propagator_reference(self, N):
         rng = np.random.default_rng(N)
         for _ in range(9):
@@ -135,6 +136,13 @@ class TestResponseStack:
             result = min_energy_transfer(sys, S, N=N)
             assert rel_diff(result.u_samples, u_ref) <= 1e-6
             assert rel_diff(result.x_samples, x_ref) <= 1e-6
+
+    def test_simpson_weights_are_scipys_rule(self):
+        # the weights are built from a short grid; they must equal scipy's
+        # rule applied to every unit vector of the full grid
+        for N in [*range(2, 41), 1000, 1001]:
+            expected = simpson(np.eye(N + 1), dx=1.0, axis=0)
+            assert np.array_equal(_simpson_weights(N), expected), N
 
     def test_transfer_computes_offset_once(self, monkeypatch):
         import reachkit.synth
@@ -173,12 +181,26 @@ class TestResponseStack:
             tracemalloc.stop()
         assert peak <= 2.5 * (N + 1) * n * n * 8
 
+    def test_peak_memory_has_no_integrand(self):
+        # the (N+1, n, n) integrand H H^T alone would be 1.0 stack; with one
+        # input column the response stack is (N+1) * n
+        n, N = 60, 1000
+        sys = star_system(n)
+        min_energy_transfer(sys, [1], N=N)  # warm lazy imports at the same N
+        tracemalloc.start()
+        try:
+            min_energy_transfer(sys, [1], N=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * (N + 1) * n * n * 8
+
 
 class TestStepMap:
     """The precomputed RK4 step map reproduces the per-interval stage loop:
     same tableau, grid and inputs, only the evaluation order differs."""
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 101])
+    @pytest.mark.parametrize("N", [2, 3, 7, 101, 1000, 1001])
     def test_matches_stage_loop(self, N):
         rng = np.random.default_rng(200 + N)
         for _ in range(4):
@@ -259,6 +281,12 @@ class TestReachGramian:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             reach_gramian(scalar_integrator(), [1], N=1)
+        # int() would truncate 10.9 and 3.5, overflow on inf and read True as 1
+        for N in (10.9, np.float64(3.5), float("inf"), True):
+            with pytest.raises(ValueError, match=r"\bN\b"):
+                reach_gramian(star_system(4), [1], N=N)
+            with pytest.raises(ValueError, match=r"\bN\b"):
+                min_energy_transfer(star_system(4), [1], N=N)
 
 
 class TestMinEnergyTransfer:
