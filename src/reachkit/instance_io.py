@@ -1,6 +1,6 @@
 """Instance file format shared by every CLI subcommand.
 
-One JSON document carries up to three optional sections:
+One JSON document carries up to four optional sections:
 
 * a system section (keys ``n, m, A, B, t0, t1, x0, x1``) describing the
   dynamics and the transfer task; ``A`` is either a row-major array of rows
@@ -39,7 +39,7 @@ _SYSTEM_KEYS = ("n", "m", "A", "B", "t0", "t1", "x0", "x1")
 
 @dataclass(frozen=True)
 class InstanceDoc:
-    """Parsed instance file: any subset of the three sections."""
+    """Parsed instance file: any subset of the four sections."""
 
     system: LinearSystem | None = None
     setfun: ColumnSelectionFunction | None = None
@@ -212,6 +212,16 @@ def _read_json(path: str | Path):
 
 def load_instance(path: str | Path) -> InstanceDoc:
     return parse_instance(_read_json(path))
+
+
+def load_section(path: str | Path, name: str):
+    """The ``system``, ``setfun`` or ``varsel`` section of the file at
+    ``path``; :class:`InstanceFormatError` if the file does not have it."""
+    section = getattr(load_instance(path), name)
+    if section is None:
+        what = "system section (keys n, m, A, B, ...)" if name == "system" else f"'{name}' section"
+        raise InstanceFormatError(f"{path}: no {what}")
+    return section
 
 
 # Where load_matrix looks for a matrix inside a JSON object, in order.

@@ -2,7 +2,12 @@
 point-to-subspace distance, and the matrix exponential.
 
 Every rank and membership decision in the package goes through one routine,
-:func:`extend_basis`, which grows an orthonormal basis by a block of new
+:func:`extend_basis`, with two exceptions: the eigenvalue cut of the
+synthesis Gramian (``lambda >= rank_rel * lambda_max`` in
+:mod:`reachkit.synth`), and :func:`reachkit.solvers.fit_support`, whose
+``np.linalg.lstsq(rcond=None)`` applies numpy's own cutoff,
+``eps * max(m, k) * sigma_max`` of the support columns.
+:func:`extend_basis` grows an orthonormal basis by a block of new
 columns and keeps only the directions whose singular value clears
 ``rank_rel`` times a caller-chosen scale.  :func:`numerical_rank`,
 :func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it,

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +339,155 @@ class TestMalformedInstance:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# A report line whose number is roundoff (it can differ across BLAS builds)
+# is pinned by its label, its format and a bound on its size.
+ROUNDOFF = re.compile(r"-?\d\.\d{6}e[+-]\d{2}")
+
+
+def assert_report(out, expected):
+    lines = out.splitlines()
+    assert len(lines) == len(expected), out
+    for got, want in zip(lines, expected):
+        if want.endswith("<roundoff>"):
+            label = want.removesuffix("<roundoff>")
+            assert got.startswith(label), (got, want)
+            number = got.removeprefix(label)
+            assert ROUNDOFF.fullmatch(number) and abs(float(number)) <= 1e-12, got
+        else:
+            assert got == want
+
+
+class TestHumanReports:
+    """The exact human-readable report of each subcommand."""
+
+    def test_check_feasible(self, star_file, capsys):
+        assert main(["check-feasible", star_file, "--actuate", "1"]) == 0
+        assert_report(capsys.readouterr().out, [
+            "feasible",
+            "residual_sq = <roundoff>",
+            "reachability rank = 1",
+        ])
+        assert main(["check-feasible", star_file]) == 1
+        assert_report(capsys.readouterr().out, [
+            "infeasible",
+            "residual_sq = 1.000000e+00",
+            "reachability rank = 0",
+        ])
+
+    @pytest.mark.parametrize("command, optimal", [("solve-exact", "yes"), ("solve-greedy", "no")])
+    def test_solve(self, star_file, capsys, command, optimal):
+        assert main([command, star_file]) == 0
+        assert_report(capsys.readouterr().out, [
+            "S = {1}",
+            "cardinality = 1",
+            "residual_sq = <roundoff>",
+            "feasible = yes",
+            f"optimal = {optimal}",
+        ])
+
+    def test_varsel(self, tmp_path, capsys):
+        doc = InstanceDoc(
+            varsel=VarSelInstance(U=np.eye(3), z=np.array([1.0, 0.0, 0.0]), delta=0.0)
+        )
+        path = tmp_path / "vs.json"
+        write_instance(doc, path)
+        assert main(["varsel", str(path)]) == 0
+        assert_report(capsys.readouterr().out, [
+            "support = {1}",
+            "norm0 = 1",
+            "residual = <roundoff>",
+            "y = [1. 0. 0.]",
+        ])
+
+    def test_check_supermodular(self, setfun_file, capsys):
+        assert main(["check-supermodular", setfun_file]) == 1
+        assert_report(capsys.readouterr().out, [
+            "monotone nonincreasing = yes",
+            "supermodular = no",
+            "violation: A = {1}, A' = {1, 2}, x = 3, lhs = 0, rhs = 1",
+        ])
+
+    def test_gen_hard(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        argv = ["gen-hard", "--random", "2", "3", "--seed", "5", "--d", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert_report(capsys.readouterr().out, [
+            "m = 2, l = 3, d = 3, n = 12",
+            f"wrote {out}",
+        ])
+
+    def test_roundtrip(self, capsys):
+        argv = ["roundtrip", "--random", "2", "3", "--seed", "5", "--d", "3", "--budget", "3"]
+        assert main(argv) == 0
+        assert_report(capsys.readouterr().out, [
+            "S = {10} (cardinality 1)",
+            "recovered y = [1. 0. 0.]",
+            "norm0 = 1",
+            "||U y - z|| = <roundoff>",
+            "verified",
+        ])
+
+
+NO_SYSTEM = "no system section (keys n, m, A, B, ...)"
+
+
+class TestMissingSection:
+    @pytest.mark.parametrize(
+        "command, fixture, message",
+        [
+            ("check-feasible", "setfun_file", NO_SYSTEM),
+            ("solve-exact", "setfun_file", NO_SYSTEM),
+            ("solve-greedy", "setfun_file", NO_SYSTEM),
+            ("synthesize", "setfun_file", NO_SYSTEM),
+            ("varsel", "star_file", "no 'varsel' section"),
+            ("check-supermodular", "star_file", "no 'setfun' section"),
+        ],
+    )
+    def test_names_the_section(self, request, capsys, command, fixture, message):
+        path = request.getfixturevalue(fixture)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+
+class TestExactCapVariable:
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
+    def test_bad_value_is_named(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("REACHKIT_MAX_EXACT_N", raw)
+        assert main(["solve-exact", "tests/fixtures/greedy_gap.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: REACHKIT_MAX_EXACT_N must be a nonnegative integer, got '{raw}'\n"
+        )
+
+    def test_empty_value_means_default(self, monkeypatch):
+        monkeypatch.setenv("REACHKIT_MAX_EXACT_N", "")
+        assert main(["solve-exact", "tests/fixtures/greedy_gap.json"]) == 0
+
+
+class TestEntryPoint:
+    """``python -m reachkit.cli`` runs the same ``main`` in a fresh process."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "reachkit.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_exit_codes_and_json(self, star_file, tmp_path):
+        done = self.run("check-feasible", star_file, "--actuate", "1", "--json")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["feasible"] is True
+        assert self.run("check-feasible", star_file).returncode == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        done = self.run("check-feasible", str(bad))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
