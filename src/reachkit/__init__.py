@@ -6,6 +6,10 @@ exactly and greedily, check (and refute) supermodularity of the underlying
 distance-to-subspace objective, generate reduction instances that encode
 sparse variable selection as reachability, and synthesize minimum-energy
 inputs that realize feasible transfers.
+
+The synthesis names (``SynthesisResult``, ``min_energy_transfer``,
+``reach_gramian``) load :mod:`reachkit.synth`, and with it
+``scipy.integrate``, on first use.
 """
 
 from .errors import (
@@ -51,7 +55,6 @@ from .solvers import (
     greedy_min_reach,
     varsel_exact,
 )
-from .synth import SynthesisResult, min_energy_transfer, reach_gramian
 from .system import (
     FeasibilityResult,
     LinearSystem,
@@ -111,3 +114,15 @@ __all__ = [
     "varsel_exact",
     "write_instance",
 ]
+
+# Served by __getattr__ (PEP 562), so that importing the package does not
+# import scipy.integrate.
+_SYNTH_NAMES = frozenset({"SynthesisResult", "min_energy_transfer", "reach_gramian"})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -47,18 +47,22 @@ class InstanceDoc:
     source: VarSelInstance | None = None
     source_dims: ReductionDims | None = None
 
-    def hard_instance(self) -> HardInstance:
+    def hard_instance(self, path: str | Path | None = None) -> HardInstance:
         """The bundled reduction instance, checked against a rebuild of
         ``generate(source.U, dims.d, source.delta)``: the dims, the system's
-        ``A``, ``B``, ``x0`` and ``x1``, and ``source.z`` must all match."""
+        ``A``, ``B``, ``x0`` and ``x1``, and ``source.z`` must all match.
+        ``path``, the file the document was read from, is named in errors."""
+        # the file leads these messages, except the key mismatches below,
+        # which lead with the key
+        at, of = ("", "") if path is None else (f"{path}: ", f" of {path}")
         if self.system is None or self.source is None or self.source_dims is None:
             raise InstanceFormatError(
-                "document does not bundle a system with a 'source' section"
+                f"{at}document does not bundle a system with a 'source' section"
             )
         try:
             built = generate(self.source.U, self.source_dims.d, self.source.delta)
         except ValueError as exc:
-            raise InstanceFormatError(f"'source' section: {exc}") from exc
+            raise InstanceFormatError(f"{at}'source' section: {exc}") from exc
         dims = self.source_dims
         pairs = [
             *((f"'source.dims.{k}'", v, getattr(built.dims, k))
@@ -71,7 +75,7 @@ class InstanceDoc:
             if not np.array_equal(got, want):
                 value = f" ({got}, expected {want})" if np.ndim(got) == 0 else ""
                 raise InstanceFormatError(
-                    f"{where} does not match the instance generated from "
+                    f"{where}{of} does not match the instance generated from "
                     f"'source.U' with d = {dims.d}{value}"
                 )
         return HardInstance(sys=self.system, source=self.source, dims=dims)
@@ -211,7 +215,11 @@ def _read_json(path: str | Path):
 
 
 def load_instance(path: str | Path) -> InstanceDoc:
-    return parse_instance(_read_json(path))
+    data = _read_json(path)
+    try:
+        return parse_instance(data)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def load_section(path: str | Path, name: str):

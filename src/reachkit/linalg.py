@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # ||A @ A|| below this fraction of max(1, ||A||^2) counts as "squares to zero",
 # switching mat_exp to the exact two-term form I + A t.
@@ -173,4 +172,6 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
     norm_sq_of_square = float(np.linalg.norm(A @ A))
     if norm_sq_of_square <= NILPOTENT_REL_TOL * max(1.0, norm * norm):
         return np.eye(n) + A * t
+    import scipy.linalg  # loaded on first use: most commands never form exp(A t)
+
     return scipy.linalg.expm(A * t)

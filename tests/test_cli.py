@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reachkit.cli import main
+from reachkit.cli import build_parser, main
 from reachkit.instance_io import InstanceDoc, load_instance, write_instance
 from reachkit.setfun import ColumnSelectionFunction
 from reachkit.solvers import VarSelInstance
@@ -471,13 +471,16 @@ class TestEntryPoint:
     """``python -m reachkit.cli`` runs the same ``main`` in a fresh process."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
+    GAP = str(Path(__file__).resolve().parent / "fixtures" / "greedy_gap.json")
 
-    def run(self, *argv):
+    def python(self, *argv):
         env = dict(os.environ, PYTHONPATH=str(self.SRC))
         return subprocess.run(
-            [sys.executable, "-m", "reachkit.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def run(self, *argv):
+        return self.python("-m", "reachkit.cli", *argv)
 
     def test_exit_codes_and_json(self, star_file, tmp_path):
         done = self.run("check-feasible", star_file, "--actuate", "1", "--json")
@@ -491,3 +494,108 @@ class TestEntryPoint:
         done = self.run("check-feasible", str(bad))
         assert done.returncode == 2
         assert done.stderr.startswith("error: ")
+
+    # runs main, then prints which of the lazily imported modules got loaded
+    LOADED = (
+        "import json, sys\n"
+        "from reachkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "lazy = ('scipy.linalg', 'scipy.integrate', 'reachkit.synth')\n"
+        "print(json.dumps([m for m in lazy if m in sys.modules]), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_check_feasible_loads_neither_scipy_linalg_nor_synthesis(self):
+        # x0 = 0 in the fixture, so no exp(A t) is formed
+        done = self.python(
+            "-c", self.LOADED, "check-feasible", self.GAP, "--actuate", "5", "6", "--json"
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["feasible"] is True
+        assert json.loads(done.stderr) == []
+
+    def test_synthesize_imports_synthesis_on_demand(self):
+        done = self.run("synthesize", self.GAP, "--actuate", "5", "6", "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["feasible"] is True
+
+
+class TestErrorsNameTheFile:
+    """Errors found after a file is parsed name the file, like those found
+    while reading it."""
+
+    def test_roundtrip_file_without_source(self, star_file, capsys):
+        assert main(["roundtrip", "--file", star_file]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {star_file}: document does not bundle a system with a 'source' section\n"
+        )
+
+    def test_source_dims_disagreeing_with_source(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", "--random", "2", "3", "--seed", "1", "--d", "2", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["source"]["dims"]["l"] = 5
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["roundtrip", "--file", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'source.dims.l' of {out} does not match the instance generated from "
+            "'source.U' with d = 2 (5, expected 3)\n"
+        )
+
+    def test_mistyped_section(self, tmp_path, capsys):
+        path = tmp_path / "vs.json"
+        path.write_text(json.dumps({"varsel": {"U": [[1.0]], "z": [1.0, 2.0], "delta": 0.0}}))
+        assert main(["varsel", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: inconsistent 'varsel' section: U has 1 rows but z has length 2\n"
+        )
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; every call must give what the same
+    call gives on a freshly built parser."""
+
+    def test_reused_parser_matches_a_fresh_one(self, star_file, setfun_file, tmp_path, capsys):
+        varsel_file = tmp_path / "vs.json"
+        write_instance(
+            InstanceDoc(varsel=VarSelInstance(U=np.eye(3), z=np.array([1.0, 0.0, 0.0]), delta=0.0)),
+            varsel_file,
+        )
+        generated = ["--random", "2", "3", "--seed", "5", "--d", "3"]
+        commands = [
+            ["check-feasible", star_file, "--actuate", "1"],
+            ["check-feasible", star_file],
+            ["solve-exact", star_file],
+            ["solve-greedy", star_file],
+            ["varsel", str(varsel_file)],
+            ["gen-hard", *generated, "--out", str(tmp_path / "inst.json")],
+            ["check-supermodular", setfun_file],
+            ["synthesize", star_file, "--actuate", "1", "--grid", "10"],
+            ["roundtrip", *generated, "--budget", "3"],
+        ]
+        calls = [
+            *commands,
+            *([*argv, "--json"] for argv in commands),
+            ["check-feasible", star_file, "--json", "--actuate", "1"],
+            ["check-feasible", star_file, "--json"],
+            ["solve-exact", star_file, "--budget", "x"],
+            ["--help"],
+            ["synthesize", "--help"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        build_parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        assert build_parser.cache_info().hits == len(calls) - 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        for argv, got, want in zip(calls, reused, fresh):
+            assert got == want, argv
+        assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 0, 1, 0, 0] * 2 + [0, 1, 2, 0, 0]
