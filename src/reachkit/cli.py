@@ -31,7 +31,7 @@ import numpy as np
 from . import hardness, instance_io, setfun, solvers
 from .errors import CapacityError, InfeasibleError, InstanceFormatError
 from .linalg import Tolerance
-from .system import is_feasible
+from .system import check_node_set, is_feasible
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,12 +64,13 @@ def _node_list(nodes) -> str:
 
 def cmd_check_feasible(args) -> Report:
     S = args.actuate or []
-    verdict = is_feasible(instance_io.load_section(args.file, "system"), S, _tolerance(args))
+    system = instance_io.load_section(args.file, "system")
+    verdict = is_feasible(system, S, _tolerance(args))
     payload = {
         "feasible": verdict.feasible,
         "residual_sq": verdict.residual_sq,
         "reachability_rank": verdict.rank,
-        "actuated": sorted(int(i) for i in S),
+        "actuated": list(check_node_set(S, system.n)),
     }
     return verdict.feasible, payload, [
         "feasible" if verdict.feasible else "infeasible",

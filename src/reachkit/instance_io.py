@@ -34,8 +34,6 @@ from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
 from .system import LinearSystem
 
-_SYSTEM_KEYS = ("n", "m", "A", "B", "t0", "t1", "x0", "x1")
-
 
 @dataclass(frozen=True)
 class InstanceDoc:

@@ -10,11 +10,13 @@ synthesis Gramian (``lambda >= rank_rel * lambda_max`` in
 :func:`extend_basis` grows an orthonormal basis by a block of new
 columns and keeps only the directions whose singular value clears
 ``rank_rel`` times a caller-chosen scale.  :func:`numerical_rank`,
-:func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it,
-and the Krylov bases of :mod:`reachkit.system` are built by calling it once
-per block.  All thresholds come from a :class:`Tolerance`, so callers control
-numerical strictness in one place.  Functions never modify their inputs and
-hold no state; concurrent use is safe.
+:func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it
+that validate their arguments; library code calls :func:`extend_basis` and
+:func:`dist_sq_to_basis` directly on arrays it has already validated (one
+call per Krylov block in :mod:`reachkit.system`, one basis per subset in
+:mod:`reachkit.setfun`).  All thresholds come from a :class:`Tolerance`, so
+callers control numerical strictness in one place.  Functions never modify
+their inputs and hold no state; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -145,12 +147,12 @@ def dist_sq_to_range(v, M, tol: Tolerance = DEFAULT_TOL) -> float:
     zero-column ``M`` the subspace is ``{0}`` and the result is ``||v||^2``.
     """
     v = as_vector(v)
-    M = as_matrix(M)
-    if M.shape[0] != v.shape[0]:
+    Q = range_basis(M, tol)  # validates M; Q has as many rows as M
+    if Q.shape[0] != v.shape[0]:
         raise ValueError(
-            f"vector length {v.shape[0]} does not match matrix rows {M.shape[0]}"
+            f"vector length {v.shape[0]} does not match matrix rows {Q.shape[0]}"
         )
-    return dist_sq_to_basis(v, range_basis(M, tol))
+    return dist_sq_to_basis(v, Q)
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:

@@ -17,7 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dist_sq_to_range
+from .linalg import (
+    DEFAULT_TOL, Tolerance, as_matrix, as_vector, dist_sq_to_basis, extend_basis
+)
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
 DEFAULT_BRUTE_FORCE_CAP = 12
@@ -100,9 +102,9 @@ def evaluate(
         raise ValueError(
             f"column indices must lie in 1..{fn.ground_size}, got {cols}"
         )
-    sub = fn.M[:, [k - 1 for k in cols]]
-    d_sq = dist_sq_to_range(fn.v, sub, tol)
-    return float(d_sq ** (fn.c / 2.0))
+    # fn.v and fn.M were validated when fn was built
+    Q = extend_basis(None, fn.M[:, [k - 1 for k in cols]], tol)
+    return float(dist_sq_to_basis(fn.v, Q) ** (fn.c / 2.0))
 
 
 def _check_cap(fn: ColumnSelectionFunction, cap: int) -> None:
@@ -166,25 +168,21 @@ def check_supermodular(
     l, size = drops.shape
     masks = np.arange(size)
     # Base A violates if drops[x, A] < drops[x, A + y] for some x != y; when
-    # x or y lies in A both sides are equal, so no mask is needed.
-    violated = np.zeros(size, dtype=bool)
+    # x or y lies in A both sides are equal, so no mask is needed.  first_y[A]
+    # and first_x[A] record A's first violating pair, y then x ascending.
+    first_y = np.full(size, -1)
+    first_x = np.zeros(size, dtype=int)
     for y in range(l):
         local = drops < drops[:, masks | 1 << y] - VIOLATION_SLACK
         local[y] = False
-        violated |= local.any(axis=0)
+        hit = (first_y < 0) & local.any(axis=0)
+        first_y[hit] = y
+        first_x[hit] = local[:, hit].argmax(axis=0)
     violation = None
-    if violated.any():
-        base = min(
-            np.flatnonzero(violated).tolist(),
-            key=lambda mask: (-bin(mask).count("1"), _members(mask)),
-        )
-        outside = [k for k in range(l) if not base >> k & 1]
-        y, x = next(
-            (y, x)
-            for y in outside
-            for x in outside
-            if x != y and drops[x, base] < drops[x, base | 1 << y] - VIOLATION_SLACK
-        )
+    violated = np.flatnonzero(first_y >= 0).tolist()
+    if violated:
+        base = min(violated, key=lambda mask: (-bin(mask).count("1"), _members(mask)))
+        y, x = int(first_y[base]), int(first_x[base])
         violation = Violation(
             subset=_members(base),
             superset=_members(base | 1 << y),

@@ -262,7 +262,7 @@ def greedy_min_reach(
     Starting from the empty set, repeatedly add the node whose inclusion
     minimizes the residual (ties broken toward the smallest index).  Stops on
     feasibility, on a stall (no addition shrinks the residual by more than
-    ``1e-12``), or after ``max_iters`` additions.  A stall returns the current
+    ``1e-12``), or after ``max_iters >= 0`` additions.  A stall returns the current
     set with ``feasible=False`` rather than raising: stalls are expected
     behavior for a non-supermodular objective and worth observing.
     Candidates whose structural bound cannot beat the best residual of the
@@ -271,6 +271,8 @@ def greedy_min_reach(
     """
     n = sys.n
     iters = n if max_iters is None else min(int(max_iters), n)
+    if iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     scale = sys.offset_scale
     reach = sys.reach
     off = sys.off_reach_sq
@@ -280,7 +282,6 @@ def greedy_min_reach(
     current = is_feasible(sys, selected, tol)
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
-        best_node = None
         best = None
         for i in range(1, n + 1):
             if i in selected:
@@ -294,10 +295,7 @@ def greedy_min_reach(
             if best is None or verdict.residual_sq < best.residual_sq:
                 best_node, best = i, verdict
                 best_scaled = best.residual_sq / scale / scale
-        if (
-            best_node is None
-            or current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS
-        ):
+        if current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS:
             break
         selected.append(best_node)
         covered |= reach[best_node - 1]

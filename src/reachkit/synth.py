@@ -8,8 +8,9 @@ an actual input signal.  Everything is read off one input response stack
 filled from its last entry by doubling passes, each one matrix product with
 ``exp(A k h)`` for ``k = 1, 2, 4, ...``, so about ``log2 N`` products build
 it.  The reachability Gramian, the Simpson quadrature of ``H[j] H[j]^T``, is
-one product over the stack weighted by the Simpson weights ``c_j``, which
-are scipy's ``simpson`` applied to the unit vectors; no ``H[j] H[j]^T`` is
+one symmetric product of the stack's rows weighted by ``sqrt(h c_j)``, with
+``c_j`` the Simpson weights (scipy's ``simpson`` applied to the unit
+vectors, all positive) and ``h`` the spacing; no ``H[j] H[j]^T`` is
 formed.  The minimum-energy open-loop input steering the system to the
 target is ``H[j]^T W^+ w``.  A fixed-step RK4 simulation of the actuated
 dynamics then independently confirms (or honestly refutes) that the target
@@ -86,9 +87,9 @@ def _input_response(
     passes: with ``P = exp(A k h)``, ``h = (t1 - t0) / N``, the ``k`` filled
     rows give the ``k`` before them in one product, ``R[j] = R[j + k] P^T``;
     then ``P`` is squared and ``k`` doubled.  The Gramian
-    ``sum_j c_j H[j] H[j]^T`` is one weighted product over the stack, with
-    ``c`` the weights of the Simpson rule on spacing ``h``, symmetrized after
-    assembly.
+    ``h sum_j c_j H[j] H[j]^T``, with ``c`` the unit-spacing Simpson weights,
+    is one symmetric product of the ``sqrt(h c_j)``-weighted rows with
+    themselves.
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
         raise ValueError(f"N (grid intervals) is not an integer: {N!r}")
@@ -111,11 +112,10 @@ def _input_response(
         lo, k = start, 2 * k
         if lo > 0:
             P_T = P_T @ P_T
-    flat = R.reshape((N + 1) * r, n)
-    weights = np.repeat(h * _simpson_weights(N), r)
-    W = (flat.T * weights) @ flat
+    # sqrt needs the Simpson weights positive; Y.T @ Y is a symmetric rank-k product
+    Y = (R * np.sqrt(h * _simpson_weights(N))[:, None, None]).reshape((N + 1) * r, n)
     grid = np.linspace(sys.t0, sys.t1, N + 1)
-    return grid, 0.5 * (W + W.T), cols, R.transpose(0, 2, 1)
+    return grid, Y.T @ Y, cols, R.transpose(0, 2, 1)
 
 
 def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
@@ -123,10 +123,10 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
 
     ``W = integral of exp(A (t1 - tau)) M(S) B B^T M(S) exp(A^T (t1 - tau))``
     evaluated by composite Simpson quadrature on ``N`` grid intervals, as
-    one product of the input response stack with itself weighted by the
-    Simpson weights.  ``N`` must be an integer of at least 2.  The result is
-    symmetrized after assembly, so it is symmetric by construction and
-    positive semidefinite up to quadrature noise.
+    one symmetric product of the ``sqrt(h c_j)``-weighted rows of the input
+    response stack (see :func:`_input_response`).  ``N`` must be an integer
+    of at least 2.  The result is symmetric by construction and positive
+    semidefinite up to quadrature noise.
     """
     return _input_response(sys, S, N)[1]
 

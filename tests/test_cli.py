@@ -71,6 +71,12 @@ class TestCheckFeasible:
         assert payload["reachability_rank"] == 1
         assert set(payload) == {"feasible", "residual_sq", "reachability_rank", "actuated"}
 
+    def test_json_reports_the_judged_set(self, capsys):
+        # repeated indices denote the same node set {5, 6}
+        fixture = "tests/fixtures/greedy_gap.json"
+        assert main(["check-feasible", fixture, "--actuate", "6", "5", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["actuated"] == [5, 6]
+
 
 class TestSolve:
     def test_exact_star(self, star_file, capsys):
@@ -130,6 +136,15 @@ class TestSolve:
         path = tmp_path / "hard_target.json"
         write_instance(InstanceDoc(system=sys), path)
         assert main(["solve-exact", str(path), "--budget", "1"]) == 1
+
+    def test_negative_caps_exit_2(self, star_file, capsys):
+        assert main(["solve-greedy", star_file, "--max-iters", "-1"]) == 2
+        assert capsys.readouterr().err == "error: max_iters must be nonnegative\n"
+        assert main(["solve-exact", star_file, "--budget", "-1"]) == 2
+        assert capsys.readouterr().err == "error: budget must be nonnegative\n"
+        # no addition allowed: the empty set is reported, infeasible
+        assert main(["solve-greedy", star_file, "--max-iters", "0", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["S"] == []
 
 
 class TestVarsel:

@@ -73,6 +73,11 @@ class TestDistSqToRange:
         with pytest.raises(ValueError):
             dist_sq_to_range(np.ones(4), M)
 
+    def test_rejects_non_finite_matrix(self):
+        bad = np.array([[1.0], [np.inf], [0.0]])
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            dist_sq_to_range(V, bad)
+
     def test_monotone_under_column_augmentation(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

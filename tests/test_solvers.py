@@ -296,6 +296,13 @@ class TestGreedyMinReach:
         assert result.cardinality == 1
         assert not result.feasible
 
+    def test_rejects_negative_max_iters(self):
+        doc = load_instance(FIXTURES / "greedy_gap.json")
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            greedy_min_reach(doc.system, max_iters=-1)
+        result = greedy_min_reach(doc.system, max_iters=0)
+        assert (result.nodes, result.feasible) == ((), False)
+
     def test_stall_reports_infeasible_instead_of_raising(self):
         # input only reaches node 1 but the target lives on node 2, so no
         # addition ever improves the residual and greedy stops empty-handed

@@ -144,6 +144,11 @@ class TestResponseStack:
             expected = simpson(np.eye(N + 1), dx=1.0, axis=0)
             assert np.array_equal(_simpson_weights(N), expected), N
 
+    def test_simpson_weights_are_positive(self):
+        # the Gramian product weights the stack rows by their square roots
+        for N in [*range(2, 41), 1000, 1001]:
+            assert (_simpson_weights(N) > 0).all(), N
+
     def test_transfer_computes_offset_once(self, monkeypatch):
         import reachkit.synth
         import reachkit.system
@@ -277,6 +282,18 @@ class TestReachGramian:
             W = reach_gramian(sys, S, N=120)
             assert np.allclose(W, W.T, atol=1e-12)
             assert np.linalg.eigvalsh(W).min() >= -1e-10
+
+    @pytest.mark.parametrize("N", [120, 121])
+    def test_exactly_symmetric(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(10):
+            sys, S = feasible_fixture(rng, int(rng.integers(2, 7)))
+            W = reach_gramian(sys, S, N=N)
+            assert np.array_equal(W, W.T)
+        # r = 1: one actuated input column
+        for n, S in [(4, [1]), (30, [2])]:
+            W = reach_gramian(star_system(n), S, N=N)
+            assert np.array_equal(W, W.T)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
