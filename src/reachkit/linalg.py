@@ -2,9 +2,10 @@
 point-to-subspace distance, and the matrix exponential.
 
 Every rank and membership decision in the package goes through one routine,
-:func:`extend_basis`, with two exceptions: the eigenvalue cut of the
-synthesis Gramian (``lambda >= rank_rel * lambda_max`` in
-:mod:`reachkit.synth`), and :func:`reachkit.solvers.fit_support`, whose
+:func:`extend_basis`, or its stacked form :func:`range_bases`, which applies
+the same rule to each matrix of a stack, with two exceptions: the
+eigenvalue cut of the synthesis Gramian (``lambda >= rank_rel * lambda_max``
+in :mod:`reachkit.synth`), and :func:`reachkit.solvers.fit_support`, whose
 ``np.linalg.lstsq(rcond=None)`` applies numpy's own cutoff,
 ``eps * max(m, k) * sigma_max`` of the support columns.
 :func:`extend_basis` grows an orthonormal basis by a block of new
@@ -13,21 +14,33 @@ columns and keeps only the directions whose singular value clears
 :func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it
 that validate their arguments; library code calls :func:`extend_basis` and
 :func:`dist_sq_to_basis` directly on arrays it has already validated (one
-call per Krylov block in :mod:`reachkit.system`, one basis per subset in
-:mod:`reachkit.setfun`).  All thresholds come from a :class:`Tolerance`, so
-callers control numerical strictness in one place.  Functions never modify
-their inputs and hold no state; concurrent use is safe.
+call per Krylov block in :mod:`reachkit.system`).  Brute-force scans over
+column subsets (:mod:`reachkit.setfun`, :func:`reachkit.solvers.varsel_exact`)
+take their subsets from :func:`column_stacks`, one stack of equal-size
+submatrices per chunk, and measure them with :func:`range_bases` and
+:func:`dist_sq_to_bases` (together :func:`dist_sq_to_ranges`): one batched
+SVD per stack instead of one factorization per subset.  All
+thresholds come from a :class:`Tolerance`, so callers control numerical
+strictness in one place.  Functions never modify their inputs and hold no
+state; concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
 # ||A @ A|| below this fraction of max(1, ||A||^2) counts as "squares to zero",
 # switching mat_exp to the exact two-term form I + A t.
 NILPOTENT_REL_TOL = 1e-12
+
+# column_stacks hands out at most this many subsets, and at most this many
+# matrix entries, per stack, which bounds the working memory of a scan.
+STACK_SUBSETS = 4096
+STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,63 @@ def dist_sq_to_range(v, M, tol: Tolerance = DEFAULT_TOL) -> float:
             f"vector length {v.shape[0]} does not match matrix rows {Q.shape[0]}"
         )
     return dist_sq_to_basis(v, Q)
+
+
+def range_bases(stack: np.ndarray, rank_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal range bases of each matrix of a ``(b, m, k)`` stack.
+
+    The rule of ``extend_basis(None, M)`` applied to every matrix ``M`` of
+    the stack with one batched SVD: the left singular vectors with
+    ``sigma >= rank_rel * sigma_max`` are kept, none when ``sigma_max = 0``.
+    Returns ``(Q, s)``: ``Q`` is a ``(b, m, p)`` stack, ``p = min(m, k)``,
+    whose kept columns are those singular vectors and whose dropped columns
+    are zero, so every matrix has the same shape whatever its rank; ``s``
+    holds each matrix's ``p`` singular values, dropped ones included.
+    """
+    b, m, k = stack.shape
+    if not (m and k):
+        return np.zeros((b, m, 0)), np.zeros((b, 0))
+    Q, s, _ = np.linalg.svd(stack, full_matrices=False)
+    top = s[:, :1]
+    Q *= ((s >= rank_rel * top) & (top > 0.0))[:, None, :]
+    return Q, s
+
+
+def dist_sq_to_bases(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared distance from ``v`` to the span of the columns of each matrix
+    of a ``(b, m, p)`` stack of orthonormal-or-zero columns, as
+    :func:`range_bases` returns.
+
+    Each value is ``||v - Q Q^T v||^2``.  The products are taken one matrix
+    at a time, so a matrix's value does not depend on the other matrices of
+    the stack.
+    """
+    r = v - (Q @ (v @ Q)[..., None])[..., 0]
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def dist_sq_to_ranges(v: np.ndarray, stack: np.ndarray, rank_rel: float) -> np.ndarray:
+    """Squared distance from ``v`` to the range of each matrix of a
+    ``(b, m, k)`` stack, with the rank rule of :func:`range_bases`
+    (``||v||^2`` for a matrix with no columns or no nonzero entry)."""
+    return dist_sq_to_bases(v, range_bases(stack, rank_rel)[0])
+
+
+def column_stacks(M: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``k``-column submatrices of ``M``, lexicographically by their
+    0-based column indices, in chunks.
+
+    Yields ``(idx, stack)`` pairs: ``idx`` is a ``(b, k)`` array of column
+    indices and ``stack[i]`` is ``M[:, idx[i]]``.  A chunk holds at most
+    ``STACK_SUBSETS`` submatrices and at most ``STACK_ENTRIES`` entries, but
+    never fewer than one submatrix.
+    """
+    m, l = M.shape
+    size = max(1, min(STACK_SUBSETS, STACK_ENTRIES // max(1, m * k)))
+    scan = combinations(range(l), k)
+    while batch := list(islice(scan, size)):
+        idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
+        yield idx, M.T[idx].transpose(0, 2, 1)
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:

@@ -6,7 +6,11 @@ only the selected columns.  The function is always non-increasing (adding a
 column can only shrink the distance), but it is *not* supermodular: marginal
 decreases can grow as the base set grows, and :func:`check_supermodular`
 hunts for an explicit witness of that among the single-column decreases
-``f(A) - f(A + x)`` of all ``2**l`` column subsets.
+``f(A) - f(A + x)`` of all ``2**l`` column subsets.  Their values are
+computed one subset size at a time, with one batched SVD per chunk of
+equal-size subsets (:func:`reachkit.linalg.dist_sq_to_ranges`), and
+:func:`evaluate` is the same kernel on a stack of one, so the table and
+:func:`evaluate` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_matrix, as_vector, dist_sq_to_basis, extend_basis
+    DEFAULT_TOL, Tolerance, as_matrix, as_vector, column_stacks, dist_sq_to_ranges
 )
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
@@ -103,11 +107,21 @@ def evaluate(
             f"column indices must lie in 1..{fn.ground_size}, got {cols}"
         )
     # fn.v and fn.M were validated when fn was built
-    Q = extend_basis(None, fn.M[:, [k - 1 for k in cols]], tol)
-    return float(dist_sq_to_basis(fn.v, Q) ** (fn.c / 2.0))
+    return float(_values(fn, fn.M[:, [k - 1 for k in cols]][None], tol)[0])
+
+
+def _values(fn: ColumnSelectionFunction, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Values of ``fn`` on the column subsets whose submatrices of ``fn.M``
+    form the ``(b, m, k)`` stack."""
+    # Python's float power, as the bound in ColumnSelectionFunction takes it;
+    # numpy's vectorized power can differ from it in the last bit
+    e = fn.c / 2.0
+    return np.array([d ** e for d in dist_sq_to_ranges(fn.v, stack, tol.rank_rel).tolist()])
 
 
 def _check_cap(fn: ColumnSelectionFunction, cap: int) -> None:
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     if fn.ground_size > cap:
         raise CapacityError(
             f"ground set of size {fn.ground_size} is too large for brute force "
@@ -122,10 +136,15 @@ def _members(mask: int) -> tuple[int, ...]:
 
 def _drop_table(fn: ColumnSelectionFunction, tol: Tolerance) -> np.ndarray:
     """``drops[x, A] = f(A) - f(A + x)`` over bitmasks ``A`` (bit ``k - 1`` is
-    column ``k``), zero where ``x`` is in ``A``; one ``evaluate`` per subset."""
-    masks = np.arange(1 << fn.ground_size)
-    values = np.array([evaluate(fn, _members(mask), tol) for mask in masks.tolist()])
-    return values - values[masks | 1 << np.arange(fn.ground_size)[:, None]]
+    column ``k``), zero where ``x`` is in ``A``; the values are filled one
+    subset size at a time, one stacked kernel call per chunk."""
+    l = fn.ground_size
+    values = np.empty(1 << l)
+    for k in range(l + 1):
+        for idx, stack in column_stacks(fn.M, k):
+            values[(1 << idx).sum(axis=1)] = _values(fn, stack, tol)
+    masks = np.arange(1 << l)
+    return values - values[masks | 1 << np.arange(l)[:, None]]
 
 
 def check_monotone(

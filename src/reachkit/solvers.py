@@ -11,6 +11,21 @@ infeasible, and its ``optimal`` flag is always False).  Both decide each node
 set with :func:`reachkit.system.is_feasible`; variable selection and the
 reduction's backward map fit supports with :func:`fit_support`.
 
+Variable selection screens each size's supports before fitting them.  For
+a chunk of equal-size supports, one batched SVD
+(:func:`reachkit.linalg.range_bases` with ``rank_rel = eps``) gives the
+distance from ``z`` to the span of each support's columns.  That span keeps
+every direction that ``lstsq``'s cutoff ``eps max(m, k) sigma_max`` keeps,
+so the distance bounds the support's least-squares residual from below, up
+to roundoff: on columns whose singular values spread by a factor ``kappa``,
+the residual ``lstsq`` computes can fall short of the exact one by about
+``eps * kappa * ||z||``.  A support is skipped when its bound exceeds the fit
+budget by more than ``feas_rel * max(1, ||z||)`` plus ``SCREEN_ROUNDOFF``
+times that roundoff; so a support with a nonzero singular value below
+``eps * sigma_max`` is always fitted.  The supports left are fitted by
+:func:`fit_support` in lexicographic order, so the support, ``y`` and
+``residual`` returned are those of the unscreened scan.
+
 Both node-set solvers first consult the structural bound cached as
 ``LinearSystem.reach``: the squared mass of the scaled offset off the reach
 ``R(S)`` is a lower bound on the scaled residual of ``S`` and of every subset
@@ -32,14 +47,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
+from .linalg import (
+    DEFAULT_TOL, Tolerance, as_matrix, as_vector, column_stacks, dist_sq_to_bases,
+    range_bases,
+)
 from .system import LinearSystem, is_feasible
 
 # Exact enumeration beyond this many nodes needs an explicit cardinality budget.
@@ -59,6 +76,12 @@ EXACT_PRUNE_FACTOR = 4.0
 # exceeds the best scaled residual of the round so far by more than
 # GREEDY_SKIP_FACTOR * feas_rel.
 GREEDY_SKIP_FACTOR = 2.0
+
+# lstsq's computed residual on columns with singular-value spread kappa can
+# undercut the exact distance from z to their span by about
+# eps * kappa * ||z||; the variable-selection screen allows this many times
+# that on top of its feasibility margin.
+SCREEN_ROUNDOFF = 64.0
 
 # Entries of a variable-selection vector at or below this magnitude count as
 # zero when its support is read off.
@@ -113,6 +136,9 @@ class VarSelInstance:
     def _z_norm(self) -> float:
         return float(np.linalg.norm(self.z))
 
+    def _slack(self, tol: Tolerance) -> float:
+        return tol.feas_rel * max(1.0, self._z_norm)
+
     def fits(self, residual: float, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether a fit residual ``||U y - z||`` meets the budget.
 
@@ -120,7 +146,7 @@ class VarSelInstance:
         ``delta + feas_rel * max(1, ||z||)``, so exact fits survive float
         noise when ``delta = 0``.
         """
-        return residual <= self.delta + tol.feas_rel * max(1.0, self._z_norm)
+        return residual <= self.delta + self._slack(tol)
 
 
 @dataclass(frozen=True)
@@ -321,20 +347,35 @@ def varsel_exact(
     Supports are scanned by increasing size and lexicographically within each
     size; each candidate support gets a least-squares fit of ``z`` over the
     selected columns, and the first support whose residual meets the budget
-    (:meth:`VarSelInstance.fits`) wins.
+    (:meth:`VarSelInstance.fits`) wins.  Supports whose stacked lower bound
+    rules them out are not fitted (see the module docstring).
     """
     m, l = inst.U.shape
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     if l > cap:
         raise CapacityError(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )
+    margin = inst.delta + 2.0 * inst._slack(tol)
+    eps = float(np.finfo(float).eps)
+    roundoff = SCREEN_ROUNDOFF * eps * inst._z_norm
     for k in range(l + 1):
-        for support in combinations(range(1, l + 1), k):
-            y, residual = fit_support(inst.U, support, inst.z)
-            if inst.fits(residual, tol):
-                return VarSelResult(
-                    y=y, support=support, norm0=k, residual=residual
-                )
+        for idx, stack in column_stacks(inst.U, k):
+            Q, s = range_bases(stack, eps)
+            bound = np.sqrt(dist_sq_to_bases(inst.z, Q))
+            spread = s.max(axis=1, initial=0.0) / np.min(
+                s, axis=1, where=s > 0.0, initial=np.inf
+            )
+            # a NaN limit, from an ||z|| that overflows, skips nothing
+            skip = bound > margin + roundoff * spread
+            for row in np.flatnonzero(~skip).tolist():
+                support = tuple((idx[row] + 1).tolist())
+                y, residual = fit_support(inst.U, support, inst.z)
+                if inst.fits(residual, tol):
+                    return VarSelResult(
+                        y=y, support=support, norm0=k, residual=residual
+                    )
     raise InfeasibleError(
         f"no support of size <= {l} meets the residual budget {inst.delta}"
     )

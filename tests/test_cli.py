@@ -172,6 +172,17 @@ class TestVarsel:
     def test_missing_section_exits_2(self, star_file):
         assert main(["varsel", star_file]) == 2
 
+    def test_negative_cap_exits_2(self, tmp_path, capsys):
+        doc = InstanceDoc(varsel=VarSelInstance(U=np.eye(2), z=np.ones(2), delta=0.0))
+        path = tmp_path / "vs.json"
+        write_instance(doc, path)
+        assert main(["varsel", str(path), "--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap must be nonnegative\n"
+        # a cap below the column count is still a resource limit
+        assert main(["varsel", str(path), "--cap", "0"]) == 3
+
 
 class TestGenHard:
     def test_from_matrix_file(self, tmp_path, capsys):
@@ -253,6 +264,13 @@ class TestCheckSupermodular:
             "rhs": 1.0,
         }
 
+    def test_fixture_pins_the_witness_bits(self, capsys):
+        # the file the installed-console-script CI step checks
+        fixture = Path(__file__).parent / "fixtures" / "counterexample.json"
+        assert json.loads(fixture.read_text()) == COUNTEREXAMPLE
+        assert main(["check-supermodular", str(fixture), "--json"]) == 1
+        assert '"lhs": 0.0, "rhs": 1.0' in capsys.readouterr().out
+
     def test_identity_dictionary_exits_0(self, tmp_path):
         doc = InstanceDoc(
             setfun=ColumnSelectionFunction(v=np.array([1.0, 2.0]), M=np.eye(2))
@@ -274,6 +292,16 @@ class TestCheckSupermodular:
         path = tmp_path / "fn.json"
         write_instance(doc, path)
         assert main(["check-supermodular", str(path)]) == 3
+
+    def test_negative_cap_exits_2(self, setfun_file, capsys):
+        assert main(["check-supermodular", setfun_file, "--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap must be nonnegative\n"
+        assert main(["check-supermodular", setfun_file, "--cap", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: ground set of size 3 is too large for brute force (cap 2)\n"
+        )
 
 
 class TestSynthesize:

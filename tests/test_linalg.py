@@ -1,13 +1,21 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import reachkit.linalg
 from reachkit.linalg import (
+    STACK_ENTRIES,
+    STACK_SUBSETS,
     Tolerance,
+    column_stacks,
     dist_sq_to_range,
+    dist_sq_to_ranges,
     extend_basis,
     mat_exp,
     numerical_rank,
+    range_bases,
     range_basis,
 )
 
@@ -197,3 +205,118 @@ class TestExtendBasis:
         for _ in range(20):
             A = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 4))
             assert extend_basis(None, A).shape[1] == numerical_rank(A) == 3
+
+
+def with_singular_values(rng, m, k, s):
+    """An m x k matrix with the given singular values (len(s) <= min(m, k))
+    and random singular vectors."""
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    V, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return (U[:, : len(s)] * s) @ V[:, : len(s)].T
+
+
+def kernel_stack(rng, b, m, k, rank_rel):
+    """A (b, m, k) stack mixing the cases the rank rule must get right: zero
+    matrices, duplicate columns, and singular-value ratios just above and
+    just below rank_rel."""
+    stack = rng.normal(size=(b, m, k))
+    for i in range(b):
+        kind = i % 5
+        if kind == 1:
+            stack[i] = 0.0
+        elif kind == 2 and k >= 2:
+            stack[i][:, -1] = stack[i][:, 0]
+        elif kind in (3, 4) and min(m, k) >= 2:
+            ratio = rank_rel * (2.0 if kind == 3 else 0.5)
+            top = 10.0 ** rng.uniform(-3, 3)
+            stack[i] = with_singular_values(rng, m, k, [top, top * ratio])
+    return stack
+
+
+class TestStackedKernel:
+    SHAPES = [(4, 2), (6, 3), (3, 5), (5, 5), (1, 1), (3, 1), (1, 4), (4, 0), (0, 3)]
+
+    @pytest.mark.parametrize("rank_rel", [1e-9, 1e-4, float(np.finfo(float).eps)])
+    @pytest.mark.parametrize("m, k", SHAPES)
+    def test_matches_single_matrix_rule(self, m, k, rank_rel):
+        rng = np.random.default_rng(1000 * m + k)
+        tol = Tolerance(rank_rel=rank_rel)
+        stack = kernel_stack(rng, 20, m, k, rank_rel)
+        v = rng.normal(size=m)
+        Q, sigma = range_bases(stack, rank_rel)
+        assert Q.shape == (20, m, min(m, k))
+        assert sigma.shape == (20, min(m, k))
+        values = dist_sq_to_ranges(v, stack, rank_rel)
+        assert values.shape == (20,)
+        for i, A in enumerate(stack):
+            kept = Q[i][:, (Q[i] != 0).any(axis=0)]
+            rank = numerical_rank(A, tol)
+            assert kept.shape[1] == rank
+            # the kept columns come first, and they are orthonormal
+            assert not Q[i][:, rank:].any()
+            assert np.allclose(kept.T @ kept, np.eye(rank), atol=1e-12)
+            if min(m, k):
+                assert np.allclose(sigma[i], np.linalg.svd(A, compute_uv=False), rtol=1e-12)
+            ref = dist_sq_to_range(v, A, tol)
+            assert abs(values[i] - ref) <= 1e-14 * max(ref, v @ v)
+
+    def test_ratios_on_both_sides_of_the_threshold(self):
+        rng = np.random.default_rng(3)
+        for ratio, rank in ((2e-9, 2), (5e-10, 1)):
+            A = with_singular_values(rng, 5, 3, [1.0, ratio])
+            Q, _ = range_bases(A[None], 1e-9)
+            assert np.count_nonzero((Q[0] != 0).any(axis=0)) == rank == numerical_rank(A)
+
+    def test_zero_and_empty_matrices_keep_nothing(self):
+        v = np.array([3.0, 4.0])
+        for stack in (np.zeros((3, 2, 2)), np.zeros((3, 2, 0))):
+            assert not range_bases(stack, 1e-9)[0].any()
+            assert np.array_equal(dist_sq_to_ranges(v, stack, 1e-9), [25.0] * 3)
+        assert np.array_equal(dist_sq_to_ranges(np.zeros(0), np.zeros((2, 0, 3)), 1e-9),
+                              [0.0, 0.0])
+
+    @pytest.mark.parametrize("m, k", [(4, 2), (7, 3), (3, 5), (14, 12)])
+    def test_value_does_not_depend_on_the_rest_of_the_stack(self, m, k):
+        rng = np.random.default_rng(7 * m + k)
+        stack = kernel_stack(rng, 500, m, k, 1e-9)
+        v = rng.normal(size=m)
+        values = dist_sq_to_ranges(v, stack, 1e-9)
+        for i in (0, 1, 2, 3, 4, 257, 499):
+            alone = dist_sq_to_ranges(v, stack[i : i + 1], 1e-9)
+            assert alone[0] == values[i]
+            # a strided view of the same matrix gives the same bits too
+            assert dist_sq_to_ranges(v, stack[i].T.copy().T[None], 1e-9)[0] == values[i]
+
+
+class TestColumnStacks:
+    def test_chunks_follow_combinations_across_boundaries(self, monkeypatch):
+        monkeypatch.setattr(reachkit.linalg, "STACK_SUBSETS", 4)
+        rng = np.random.default_rng(23)
+        M = rng.normal(size=(3, 7))
+        for k in range(8):
+            chunks = list(column_stacks(M, k))
+            assert all(1 <= len(idx) <= 4 for idx, _ in chunks)
+            order = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
+            assert order == list(combinations(range(7), k))
+            for idx, stack in chunks:
+                assert stack.shape == (len(idx), 3, k)
+                for row, sub in zip(idx, stack):
+                    assert np.array_equal(sub, M[:, row])
+
+    def test_empty_subset_is_one_chunk(self):
+        ((idx, stack),) = column_stacks(np.ones((2, 3)), 0)
+        assert idx.shape == (1, 0)
+        assert stack.shape == (1, 2, 0)
+
+    def test_chunks_are_bounded(self):
+        # the largest size of the largest ground set the CLI accepts
+        M = np.zeros((3, 20))
+        sizes = [len(idx) for idx, _ in column_stacks(M, 10)]
+        assert sum(sizes) == 184_756
+        assert max(sizes) == STACK_SUBSETS
+        tall = np.zeros((200, 20))
+        idx, stack = next(column_stacks(tall, 5))
+        assert len(idx) == STACK_ENTRIES // (200 * 5)
+        # one subset even when it alone exceeds the entry bound
+        idx, stack = next(column_stacks(np.zeros((STACK_ENTRIES // 2 + 1, 2)), 2))
+        assert len(idx) == 1

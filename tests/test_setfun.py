@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import reachkit.linalg
 from reachkit.errors import CapacityError
 from reachkit.setfun import (
     ColumnSelectionFunction,
@@ -226,6 +227,19 @@ class TestCheckSupermodular:
         with pytest.raises(CapacityError):
             check_supermodular(fn)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            check_supermodular(counterexample(), cap=-1)
+        empty = ColumnSelectionFunction(v=V, M=np.zeros((3, 0)))
+        assert check_supermodular(empty, cap=0).supermodular
+
+    def test_small_chunks_give_the_same_report(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        fns = [planted_violation_fn(rng, 7), orthonormal_fn(rng, 6), counterexample(c=1.0)]
+        reports = [report_tuple(check_supermodular(fn)) for fn in fns]
+        monkeypatch.setattr(reachkit.linalg, "STACK_SUBSETS", 3)
+        assert [report_tuple(check_supermodular(fn)) for fn in fns] == reports
+
 
 class TestCheckMonotone:
     def test_counterexample_monotone(self):
@@ -245,6 +259,10 @@ class TestCheckMonotone:
         fn = ColumnSelectionFunction(v=np.zeros(2), M=np.zeros((2, 13)))
         with pytest.raises(CapacityError):
             check_monotone(fn)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            check_monotone(counterexample(), cap=-1)
 
 
 class TestValidation:

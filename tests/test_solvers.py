@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reachkit.linalg
+import reachkit.solvers
 from reachkit.errors import CapacityError, InfeasibleError
 from reachkit.hardness import generate
 from reachkit.instance_io import load_instance
-from reachkit.linalg import DEFAULT_TOL, mat_exp
+from reachkit.linalg import DEFAULT_TOL, dist_sq_to_ranges, mat_exp
 from reachkit.solvers import (
     DEFAULT_EXACT_CAP,
     GREEDY_IMPROVEMENT_EPS,
@@ -372,6 +375,13 @@ class TestVarselExact:
         with pytest.raises(CapacityError):
             varsel_exact(inst)
 
+    def test_negative_cap_rejected(self):
+        inst = VarSelInstance(U=np.eye(2), z=np.ones(2), delta=0.0)
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            varsel_exact(inst, cap=-1)
+        empty = VarSelInstance(U=np.zeros((2, 0)), z=np.zeros(2), delta=0.0)
+        assert varsel_exact(empty, cap=0).support == ()
+
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             VarSelInstance(U=np.eye(2), z=np.zeros(2), delta=-1.0)
@@ -439,6 +449,147 @@ class TestFitSupport:
             assert result.norm0 == ref[2]
             np.testing.assert_allclose(result.y, ref[0], rtol=1e-12, atol=0)
             np.testing.assert_allclose(result.residual, ref[3], rtol=1e-12, atol=0)
+
+
+def planted_varsel(rng, m, l, k):
+    """Gaussian dictionary with z an exact combination of its last k
+    columns, the last support of size k that the scan reaches."""
+    U = rng.normal(size=(m, l))
+    y = np.zeros(l)
+    y[l - k :] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k)
+    return VarSelInstance(U=U, z=U @ y, delta=0.0)
+
+
+def awkward_dictionary(rng, m, l):
+    """Gaussian columns, then a zero column, a duplicate column and columns
+    that are near-combinations of others (singular-value ratios 1e-16 to
+    1e-8), at random positions."""
+    U = rng.normal(size=(m, l))
+    j = rng.permutation(l)
+    U[:, j[0]] = 0.0
+    U[:, j[1]] = U[:, j[2]]
+    ratio = 10.0 ** rng.uniform(-16, -8)
+    U[:, j[3]] = U[:, j[4]] + ratio * rng.normal(size=m)
+    if l > 6:
+        ratio = 10.0 ** rng.uniform(-16, -8)
+        U[:, j[5]] = U[:, j[2]] - U[:, j[4]] + ratio * rng.normal(size=m)
+    return U
+
+
+class TestVarselScreen:
+    def test_planted_instance_fits_one_support(self, monkeypatch):
+        inst = planted_varsel(np.random.default_rng(5), 8, 12, 3)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        result = varsel_exact(inst)
+        assert result.support == (10, 11, 12)
+        assert calls == [(8, 3)]
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.5])
+    def test_matches_unscreened_scan_on_awkward_dictionaries(self, delta):
+        rng = np.random.default_rng({0.0: 211, 1e-3: 223, 0.5: 227}[delta])
+        for trial in range(60):
+            m = int(rng.integers(2, 7))
+            l = int(rng.integers(5, 9))
+            U = awkward_dictionary(rng, m, l)
+            if trial % 3 == 0:
+                z = rng.normal(size=m)
+            else:
+                # a combination of a few columns, dependent ones included
+                z = U[:, rng.choice(l, size=trial % 3 + 1, replace=False)].sum(axis=1)
+            inst = VarSelInstance(U=U, z=z, delta=delta)
+            ref = lstsq_varsel(inst)
+            if ref is None:
+                with pytest.raises(InfeasibleError):
+                    varsel_exact(inst)
+                continue
+            result = varsel_exact(inst)
+            assert result.support == ref[1]
+            assert result.norm0 == ref[2]
+            assert np.array_equal(result.y, ref[0])
+            assert result.residual == ref[3]
+
+    def test_ill_conditioned_fit_below_its_bound_is_kept(self):
+        # span{a, a + t e2} is the e1-e2 plane, at distance 0.5 from z; with
+        # t = 1e-13 or 1e-14 lstsq's coefficients reach 1/t, and the residual
+        # it computes lands a few 1e-3 off 0.5, below the bound as often as
+        # above it
+        undercut = 0
+        for seed in range(20):
+            R, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+            for t in (1e-13, 1e-14):
+                U = R @ np.array([[1.0, 1.0], [0.0, t], [0.0, 0.0]])
+                z = R @ np.array([2.0, 1.0, 0.5])
+                _, fitted = fit_support(U, (1, 2), z)
+                inst = VarSelInstance(U=U, z=z, delta=fitted)
+                bound = np.sqrt(dist_sq_to_ranges(z, U[None], np.finfo(float).eps)[0])
+                undercut += bool(bound > fitted + 2 * DEFAULT_TOL.feas_rel * np.linalg.norm(z))
+                result = varsel_exact(inst)
+                assert result.support == (1, 2)
+                assert result.residual == fitted
+        assert undercut
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_target_norm_matches_unscreened_scan(self):
+        # ||z|| overflows, so the budget is infinite and the empty support
+        # fits with an infinite residual, screened or not
+        for z in ([1e200, 0.0], [1e160, 3.0]):
+            for U in (np.eye(2), np.array([[1.0], [0.0]]), np.zeros((2, 1))):
+                inst = VarSelInstance(U=U, z=np.array(z), delta=0.0)
+                ref = lstsq_varsel(inst)
+                result = varsel_exact(inst)
+                assert (result.support, result.residual) == (ref[1], ref[3]) == ((), np.inf)
+
+    def test_small_chunks_keep_the_lexicographic_order(self, monkeypatch):
+        rng = np.random.default_rng(229)
+        cases = []
+        for _ in range(20):
+            U = awkward_dictionary(rng, 4, 7)
+            inst = VarSelInstance(U=U, z=rng.normal(size=4), delta=float(rng.choice([0.0, 0.5])))
+            cases.append((inst, lstsq_varsel(inst)))
+        fitted = []
+        fit = reachkit.solvers.fit_support
+
+        def recording(U, support, target):
+            fitted.append(tuple(support))
+            return fit(U, support, target)
+
+        monkeypatch.setattr(reachkit.linalg, "STACK_SUBSETS", 3)
+        monkeypatch.setattr(reachkit.solvers, "fit_support", recording)
+        for inst, ref in cases:
+            fitted.clear()
+            if ref is None:
+                with pytest.raises(InfeasibleError):
+                    varsel_exact(inst)
+                continue
+            result = varsel_exact(inst)
+            assert (result.support, result.norm0) == ref[1:3]
+            assert np.array_equal(result.y, ref[0])
+            # fits happen in scan order, ending at the answer
+            order = [(len(s), s) for s in fitted]
+            assert order == sorted(set(order))
+            assert fitted[-1] == result.support
+
+    def test_memory_stays_below_one_size_stack(self):
+        m, l, k = 200, 20, 5
+        inst = planted_varsel(np.random.default_rng(233), m, l, k)
+        whole = comb(l, k) * m * k * 8  # bytes of one unchunked size-5 stack
+        tracemalloc.start()
+        try:
+            result = varsel_exact(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.support == tuple(range(l - k + 1, l + 1))
+        assert comb(l, k) > reachkit.linalg.STACK_SUBSETS
+        assert peak < whole / 2
 
 
 class TestTransferOffset:
