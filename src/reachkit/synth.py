@@ -2,24 +2,31 @@
 simulation.
 
 Feasibility of a transfer is a rank statement; this module backs it up with
-an actual input signal.  Everything is read off one input response stack
-``H[j] = exp(A (t1 - tau_j)) M(S) B`` on the uniform grid
-``tau_0 < ... < tau_N`` with spacing ``h = (t1 - t0) / N``.  The stack is
-filled from its last entry by doubling passes, each one matrix product with
-``exp(A k h)`` for ``k = 1, 2, 4, ...``, so about ``log2 N`` products build
-it.  The reachability Gramian, the Simpson quadrature of ``H[j] H[j]^T``, is
-one symmetric product of the stack's rows weighted by ``sqrt(h c_j)``, with
-``c_j`` the Simpson weights (scipy's ``simpson`` applied to the unit
-vectors, all positive) and ``h`` the spacing; no ``H[j] H[j]^T`` is
-formed.  The minimum-energy open-loop input steering the system to the
-target is ``H[j]^T W^+ w``.  A fixed-step RK4 simulation of the actuated
-dynamics then independently confirms (or honestly refutes) that the target
-is hit.  RK4 applied to a linear system is an affine map per interval,
-``x_{j+1} = Phi x_j + d_j``; the stage formula is applied once to the
-identity (giving ``Phi``) and once to all ``N`` interval inputs stacked
-(giving every ``d_j``), and the states are then summed by a doubling scan:
-the pass with shift ``s`` adds ``Phi^s`` times the state ``s`` rows back,
-for ``s = 1, 2, 4, ...``.
+an actual input signal.  On the uniform grid ``tau_0 < ... < tau_N`` with
+spacing ``h = (t1 - t0) / N``, the input response is
+``H[j] = E^(N - j) M(S) B`` with ``E = exp(A h)``, restricted to the
+nonzero columns of ``M(S) B``.  The reachability Gramian is its Simpson
+quadrature ``W = h sum_j c_j H[j] H[j]^T``, with ``c_j`` the Simpson
+weights (scipy's ``simpson`` applied to the unit vectors, all positive).
+The minimum-energy open-loop input steering the system to the target is
+``H[j]^T W^+ w``.
+
+Two paths compute ``W`` and the input, and a cost rule on the grid size,
+the number of input columns and ``n`` picks one per call (see
+:func:`_stack_is_cheaper`).  With few input columns, the stack ``H`` itself
+is filled by doubling passes and ``W`` is one symmetric product of its
+``sqrt(h c_j)``-weighted rows (:func:`_input_response`).  With many, ``W``
+is summed without the stack: the Simpson weights repeat with period 2 away
+from the ends, so the middle of the sum is a geometric Lyapunov series in
+``E^2``, summed by binary doubling, and the ends are added by Horner steps
+(:func:`_doubling_gramian`); the input is then read off the ``N + 1``
+vectors ``E^(N - j)^T W^+ w``, filled by the same doubling passes as the
+stack.  A fixed-step RK4 simulation of the actuated dynamics then
+independently confirms (or honestly refutes) that the target is hit.  RK4
+applied to a linear system is an affine map per interval,
+``x_{j+1} = Phi x_j + d_j``; the stage formula applied once to unit rows
+gives ``Phi`` and the three input maps, every ``d_j`` is one product with
+them, and the states are summed by a Brent-Kung scan.
 """
 
 from __future__ import annotations
@@ -75,6 +82,67 @@ def _simpson_weights(N: int) -> np.ndarray:
     return np.concatenate([head, np.tile(rest[:2], (N - M) // 2), rest])
 
 
+def _grid_intervals(N) -> int:
+    """``N`` as an ``int``; it must be an integer of at least 2."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N (grid intervals) is not an integer: {N!r}")
+    N = int(N)
+    if N < 2:
+        raise ValueError(f"need at least 2 grid intervals, got {N}")
+    return N
+
+
+def _input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``M(S) B`` restricted to its nonzero columns, and those columns."""
+    IB = masked_input_matrix(sys, S)
+    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
+    return IB[:, cols], cols
+
+
+# Cost of the doubling path beyond its vector recurrence: _DOUBLING_N3 times
+# n^3 flops per bit of N, plus a fixed part worth _DOUBLING_FIXED flops, most
+# of it the interpreter overhead of its small products.  Both were fitted to
+# timings of the two paths over n = 3..160, r = 1..n and N = 200..4000, with
+# one BLAS thread.
+_DOUBLING_N3 = 4
+_DOUBLING_FIXED = 2**16
+
+
+def _stack_is_cheaper(N: int, r: int, n: int) -> bool:
+    """Whether the response stack costs less than the doubling path.
+
+    The stack fills ``r`` rows per grid point and the doubling path one
+    vector, each about ``N n^2`` flops per row, so the stack wins whenever
+    ``r = 1`` and otherwise while its ``r - 1`` extra rows cost less than
+    the doubling sums.
+    """
+    return (r - 1) * N * n * n <= _DOUBLING_N3 * n**3 * N.bit_length() + _DOUBLING_FIXED
+
+
+def _fill_backwards(last: np.ndarray, step: np.ndarray, N: int) -> np.ndarray:
+    """The stack ``R`` of ``N + 1`` entries with ``R[N] = last`` and
+    ``R[j] = R[j + 1] @ step``.
+
+    ``last`` is one row or a block of rows.  The stack is filled backwards
+    by doubling passes: with ``P = step^k``, the ``k`` filled entries give
+    the ``k`` before them in one product, ``R[j] = R[j + k] @ P``; then
+    ``P`` is squared and ``k`` doubled, so about ``log2 N`` products fill it.
+    """
+    n = step.shape[0]
+    R = np.empty((N + 1, *last.shape))
+    R[N] = last
+    # R[lo:] holds the k = N + 1 - lo filled entries and step = step^k
+    lo, k = N, 1
+    while lo > 0:
+        start = max(lo - k, 0)
+        block = R[start + k :].reshape(-1, n) @ step
+        R[start:lo] = block.reshape(R[start:lo].shape)
+        lo, k = start, 2 * k
+        if lo > 0:
+            step = step @ step
+    return R
+
+
 def _input_response(
     sys: LinearSystem, S: Iterable[int], N: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -82,53 +150,95 @@ def _input_response(
 
     ``H[j] = exp(A (t1 - tau_j)) M(S) B[:, cols]`` for the ``N + 1`` grid
     times ``tau_j``, with ``cols`` the nonzero columns of ``M(S) B``.  The
-    stack is stored as rows ``R[j] = H[j]^T`` and ``H`` is returned as a
-    transposed view of it.  It is filled backwards from ``R[N]`` by doubling
-    passes: with ``P = exp(A k h)``, ``h = (t1 - t0) / N``, the ``k`` filled
-    rows give the ``k`` before them in one product, ``R[j] = R[j + k] P^T``;
-    then ``P`` is squared and ``k`` doubled.  The Gramian
+    stack is stored as rows ``R[j] = H[j]^T``, filled by
+    :func:`_fill_backwards` with the step ``exp(A h)^T``, and ``H`` is
+    returned as a transposed view of it.  The Gramian
     ``h sum_j c_j H[j] H[j]^T``, with ``c`` the unit-spacing Simpson weights,
     is one symmetric product of the ``sqrt(h c_j)``-weighted rows with
-    themselves.
+    themselves.  ``N`` is an ``int`` of at least 2.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ValueError(f"N (grid intervals) is not an integer: {N!r}")
-    N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least 2 grid intervals, got {N}")
-    IB = masked_input_matrix(sys, S)
-    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
+    IB, cols = _input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N
-    R = np.empty((N + 1, r, n))
-    R[N] = IB[:, cols].T
-    # R[lo:] holds the k = N + 1 - lo filled rows and P_T = exp(A k h)^T
-    P_T = mat_exp(sys.A, h).T
-    lo, k = N, 1
-    while lo > 0:
-        start = max(lo - k, 0)
-        block = R[start + k :].reshape((lo - start) * r, n) @ P_T
-        R[start:lo] = block.reshape(lo - start, r, n)
-        lo, k = start, 2 * k
-        if lo > 0:
-            P_T = P_T @ P_T
+    R = _fill_backwards(IB.T, mat_exp(sys.A, h).T, N)
     # sqrt needs the Simpson weights positive; Y.T @ Y is a symmetric rank-k product
     Y = (R * np.sqrt(h * _simpson_weights(N))[:, None, None]).reshape((N + 1) * r, n)
     grid = np.linspace(sys.t0, sys.t1, N + 1)
     return grid, Y.T @ Y, cols, R.transpose(0, 2, 1)
 
 
+def _periodic_window(N: int) -> tuple[np.ndarray, int, int]:
+    """The Simpson weights ``d_i = c_(N - i)``, indexed by the power ``i`` of
+    ``E``, and the window ``[lo, hi)`` on which they repeat with period 2.
+
+    ``lo`` and ``hi - lo`` are even and ``d[lo + 2k + b] == d[lo + b]``
+    exactly inside the window; outside it lie at most a few entries at each
+    end, where scipy's end rules apply.
+    """
+    d = _simpson_weights(N)[::-1]
+    mid = N // 2 & ~1
+    i = np.arange(N + 1)
+    off = np.flatnonzero(d != d[mid + i % 2])
+    below, above = off[off < mid], off[off > mid]
+    lo = below[-1] + 2 - below[-1] % 2 if below.size else 0
+    hi = above[0] if above.size else N + 1
+    return d, int(lo), int(lo + (hi - lo) // 2 * 2)
+
+
+def _doubling_gramian(E: np.ndarray, IB: np.ndarray, h: float, N: int) -> np.ndarray:
+    """The Simpson Gramian ``h sum_i d_i E^i G E^i^T``, ``G = IB IB^T``,
+    without the response stack.
+
+    On the window ``[lo, hi)`` of :func:`_periodic_window` the weights are
+    ``p_0, p_1, p_0, ...``, so that part is ``E^lo S_K E^lo^T`` with
+    ``S_K = sum_(k < K) F^k G' F^k^T``, ``F = E^2``,
+    ``G' = p_0 G + p_1 E G E^T`` and ``K = (hi - lo) / 2``.  ``S_K`` is
+    summed by binary doubling over the bits of ``K``,
+    ``S_2m = S_m + F^m S_m F^m^T`` and ``S_(m+1) = G' + F S_m F^T``, which
+    also yields ``F^K``.  The entries past the window are a Horner sum ``T``
+    shifted by ``E^hi = E^lo F^K``, and the entries before it are Horner
+    steps around ``S_K + F^K T F^K^T``, so no power of ``E`` is formed per
+    index.  The result is symmetrized, so it is exactly symmetric.
+    """
+    d, lo, hi = _periodic_window(N)
+    G = IB @ IB.T
+
+    def horner(Y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # sum_t weights[t] E^t G E^t^T + E^len Y E^len^T
+        for w in weights[::-1]:
+            Y = w * G + E @ Y @ E.T
+        return Y
+
+    F = E @ E
+    G1 = d[lo] * G + d[lo + 1] * (E @ G @ E.T)
+    S, P = G1, F  # S_m and F^m for m = 1
+    for bit in bin((hi - lo) // 2)[3:]:
+        S, P = S + P @ S @ P.T, P @ P
+        if bit == "1":
+            S, P = G1 + F @ S @ F.T, F @ P
+    tail = horner(np.zeros_like(G), d[hi:])
+    Y = horner(S + P @ tail @ P.T, d[:lo])
+    return (0.5 * h) * (Y + Y.T)
+
+
 def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
     """Reachability Gramian of the actuated system over ``[t0, t1]``.
 
     ``W = integral of exp(A (t1 - tau)) M(S) B B^T M(S) exp(A^T (t1 - tau))``
-    evaluated by composite Simpson quadrature on ``N`` grid intervals, as
-    one symmetric product of the ``sqrt(h c_j)``-weighted rows of the input
-    response stack (see :func:`_input_response`).  ``N`` must be an integer
-    of at least 2.  The result is symmetric by construction and positive
-    semidefinite up to quadrature noise.
+    evaluated by composite Simpson quadrature on ``N`` grid intervals.  With
+    few input columns it is one symmetric product of the weighted rows of
+    the input response stack (:func:`_input_response`); with many, the same
+    quadrature is summed by doubling without the stack
+    (:func:`_doubling_gramian`).  ``N`` must be an integer of at least 2.
+    The result is exactly symmetric and positive semidefinite up to
+    quadrature noise.
     """
-    return _input_response(sys, S, N)[1]
+    N = _grid_intervals(N)
+    IB, cols = _input_columns(sys, S)
+    if _stack_is_cheaper(N, cols.size, sys.n):
+        return _input_response(sys, S, N)[1]
+    h = (sys.t1 - sys.t0) / N
+    return _doubling_gramian(mat_exp(sys.A, h), IB, h, N)
 
 
 def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
@@ -143,6 +253,32 @@ def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
     return (V * inv) @ V.T, int(np.sum(keep))
 
 
+def _scan_states(x: np.ndarray, P: np.ndarray) -> None:
+    """Turn the rows ``y`` of ``x`` into ``x[j] = x[j - 1] @ P + y[j]`` in
+    place, by a Brent-Kung scan.
+
+    The up-sweep with shift ``s = 1, 2, 4, ...`` adds ``x[j - s] @ P^s`` to
+    the rows ``j`` with ``j + 1`` a multiple of ``2 s``, so each holds the sum
+    of its last ``2 s`` terms; the down-sweep, with the same shifts in
+    reverse, completes the rows ``j`` with ``j + 1`` an odd multiple of
+    ``s`` from the complete row ``j - s``.  That is about ``2 N`` row
+    products in all, against ``N log2 N`` for a doubling scan.
+    """
+    powers = []
+    s = 1
+    while 2 * s <= len(x):
+        if powers:
+            P = P @ P
+        powers.append(P)
+        hi = x[2 * s - 1 :: 2 * s]
+        hi += x[s - 1 :: 2 * s][: len(hi)] @ P
+        s *= 2
+    for P in reversed(powers):
+        s //= 2
+        hi = x[3 * s - 1 :: 2 * s]
+        hi += x[2 * s - 1 :: 2 * s][: len(hi)] @ P
+
+
 def min_energy_transfer(
     sys: LinearSystem,
     S: Iterable[int],
@@ -153,30 +289,42 @@ def min_energy_transfer(
 
     The input is ``u(t) = B^T M(S) exp(A^T (t1 - t)) W^+ w`` with ``W`` the
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
-    ``w`` the transfer offset ``sys.offset``.  The state is then integrated
-    by fixed-step RK4 on the same ``N``-interval grid the quadrature used,
-    which avoids any interpolation bookkeeping between the two.  Each RK4
-    step is the affine map ``x_{j+1} = Phi x_j + d_j``: the stage formula is
-    evaluated once on the identity with zero input, which gives ``Phi``, and
-    once on zero states with every interval's inputs (grid, midpoint, grid)
-    stacked, which gives all ``d_j``.  The states are then summed by a
-    doubling (Hillis-Steele) scan, about ``log2 N`` block products with the
-    powers ``Phi^1, Phi^2, Phi^4, ...``.  For infeasible targets the
-    synthesized input reaches only the projection of ``w`` onto the
-    reachable set and ``terminal_error`` stays large.
+    ``w`` the transfer offset ``sys.offset``.  ``W`` comes from the path
+    :func:`reach_gramian` would take.  On the stack path the input is read
+    off the response stack; on the doubling path it is
+    ``u(tau_j) = (M(S) B)^T v_(N-j)`` with ``v_i = exp(A h)^i^T W^+ w``, one
+    vector per grid point, so the memory is ``O(N n)``.  The state is then
+    integrated by fixed-step RK4 on the same ``N``-interval grid the
+    quadrature used, which avoids any interpolation bookkeeping between the
+    two.  Each RK4 step is the affine map ``x_{j+1} = Phi x_j + d_j``, with
+    ``d_j`` linear in the interval's three stage inputs: the stage formula
+    is evaluated once on unit rows, which gives ``Phi`` and the three input
+    maps, every ``d_j`` is one product of the stacked interval inputs with
+    them, and the states are summed by :func:`_scan_states`.  For
+    infeasible targets the synthesized input reaches only the projection of
+    ``w`` onto the reachable set and ``terminal_error`` stays large.
     """
-    grid, W, cols, H = _input_response(sys, S, N)
-    W_pinv, gramian_rank = _thresholded_pinv(W, tol)
-    g = W_pinv @ sys.offset
-    N = grid.size - 1
+    N = _grid_intervals(N)
+    IB, cols = _input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N
-    IB = H[N]  # M(S) B on its nonzero columns
-    # H is a transposed view of the contiguous rows H[j]^T
-    rows = H.transpose(0, 2, 1).reshape((N + 1) * r, n)
-    u_grid = (rows @ g).reshape(N + 1, r)
-    # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
-    u_mid = (rows[r:] @ (mat_exp(sys.A, h / 2.0).T @ g)).reshape(N, r)
+    half = mat_exp(sys.A, h / 2.0)
+    if _stack_is_cheaper(N, r, n):
+        grid, W, _, H = _input_response(sys, S, N)
+        W_pinv, gramian_rank = _thresholded_pinv(W, tol)
+        g = W_pinv @ sys.offset
+        # H is a transposed view of the contiguous rows H[j]^T
+        rows = H.transpose(0, 2, 1).reshape((N + 1) * r, n)
+        u_grid = (rows @ g).reshape(N + 1, r)
+        # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
+        u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
+    else:
+        E = mat_exp(sys.A, h)
+        W_pinv, gramian_rank = _thresholded_pinv(_doubling_gramian(E, IB, h, N), tol)
+        grid = np.linspace(sys.t0, sys.t1, N + 1)
+        V = _fill_backwards(W_pinv @ sys.offset, E, N)  # V[j] = v_(N-j)^T
+        u_grid = V @ IB
+        u_mid = V[1:] @ (half @ IB)
 
     def f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return x @ sys.A.T + u @ IB.T
@@ -190,19 +338,13 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    no_input = np.zeros((n, r))
-    power = rk4_step(np.eye(n), no_input, no_input, no_input)  # Phi^T
+    # the step is linear in (x, u1, u2, u4): on unit rows it gives Phi^T
+    # over the stacked input maps Gamma_1, Gamma_2, Gamma_3
+    maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
     x_samples = np.empty((N + 1, n))
     x_samples[0] = sys.x0
-    x_samples[1:] = rk4_step(np.zeros((N, n)), u_grid[:-1], u_mid, u_grid[1:])
-    # x_j = sum_{i <= j} y_i (Phi^T)^(j - i) with y = (x0, d_0, ..., d_{N-1}):
-    # after the pass with shift s, row j sums the 2s terms i in (j - 2s, j]
-    s = 1
-    while s <= N:
-        x_samples[s:] += x_samples[:-s] @ power
-        s *= 2
-        if s <= N:
-            power = power @ power
+    x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
+    _scan_states(x_samples, maps[:n])
 
     u_samples = np.zeros((N + 1, sys.m))
     u_samples[:, cols] = u_grid

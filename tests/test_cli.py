@@ -317,6 +317,19 @@ class TestSynthesize:
         assert len(data["x"]) == 201
         assert data["terminal_error"] <= 1e-3
 
+    def test_dense_fixture_on_a_fine_grid(self, capsys):
+        # 20 nodes, dense stable A (normal / sqrt(n) - 1.5 I), B = I, all
+        # actuated: synthesized without the response stack
+        fixture = Path(__file__).parent / "fixtures" / "dense20.json"
+        system = load_instance(fixture).system
+        nodes = [str(i) for i in range(1, system.n + 1)]
+        argv = ["synthesize", str(fixture), "--actuate", *nodes, "--grid", "5000", "--json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["x"]) == 5001
+        assert data["gramian_rank"] == 20
+        assert data["terminal_error"] <= 1e-6 * max(1.0, np.linalg.norm(system.x1))
+
     def test_infeasible_target_exits_1(self, tmp_path):
         sys = star_system(5, x1=np.eye(5)[2])
         path = tmp_path / "bad_target.json"

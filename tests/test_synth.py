@@ -6,8 +6,13 @@ from scipy.integrate import simpson
 
 from reachkit.linalg import DEFAULT_TOL, mat_exp
 from reachkit.synth import (
+    _SIMPSON_HEAD,
+    _doubling_gramian,
+    _input_columns,
     _input_response,
+    _periodic_window,
     _simpson_weights,
+    _stack_is_cheaper,
     _thresholded_pinv,
     min_energy_transfer,
     reach_gramian,
@@ -200,12 +205,109 @@ class TestResponseStack:
             tracemalloc.stop()
         assert peak <= 0.25 * (N + 1) * n * n * 8
 
+    def test_peak_memory_without_the_stack(self):
+        # every node actuated: the response stack and its weighted copy alone
+        # would be 2 n = 60 vectors per grid point.  The doubling path keeps
+        # the returned inputs and states (2), the vector stack, the grid and
+        # midpoint inputs (3) and the stacked interval inputs (3).
+        n, N = 30, 5000
+        rng = np.random.default_rng(127)
+        sys = LinearSystem(
+            A=rng.normal(size=(n, n)) / np.sqrt(n) - 1.5 * np.eye(n), B=np.eye(n),
+            t0=0.0, t1=1.0, x0=rng.normal(size=n), x1=rng.normal(size=n),
+        )
+        S = range(1, n + 1)
+        assert not _stack_is_cheaper(N, n, n)
+        min_energy_transfer(sys, S, N=10)  # warm lazy imports
+        tracemalloc.start()
+        try:
+            result = min_energy_transfer(sys, S, N=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(sys.x1))
+        assert peak <= 10 * (N + 1) * n * 8
+
+
+class TestGramianPaths:
+    """The response stack and the doubling sums give the same Gramian and
+    the same transfer.  The paths are called directly, or chosen by patching
+    the cost rule, so the rule cannot hide either one."""
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 16, 17, 18, 33, 34, 101, 1000, 1001])
+    def test_gramians_agree(self, N):
+        rng = np.random.default_rng(300 + N)
+        for n in (2, 3, 5, 8, 13, 21, 30):
+            A = 0.5 * rng.normal(size=(n, n))
+            # every node actuated, with n input columns and with one
+            for m in (n, 1):
+                sys = LinearSystem(
+                    A=A, B=rng.normal(size=(n, m)), t0=0.0, t1=1.5,
+                    x0=np.zeros(n), x1=np.zeros(n),
+                )
+                S = range(1, n + 1)
+                stack = _input_response(sys, S, N)[1]
+                h = 1.5 / N
+                doubling = _doubling_gramian(mat_exp(A, h), _input_columns(sys, S)[0], h, N)
+                assert rel_diff(doubling, stack) <= 1e-12, (n, m)
+                assert np.array_equal(stack, stack.T)
+                assert np.array_equal(doubling, doubling.T)
+
+    def test_window_and_ends_rebuild_the_weights(self):
+        # d is indexed by the power of exp(A h): d_i = c_(N - i)
+        for N in [*range(2, 42), 1000, 1001]:
+            d, lo, hi = _periodic_window(N)
+            assert lo % 2 == 0 and (hi - lo) % 2 == 0 and lo < hi, N
+            periodic = np.zeros(N + 1)
+            periodic[lo:hi] = np.tile(d[lo : lo + 2], (hi - lo) // 2)
+            ends = d.copy()
+            ends[lo:hi] = 0.0
+            assert np.array_equal((periodic + ends)[::-1], _simpson_weights(N)), N
+            # the ends are Horner steps; only the window is summed by doubling
+            assert lo + (N + 1 - hi) <= 2 * _SIMPSON_HEAD + 2, N
+
+    @pytest.mark.parametrize("N", [7, 200, 1001])
+    def test_transfers_agree(self, N, monkeypatch):
+        rng = np.random.default_rng(400 + N)
+        for n in (2, 5, 12, 30):
+            sys = LinearSystem(
+                A=rng.normal(size=(n, n)) / np.sqrt(n) - 1.5 * np.eye(n), B=np.eye(n),
+                t0=0.0, t1=1.0, x0=rng.normal(size=n), x1=rng.normal(size=n),
+            )
+            S = range(1, n + 1)
+            results = []
+            for stack in (True, False):
+                monkeypatch.setattr(
+                    "reachkit.synth._stack_is_cheaper", lambda N, r, n, v=stack: v
+                )
+                results.append(min_energy_transfer(sys, S, N=N))
+            on_stack, doubled = results
+            assert rel_diff(doubled.u_samples, on_stack.u_samples) <= 1e-12
+            assert rel_diff(doubled.x_samples, on_stack.x_samples) <= 1e-12
+            assert doubled.gramian_rank == on_stack.gramian_rank == n
+            assert np.array_equal(doubled.grid, on_stack.grid)
+
+    def test_cost_rule_placements(self):
+        # one input column: the stack fills no more rows than the vector
+        # recurrence would, so it stays
+        for n in (2, 40, 60, 80, 120, 160, 400):
+            assert _stack_is_cheaper(1000, 1, n)
+        # small dense systems on a short grid stay on the stack
+        for n in (3, 4, 5):
+            assert _stack_is_cheaper(200, n, n)
+        # dense, fully actuated systems on a fine grid are doubled
+        for n in (20, 30):
+            assert not _stack_is_cheaper(1000, n, n)
+        assert _stack_is_cheaper(1000, 0, 5)
+
 
 class TestStepMap:
     """The precomputed RK4 step map reproduces the per-interval stage loop:
     same tableau, grid and inputs, only the evaluation order differs."""
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 101, 1000, 1001])
+    @pytest.mark.parametrize(
+        "N", [2, 3, 7, 15, 16, 17, 101, 127, 128, 129, 1000, 1001, 1023, 1024, 1025]
+    )
     def test_matches_stage_loop(self, N):
         rng = np.random.default_rng(200 + N)
         for _ in range(4):
