@@ -30,7 +30,7 @@ import numpy as np
 
 from . import hardness, instance_io, setfun, solvers
 from .errors import CapacityError, InfeasibleError, InstanceFormatError
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .system import check_node_set, is_feasible
 
 EXIT_OK = 0
@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     json_out = argparse.ArgumentParser(add_help=False)
     json_out.add_argument("--json", action="store_true", help="machine-readable output")
     tol = argparse.ArgumentParser(add_help=False, parents=[json_out])
-    tol.add_argument("--tol-rank", type=float, default=1e-9, help="relative rank threshold")
-    tol.add_argument("--tol-feas", type=float, default=1e-9, help="relative feasibility threshold")
+    tol.add_argument("--tol-rank", type=float, help="relative rank threshold")
+    tol.add_argument("--tol-feas", type=float, help="relative feasibility threshold")
+    tol.set_defaults(tol_rank=DEFAULT_TOL.rank_rel, tol_feas=DEFAULT_TOL.feas_rel)
     gen = argparse.ArgumentParser(add_help=False)
     gen.add_argument("--U", help="JSON file holding the source matrix")
     gen.add_argument("--random", nargs=2, type=int, metavar=("M", "L"),

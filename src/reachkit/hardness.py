@@ -28,8 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReductionIntegrityError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector
-from .solvers import VarSelInstance, fit_support
+from .linalg import DEFAULT_TOL, Tolerance, as_indices, as_matrix, as_vector
+from .solvers import VarSelInstance, check_varsel_solution, fit_support
 from .system import LinearSystem, check_node_set, is_feasible
 
 
@@ -118,31 +118,29 @@ def forward_map(
 ) -> tuple[int, ...]:
     """Map a variable-selection solution to an actuated node set.
 
-    ``y`` must satisfy ``U y = all-ones`` up to the feasibility tolerance;
-    its support (1-based column indices, derived from ``y`` when not given)
-    shifts by ``n - l`` into node indices.  The resulting set is feasible
-    with cardinality ``||y||_0`` by construction, and that is asserted here:
-    a failure raises :class:`ReductionIntegrityError` because it means the
+    ``y`` must satisfy ``U y = all-ones`` within the source instance's fit
+    slack, ``feas_rel * max(1, sqrt(m))`` (``delta`` is not added).  Its
+    support, the 1-based indices of its entries above ``1e-12`` in magnitude
+    (the rule ``norm0`` counts by), shifts by ``n - l`` into node indices; a
+    declared ``support`` must equal it.  The resulting set is feasible with
+    cardinality ``norm0`` by construction, and that is asserted here: a
+    failure raises :class:`ReductionIntegrityError` because it means the
     kernel, not the caller, is wrong.
     """
-    m, l, _, n = inst.dims.m, inst.dims.l, inst.dims.d, inst.dims.n
-    y = as_vector(y, name="y")
-    if y.shape[0] != l:
-        raise ValueError(f"y must have length {l}, got {y.shape[0]}")
-    nonzero = tuple(int(k) + 1 for k in np.nonzero(y)[0])
+    l, n = inst.dims.l, inst.dims.n
+    check = check_varsel_solution(inst.source, y, tol)
     if support is None:
-        support = nonzero
+        support = check.support
     else:
-        support = tuple(sorted({int(k) for k in support}))
-        if support != nonzero:
+        support = as_indices(support, l, "column")
+        if support != check.support:
             raise ValueError(
                 f"declared support {support} does not match the nonzero "
-                f"entries of y {nonzero}"
+                f"entries of y {check.support}"
             )
-    fit = float(np.linalg.norm(inst.source.U @ y - inst.source.z))
-    if fit > tol.feas_rel * max(1.0, np.sqrt(m)):
+    if check.residual > inst.source.slack(tol):
         raise ValueError(
-            f"y does not solve the source system: ||U y - z|| = {fit:.3e}"
+            f"y does not solve the source system: ||U y - z|| = {check.residual:.3e}"
         )
     nodes = tuple(k + n - l for k in support)
     verdict = is_feasible(inst.sys, nodes, tol)

@@ -104,22 +104,15 @@ def _float(value, where: str) -> float:
         raise InstanceFormatError(f"{where} is not a number: {value!r}") from exc
 
 
-def _as_rows(value, where: str) -> np.ndarray:
+def _as_array(value, where: str, ndim: int) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` dimensions (1 or 2)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{where} is not a numeric array: {exc}") from exc
-    if arr.ndim != 2:
-        raise InstanceFormatError(f"{where} must be an array of row arrays")
-    return arr
-
-def _as_list(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{where} is not a numeric array: {exc}") from exc
-    if arr.ndim != 1:
-        raise InstanceFormatError(f"{where} must be a flat array of numbers")
+    if arr.ndim != ndim:
+        shape = "a flat array of numbers" if ndim == 1 else "an array of row arrays"
+        raise InstanceFormatError(f"{where} must be {shape}")
     return arr
 
 
@@ -129,7 +122,7 @@ def _parse_system(data: dict) -> LinearSystem:
     raw_A = _require(data, "A", "system section")
     if isinstance(raw_A, dict):
         stack = _require(raw_A, "stack", "key 'A'")
-        U = _as_rows(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'")
+        U = _as_array(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'", 2)
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
         try:
             # checked here so the message names the file key, not stacked_corner's M
@@ -137,9 +130,9 @@ def _parse_system(data: dict) -> LinearSystem:
         except ValueError as exc:
             raise InstanceFormatError(f"inconsistent key 'A.stack': {exc}") from exc
     else:
-        A = _as_rows(raw_A, "key 'A'")
+        A = _as_array(raw_A, "key 'A'", 2)
     raw_B = _require(data, "B", "system section")
-    B = np.eye(n) if raw_B == "identity" else _as_rows(raw_B, "key 'B'")
+    B = np.eye(n) if raw_B == "identity" else _as_array(raw_B, "key 'B'", 2)
     if A.shape != (n, n):
         raise InstanceFormatError(f"A has shape {A.shape}, expected ({n}, {n})")
     if B.shape != (n, m):
@@ -150,8 +143,8 @@ def _parse_system(data: dict) -> LinearSystem:
             B=B,
             t0=_float(_require(data, "t0", "system section"), "key 't0'"),
             t1=_float(_require(data, "t1", "system section"), "key 't1'"),
-            x0=_as_list(_require(data, "x0", "system section"), "key 'x0'"),
-            x1=_as_list(_require(data, "x1", "system section"), "key 'x1'"),
+            x0=_as_array(_require(data, "x0", "system section"), "key 'x0'", 1),
+            x1=_as_array(_require(data, "x1", "system section"), "key 'x1'", 1),
         )
     except ValueError as exc:
         raise InstanceFormatError(f"inconsistent system section: {exc}") from exc
@@ -160,8 +153,8 @@ def _parse_system(data: dict) -> LinearSystem:
 def _parse_varsel(data: dict, where: str) -> VarSelInstance:
     try:
         return VarSelInstance(
-            U=_as_rows(_require(data, "U", where), f"{where} key 'U'"),
-            z=_as_list(_require(data, "z", where), f"{where} key 'z'"),
+            U=_as_array(_require(data, "U", where), f"{where} key 'U'", 2),
+            z=_as_array(_require(data, "z", where), f"{where} key 'z'", 1),
             delta=_float(_require(data, "delta", where), f"{where} key 'delta'"),
         )
     except ValueError as exc:
@@ -179,8 +172,8 @@ def parse_instance(data: dict) -> InstanceDoc:
         section = data["setfun"]
         try:
             fn = ColumnSelectionFunction(
-                v=_as_list(_require(section, "v", "'setfun' section"), "'setfun.v'"),
-                M=_as_rows(_require(section, "M", "'setfun' section"), "'setfun.M'"),
+                v=_as_array(_require(section, "v", "'setfun' section"), "'setfun.v'", 1),
+                M=_as_array(_require(section, "M", "'setfun' section"), "'setfun.M'", 2),
                 c=_float(section.get("c", 2.0), "'setfun.c'"),
             )
         except ValueError as exc:
@@ -253,7 +246,7 @@ def load_matrix(path: str | Path) -> np.ndarray:
                 f"{path}: no matrix found (expected a bare array, 'U', "
                 "'varsel.U', or 'setfun.M')"
             )
-    return _as_rows(data, where)
+    return _as_array(data, where, 2)
 
 
 def _system_dict(sys: LinearSystem) -> dict:

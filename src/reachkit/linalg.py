@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -90,6 +90,26 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_indices(S: Iterable, size: int, name: str) -> tuple[int, ...]:
+    """Validate 1-based ``name`` indices into ``1..size`` and return them
+    sorted and deduplicated.
+
+    Only Python and numpy integers are indices, and ``bool`` is not one:
+    ``int()`` would truncate ``1.7`` to 1 and read ``True`` as 1.  Raises
+    ValueError naming a value that is not an integer, or the indices when
+    one falls outside ``1..size``.
+    """
+    indices = set()
+    for i in S:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"{name} index is not an integer: {i!r}")
+        indices.add(int(i))
+    ordered = sorted(indices)
+    if ordered and (ordered[0] < 1 or ordered[-1] > size):
+        raise ValueError(f"{name} indices must lie in 1..{size}, got {ordered}")
+    return tuple(ordered)
 
 
 def extend_basis(

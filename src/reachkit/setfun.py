@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_matrix, as_vector, column_stacks, dist_sq_to_ranges
+    DEFAULT_TOL, Tolerance, as_indices, as_matrix, as_vector, column_stacks,
+    dist_sq_to_ranges,
 )
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
@@ -100,12 +101,10 @@ def evaluate(
     """Value of the set function on column subset ``S`` (1-based indices).
 
     The empty selection denotes the subspace ``{0}``, so ``f({}) = ||v||**c``.
+    Raises ValueError if an index is not an integer or falls outside
+    ``1..l`` (:func:`reachkit.linalg.as_indices`).
     """
-    cols = sorted({int(k) for k in S})
-    if cols and (cols[0] < 1 or cols[-1] > fn.ground_size):
-        raise ValueError(
-            f"column indices must lie in 1..{fn.ground_size}, got {cols}"
-        )
+    cols = as_indices(S, fn.ground_size, "column")
     # fn.v and fn.M were validated when fn was built
     return float(_values(fn, fn.M[:, [k - 1 for k in cols]][None], tol)[0])
 

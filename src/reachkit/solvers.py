@@ -136,7 +136,8 @@ class VarSelInstance:
     def _z_norm(self) -> float:
         return float(np.linalg.norm(self.z))
 
-    def _slack(self, tol: Tolerance) -> float:
+    def slack(self, tol: Tolerance = DEFAULT_TOL) -> float:
+        """How far a fit residual may exceed ``delta``: ``feas_rel * max(1, ||z||)``."""
         return tol.feas_rel * max(1.0, self._z_norm)
 
     def fits(self, residual: float, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -146,7 +147,7 @@ class VarSelInstance:
         ``delta + feas_rel * max(1, ||z||)``, so exact fits survive float
         noise when ``delta = 0``.
         """
-        return residual <= self.delta + self._slack(tol)
+        return residual <= self.delta + self.slack(tol)
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,16 @@ class VarSelResult:
 @dataclass(frozen=True)
 class VarSelCheck:
     """Independent check of a candidate vector ``y`` against an instance:
-    its number of entries above ``1e-12`` in magnitude, its fit residual
-    ``||U y - z||`` and whether that residual meets the budget."""
+    its support (the 1-based indices of its entries above ``1e-12`` in
+    magnitude), its fit residual ``||U y - z||`` and whether it fits."""
 
-    norm0: int
+    support: tuple[int, ...]
     residual: float
     fits: bool
+
+    @property
+    def norm0(self) -> int:
+        return len(self.support)
 
 
 def check_varsel_solution(
@@ -178,7 +183,7 @@ def check_varsel_solution(
         raise ValueError(f"y must have length {inst.U.shape[1]}, got {y.shape[0]}")
     residual = float(np.linalg.norm(inst.U @ y - inst.z))
     return VarSelCheck(
-        norm0=int(np.sum(np.abs(y) > SUPPORT_EPS)),
+        support=tuple((np.flatnonzero(np.abs(y) > SUPPORT_EPS) + 1).tolist()),
         residual=residual,
         fits=inst.fits(residual, tol),
     )
@@ -357,7 +362,7 @@ def varsel_exact(
         raise CapacityError(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )
-    margin = inst.delta + 2.0 * inst._slack(tol)
+    margin = inst.delta + 2.0 * inst.slack(tol)
     eps = float(np.finfo(float).eps)
     roundoff = SCREEN_ROUNDOFF * eps * inst._z_norm
     for k in range(l + 1):

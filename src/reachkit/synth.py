@@ -5,9 +5,10 @@ Feasibility of a transfer is a rank statement; this module backs it up with
 an actual input signal.  On the uniform grid ``tau_0 < ... < tau_N`` with
 spacing ``h = (t1 - t0) / N``, the input response is
 ``H[j] = E^(N - j) M(S) B`` with ``E = exp(A h)``, restricted to the
-nonzero columns of ``M(S) B``.  The reachability Gramian is its Simpson
-quadrature ``W = h sum_j c_j H[j] H[j]^T``, with ``c_j`` the Simpson
-weights (scipy's ``simpson`` applied to the unit vectors, all positive).
+nonzero columns of ``M(S) B`` (:func:`reachkit.system.input_columns`).
+The reachability Gramian is its Simpson quadrature
+``W = h sum_j c_j H[j] H[j]^T``, with ``c_j`` the Simpson weights (scipy's
+``simpson`` applied to the unit vectors, all positive).
 The minimum-energy open-loop input steering the system to the target is
 ``H[j]^T W^+ w``.
 
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_exp
-from .system import LinearSystem, masked_input_matrix
+from .system import LinearSystem, input_columns
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,7 @@ def _grid_intervals(N) -> int:
     return N
 
 
-def _input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``M(S) B`` restricted to its nonzero columns, and those columns."""
-    IB = masked_input_matrix(sys, S)
-    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
-    return IB[:, cols], cols
+_input_columns = input_columns  # still importable from here under this name
 
 
 # Cost of the doubling path beyond its vector recurrence: _DOUBLING_N3 times
@@ -157,7 +154,7 @@ def _input_response(
     is one symmetric product of the ``sqrt(h c_j)``-weighted rows with
     themselves.  ``N`` is an ``int`` of at least 2.
     """
-    IB, cols = _input_columns(sys, S)
+    IB, cols = input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N
     R = _fill_backwards(IB.T, mat_exp(sys.A, h).T, N)
@@ -234,7 +231,7 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     quadrature noise.
     """
     N = _grid_intervals(N)
-    IB, cols = _input_columns(sys, S)
+    IB, cols = input_columns(sys, S)
     if _stack_is_cheaper(N, cols.size, sys.n):
         return _input_response(sys, S, N)[1]
     h = (sys.t1 - sys.t0) / N
@@ -305,7 +302,7 @@ def min_energy_transfer(
     ``w`` onto the reachable set and ``terminal_error`` stays large.
     """
     N = _grid_intervals(N)
-    IB, cols = _input_columns(sys, S)
+    IB, cols = input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N
     half = mat_exp(sys.A, h / 2.0)

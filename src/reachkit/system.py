@@ -2,8 +2,11 @@
 
 A :class:`LinearSystem` bundles the dynamics ``x' = A x + B u`` with one
 transfer task ``x(t0) = x0 -> x(t1) = x1``.  Actuated node sets are plain
-iterables of 1-based node indices; :func:`actuation_mask` turns a set into the
-diagonal selector that gates which rows of ``B`` the input reaches.
+iterables of 1-based integer node indices (:func:`check_node_set`).  The
+input reaches only the rows of ``B`` at actuated nodes, ``M(S) B`` with
+``M(S)`` the diagonal selector of :func:`actuation_mask`;
+:func:`input_columns` gives the nonzero columns of ``M(S) B``, the input
+that the Krylov space and the synthesis in :mod:`reachkit.synth` start from.
 
 A transfer is feasible under node set ``S`` exactly when the offset
 ``x1 - exp(A (t1 - t0)) x0``, cached as ``LinearSystem.offset``, lies in the
@@ -43,6 +46,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_indices,
     as_matrix,
     as_vector,
     dist_sq_to_basis,
@@ -199,12 +203,10 @@ class FeasibilityResult:
 def check_node_set(S: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate 1-based node indices and return them sorted and deduplicated.
 
-    Raises ValueError if any index falls outside ``1..n``.
+    Raises ValueError if an index is not an integer or falls outside
+    ``1..n`` (:func:`reachkit.linalg.as_indices`).
     """
-    nodes = sorted({int(i) for i in S})
-    if nodes and (nodes[0] < 1 or nodes[-1] > n):
-        raise ValueError(f"node indices must lie in 1..{n}, got {nodes}")
-    return tuple(nodes)
+    return as_indices(S, n, "node")
 
 
 def actuation_mask(S: Iterable[int], n: int) -> np.ndarray:
@@ -223,6 +225,13 @@ def masked_input_matrix(sys: LinearSystem, S: Iterable[int]) -> np.ndarray:
     idx = [i - 1 for i in nodes]
     IB[idx, :] = sys.B[idx, :]
     return IB
+
+
+def input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``M(S) B`` restricted to its nonzero columns, and those columns."""
+    IB = masked_input_matrix(sys, S)
+    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
+    return IB[:, cols], cols
 
 
 def reachability_matrix(
@@ -245,16 +254,14 @@ def reachability_matrix(
     and the loop stops as soon as a block adds no direction; the span is
     unchanged, since ``A`` then maps the basis into itself.  An empty ``S``,
     or one whose rows of ``B`` are all zero, yields the all-zero ``n x m``
-    block.
+    block.  A negative ``max_power`` raises ValueError, whatever ``S``.
     """
-    IB = masked_input_matrix(sys, S)
-    first = IB[:, np.any(IB != 0.0, axis=0)]
-    Q = extend_basis(None, first, tol, scale=sys.input_scale)
-    if Q.shape[1] == 0:
-        return np.zeros_like(sys.B)
     p = sys.n - 1 if max_power is None else int(max_power)
     if p < 0:
         raise ValueError("max_power must be nonnegative")
+    Q = extend_basis(None, input_columns(sys, S)[0], tol, scale=sys.input_scale)
+    if Q.shape[1] == 0:
+        return np.zeros_like(sys.B)
     a_scale = float(np.linalg.norm(sys.A))
     new = Q
     for _ in range(p):

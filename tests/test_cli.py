@@ -10,6 +10,7 @@ import pytest
 
 from reachkit.cli import build_parser, main
 from reachkit.instance_io import InstanceDoc, load_instance, write_instance
+from reachkit.linalg import DEFAULT_TOL
 from reachkit.setfun import ColumnSelectionFunction
 from reachkit.solvers import VarSelInstance
 from reachkit.system import LinearSystem, star_system
@@ -655,3 +656,18 @@ class TestParserReuse:
         for argv, got, want in zip(calls, reused, fresh):
             assert got == want, argv
         assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 0, 1, 0, 0] * 2 + [0, 1, 2, 0, 0]
+
+
+class TestToleranceDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "x.json"]
+            for command in ("check-feasible", "solve-exact", "solve-greedy", "varsel",
+                            "check-supermodular", "synthesize")
+        ] + [["roundtrip", "--file", "x.json"]],
+    )
+    def test_flags_default_to_the_library_tolerance(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.tol_rank == DEFAULT_TOL.rank_rel
+        assert args.tol_feas == DEFAULT_TOL.feas_rel

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from reachkit.hardness import (
     generate,
     stacked_corner,
 )
-from reachkit.solvers import VarSelInstance, exact_min_reach, varsel_exact
+from reachkit.solvers import (
+    VarSelInstance, check_varsel_solution, exact_min_reach, varsel_exact,
+)
 from reachkit.system import check_node_set, is_feasible
 
 from helpers import plant_instance, random_source_matrix
@@ -240,3 +244,38 @@ class TestReductionConsistency:
             inst = generate(U, d=sparse.norm0 + 1)
             reach = exact_min_reach(inst.sys, budget=sparse.norm0)
             assert reach.cardinality == sparse.norm0
+
+
+class TestForwardMapSupportRule:
+    """``forward_map`` reads the support of ``y`` by the rule ``norm0``
+    counts by: entries above ``1e-12`` in magnitude."""
+
+    def test_tiny_entry_is_not_actuated(self):
+        inst = generate(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), d=2)
+        y = np.array([0.0, 1e-15, 1.0])
+        nodes = forward_map(inst, y)
+        assert nodes == (9,)
+        assert len(nodes) == check_varsel_solution(inst.source, y).norm0
+
+    def test_declared_support_must_match_the_rule(self):
+        inst = generate(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), d=2)
+        y = np.array([0.0, 1e-15, 1.0])
+        assert forward_map(inst, y, support=[3]) == (9,)
+        with pytest.raises(ValueError, match="does not match"):
+            forward_map(inst, y, support=[2, 3])
+
+    @pytest.mark.parametrize("index", [1.7, 2.0, True, np.float64(1)])
+    def test_declared_support_rejects_non_integers(self, index):
+        inst = generate(np.eye(2), d=2)
+        message = re.escape(f"column index is not an integer: {index!r}")
+        with pytest.raises(ValueError, match=message):
+            forward_map(inst, np.array([1.0, 1.0]), support=[index, 2])
+
+    def test_fit_slack_is_the_source_instances(self):
+        # ||U y - z|| just inside and just outside feas_rel * max(1, ||z||)
+        inst = generate(np.eye(4), d=2)
+        slack = inst.source.slack()
+        assert slack == 1e-9 * np.sqrt(4)
+        assert forward_map(inst, np.array([1.0, 1.0, 1.0, 1.0 + 0.9 * slack])) == (9, 10, 11, 12)
+        with pytest.raises(ValueError, match="does not solve"):
+            forward_map(inst, np.array([1.0, 1.0, 1.0, 1.0 + 1.1 * slack]))

@@ -297,3 +297,52 @@ class TestHardInstanceConsistency:
         doc = parse_instance(data)
         with pytest.raises(InstanceFormatError, match=where):
             doc.hard_instance()
+
+
+def system_doc(**keys):
+    data = {"n": 2, "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+            "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]}
+    return {**data, **keys}
+
+
+class TestArrayShapes:
+    """One coercion rule for every array key, with a message per shape."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                system_doc(x0=[[0.0, 0.0]]),
+                "inconsistent system section: key 'x0' must be a flat array of numbers",
+            ),
+            (system_doc(A=[0.0, 0.0]), "key 'A' must be an array of row arrays"),
+            (
+                {"varsel": {"U": [[1.0]], "z": [[1.0]], "delta": 0.0}},
+                "inconsistent 'varsel' section: 'varsel' section key 'z' must be a flat "
+                "array of numbers",
+            ),
+            (
+                {"setfun": {"v": [1.0], "M": [1.0]}},
+                "inconsistent 'setfun' section: 'setfun.M' must be an array of row arrays",
+            ),
+        ],
+    )
+    def test_shape_messages(self, doc, message):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "doc, prefix",
+        [
+            (system_doc(B=[[1.0], [0.0, 1.0]]), "key 'B' is not a numeric array: "),
+            (
+                {"setfun": {"v": "x", "M": [[1.0]]}},
+                "inconsistent 'setfun' section: 'setfun.v' is not a numeric array: ",
+            ),
+        ],
+    )
+    def test_non_numeric_messages(self, doc, prefix):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(doc)
+        assert str(info.value).startswith(prefix)

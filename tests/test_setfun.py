@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -285,3 +286,21 @@ class TestValidation:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ColumnSelectionFunction(v=np.ones(2), M=M)
+
+
+class TestIntegerColumns:
+    @pytest.mark.parametrize("index", [1.5, 1.7, 2.0, True, np.float64(1)])
+    def test_non_integer_column_index_is_rejected(self, index):
+        fn = ColumnSelectionFunction(v=V, M=M)
+        message = re.escape(f"column index is not an integer: {index!r}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(fn, [index])
+
+    def test_numpy_integers_are_accepted(self):
+        fn = ColumnSelectionFunction(v=V, M=M)
+        assert evaluate(fn, [np.int64(1)]) == evaluate(fn, [1])
+
+    def test_range_message_is_kept(self):
+        fn = ColumnSelectionFunction(v=V, M=M)
+        with pytest.raises(ValueError, match=r"column indices must lie in 1\.\.3, got \[4\]"):
+            evaluate(fn, [4])

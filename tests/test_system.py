@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,10 @@ from reachkit.linalg import DEFAULT_TOL, dist_sq_to_range
 from reachkit.system import (
     LinearSystem,
     actuation_mask,
+    check_node_set,
+    input_columns,
     is_feasible,
+    masked_input_matrix,
     reachability_matrix,
     star_system,
     transfer_offset,
@@ -365,3 +369,52 @@ class TestStructuralReach:
         assert pruned > 500
         # the Krylov basis is not exactly zero off the reach in some cases
         assert leaky > 0
+
+
+class TestInputColumns:
+    def test_matches_the_nonzero_columns_of_the_masked_input(self):
+        # row 3 of B is zero, column 2 is zero, column 3 spans nodes 1 and 4
+        B = np.array([
+            [1.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 3.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, 0.0],
+        ])
+        sys = LinearSystem(A=np.eye(4), B=B, t0=0.0, t1=1.0, x0=np.zeros(4), x1=np.ones(4))
+        for k in range(5):
+            for S in combinations(range(1, 5), k):
+                IB = masked_input_matrix(sys, S)
+                keep = np.flatnonzero(np.any(IB != 0.0, axis=0))
+                block, cols = input_columns(sys, S)
+                assert np.array_equal(cols, keep), S
+                assert block.tobytes() == IB[:, keep].tobytes(), S
+        assert input_columns(sys, [4])[1].tolist() == [2]
+        assert input_columns(sys, [3])[0].shape == (4, 0)
+
+
+class TestMaxPowerValidation:
+    @pytest.mark.parametrize("S", [[], [1], [2, 3]])
+    def test_negative_max_power_is_rejected_for_every_node_set(self, S):
+        with pytest.raises(ValueError, match="max_power must be nonnegative"):
+            reachability_matrix(star_system(4), S, max_power=-1)
+
+
+class TestIntegerIndices:
+    @pytest.mark.parametrize("index", [1.7, 2.0, True, np.float64(1)])
+    def test_non_integer_node_index_is_rejected(self, index):
+        message = re.escape(f"node index is not an integer: {index!r}")
+        with pytest.raises(ValueError, match=message):
+            check_node_set([index], 4)
+        with pytest.raises(ValueError, match="node index is not an integer"):
+            check_node_set([1, index], 4)
+        with pytest.raises(ValueError, match="node index is not an integer"):
+            is_feasible(star_system(4), [index])
+
+    def test_python_and_numpy_integers_are_accepted(self):
+        assert check_node_set([np.int64(3), 1, np.uint8(3)], 4) == (1, 3)
+        assert check_node_set(np.array([2, 1]), 4) == (1, 2)
+        assert check_node_set(iter([4]), 4) == (4,)
+
+    def test_range_message_is_kept(self):
+        with pytest.raises(ValueError, match=r"node indices must lie in 1\.\.4, got \[0, 2\]"):
+            check_node_set([2, 0], 4)
