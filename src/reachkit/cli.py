@@ -63,14 +63,13 @@ def _node_list(nodes) -> str:
 
 
 def cmd_check_feasible(args) -> Report:
-    S = args.actuate or []
     system = instance_io.load_section(args.file, "system")
-    verdict = is_feasible(system, S, _tolerance(args))
+    verdict = is_feasible(system, args.actuate, _tolerance(args))
     payload = {
         "feasible": verdict.feasible,
         "residual_sq": verdict.residual_sq,
         "reachability_rank": verdict.rank,
-        "actuated": list(check_node_set(S, system.n)),
+        "actuated": list(check_node_set(args.actuate, system.n)),
     }
     return verdict.feasible, payload, [
         "feasible" if verdict.feasible else "infeasible",
@@ -179,9 +178,8 @@ def cmd_synthesize(args) -> Report:
 
     system = instance_io.load_section(args.file, "system")
     tol = _tolerance(args)
-    S = args.actuate or []
-    verdict = is_feasible(system, S, tol)
-    result = synth.min_energy_transfer(system, S, N=args.grid, tol=tol)
+    verdict = is_feasible(system, args.actuate, tol)
+    result = synth.min_energy_transfer(system, args.actuate, N=args.grid, tol=tol)
     payload = {
         "terminal_error": result.terminal_error,
         "gramian_rank": result.gramian_rank,
@@ -253,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="draw a random 0/1 source matrix of shape M x L")
     gen.add_argument("--seed", type=int, default=0, help="seed for --random")
     gen.add_argument("--delta", type=float, default=0.0, help="residual budget")
+    actuate = argparse.ArgumentParser(add_help=False, parents=[tol])
+    actuate.add_argument("--actuate", nargs="*", type=int, default=[],
+                         help="1-based node indices")
 
     def add(name, help, parents, file=True):
         p = sub.add_parser(name, help=help, parents=parents)
@@ -260,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file")
         return p
 
-    p = add("check-feasible", "decide transfer feasibility for a node set", [tol])
-    p.add_argument("--actuate", nargs="*", type=int, default=[], help="1-based node indices")
+    add("check-feasible", "decide transfer feasibility for a node set", [actuate])
 
     p = add("solve-exact", "minimum-cardinality node set by enumeration", [tol])
     p.add_argument("--budget", type=int, help="cardinality cap for the search")
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-supermodular", "brute-force set-function verdicts", [tol])
     p.add_argument("--cap", type=int, default=setfun.DEFAULT_BRUTE_FORCE_CAP)
 
-    p = add("synthesize", "minimum-energy input synthesis and simulation", [tol])
-    p.add_argument("--actuate", nargs="*", type=int, default=[], help="1-based node indices")
+    p = add("synthesize", "minimum-energy input synthesis and simulation", [actuate])
     p.add_argument("--grid", type=int, default=1000, help="grid intervals N")
     p.add_argument("--out", help="write grid/input/state trajectories to this file")
 

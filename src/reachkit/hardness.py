@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReductionIntegrityError
-from .linalg import DEFAULT_TOL, Tolerance, as_indices, as_matrix, as_vector
+from .linalg import DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector
 from .solvers import VarSelInstance, check_varsel_solution, fit_support
 from .system import LinearSystem, check_node_set, is_feasible
 
@@ -73,10 +73,8 @@ def stacked_corner(M, n: int, d: int) -> np.ndarray:
     """
     M = as_matrix(M, name="M")
     m, l = M.shape
-    n = int(n)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"stack count d must be at least 1, got {d}")
+    d = as_count(d, "stack count d", 1)
+    n = as_count(n, "n")
     if n < max(m, l) * d:
         raise ValueError(
             f"n={n} is too small to stack a {m}x{l} block {d} times "
@@ -99,7 +97,7 @@ def generate(U, d: int, delta: float = 0.0) -> HardInstance:
     optimal sparsity keeps solution extraction in the pigeonhole regime.
     """
     U = as_matrix(U, name="U")
-    d = int(d)
+    d = as_count(d, "stack count d", 1)
     m, l = U.shape
     n = max(m, l) * (d + 1)
     A = stacked_corner(U, n, d)
@@ -157,13 +155,12 @@ def find_disjoint_block(S: Iterable[int], m: int, d: int) -> BlockSelection:
 
     The blocks partition the first ``m*d`` indices into ``d`` runs, so a
     disjoint one is guaranteed whenever ``S`` hits fewer than ``d`` of them
-    (in particular whenever ``|S| < d``).
+    (in particular whenever ``|S| < d``).  ``m``, ``d`` and the members of
+    ``S`` must be integers of at least 1 (:func:`reachkit.linalg.as_count`).
     """
-    m = int(m)
-    d = int(d)
-    if m < 1 or d < 1:
-        raise ValueError("block width m and block count d must be positive")
-    hit = {int(i) for i in S}
+    m = as_count(m, "block width m", 1)
+    d = as_count(d, "block count d", 1)
+    hit = {as_count(i, "node index", 1) for i in S}
     for kappa in range(d):
         block = tuple(range(kappa * m + 1, kappa * m + m + 1))
         if hit.isdisjoint(block):

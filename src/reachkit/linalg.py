@@ -14,7 +14,11 @@ columns and keeps only the directions whose singular value clears
 :func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it
 that validate their arguments; library code calls :func:`extend_basis` and
 :func:`dist_sq_to_basis` directly on arrays it has already validated (one
-call per Krylov block in :mod:`reachkit.system`).  Brute-force scans over
+call per Krylov block in :mod:`reachkit.system`), though
+:func:`extend_basis` still runs :func:`as_matrix` on every block it is
+given.  Count arguments (grid sizes, caps, budgets, stack counts) and
+1-based indices follow one integer rule, :func:`as_count` and
+:func:`as_indices`.  Brute-force scans over
 column subsets (:mod:`reachkit.setfun`, :func:`reachkit.solvers.varsel_exact`)
 take their subsets from :func:`column_stacks`, one stack of equal-size
 submatrices per chunk, and measure them with :func:`range_bases` and
@@ -92,18 +96,36 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _is_integer(value) -> bool:
+    # int() would truncate 1.7 to 1 and read True as 1.  as_indices tests
+    # each index here rather than through as_count, which a tracer that
+    # wraps public functions would record once per index.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an ``int`` of at least ``least``; only Python and numpy
+    integers are counts, and ``bool`` is not one (ValueError naming ``name``)."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    value = int(value)
+    if value < least:
+        floor = "be nonnegative" if least == 0 else f"be at least {least}, got {value}"
+        raise ValueError(f"{name} must {floor}")
+    return value
+
+
 def as_indices(S: Iterable, size: int, name: str) -> tuple[int, ...]:
     """Validate 1-based ``name`` indices into ``1..size`` and return them
     sorted and deduplicated.
 
-    Only Python and numpy integers are indices, and ``bool`` is not one:
-    ``int()`` would truncate ``1.7`` to 1 and read ``True`` as 1.  Raises
-    ValueError naming a value that is not an integer, or the indices when
-    one falls outside ``1..size``.
+    Indices follow the integer rule of :func:`as_count`.  Raises ValueError
+    naming a value that is not an integer, or the indices when one falls
+    outside ``1..size``.
     """
     indices = set()
     for i in S:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        if not _is_integer(i):
             raise ValueError(f"{name} index is not an integer: {i!r}")
         indices.add(int(i))
     ordered = sorted(indices)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_indices, as_matrix, as_vector, column_stacks,
+    DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, column_stacks,
     dist_sq_to_ranges,
 )
 
@@ -119,9 +119,7 @@ def _values(fn: ColumnSelectionFunction, stack: np.ndarray, tol: Tolerance) -> n
 
 
 def _check_cap(fn: ColumnSelectionFunction, cap: int) -> None:
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if fn.ground_size > cap:
+    if fn.ground_size > as_count(cap, "cap"):
         raise CapacityError(
             f"ground set of size {fn.ground_size} is too large for brute force "
             f"(cap {cap})"

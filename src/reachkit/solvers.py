@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_matrix, as_vector, column_stacks, dist_sq_to_bases,
-    range_bases,
+    DEFAULT_TOL, Tolerance, as_count, as_matrix, as_vector, column_stacks,
+    dist_sq_to_bases, range_bases,
 )
 from .system import LinearSystem, is_feasible
 
@@ -225,14 +225,13 @@ def exact_min_reach(
     :class:`InfeasibleError`.
     """
     n = sys.n
+    cap = as_count(cap, "cap")
     if budget is None and n > cap:
         raise CapacityError(
             f"exact enumeration over {n} nodes exceeds the cap of {cap}; "
             "pass a cardinality budget to proceed"
         )
-    kmax = n if budget is None else min(int(budget), n)
-    if kmax < 0:
-        raise ValueError("budget must be nonnegative")
+    kmax = n if budget is None else min(as_count(budget, "budget"), n)
     masks = sys.reach
     # later[j]: the reach of nodes j+1..n together
     later = [0] * (n + 1)
@@ -301,9 +300,7 @@ def greedy_min_reach(
     counted in ``nodes_pruned``.
     """
     n = sys.n
-    iters = n if max_iters is None else min(int(max_iters), n)
-    if iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
     scale = sys.offset_scale
     reach = sys.reach
     off = sys.off_reach_sq
@@ -356,9 +353,7 @@ def varsel_exact(
     rules them out are not fitted (see the module docstring).
     """
     m, l = inst.U.shape
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if l > cap:
+    if l > as_count(cap, "cap"):
         raise CapacityError(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )

@@ -38,7 +38,7 @@ from typing import Iterable
 import numpy as np
 from scipy.integrate import simpson
 
-from .linalg import DEFAULT_TOL, Tolerance, mat_exp
+from .linalg import DEFAULT_TOL, Tolerance, as_count, mat_exp
 from .system import LinearSystem, input_columns
 
 
@@ -81,16 +81,6 @@ def _simpson_weights(N: int) -> np.ndarray:
     short = simpson(np.eye(M + 1), dx=1.0, axis=0)
     head, rest = short[:_SIMPSON_HEAD], short[_SIMPSON_HEAD:]
     return np.concatenate([head, np.tile(rest[:2], (N - M) // 2), rest])
-
-
-def _grid_intervals(N) -> int:
-    """``N`` as an ``int``; it must be an integer of at least 2."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ValueError(f"N (grid intervals) is not an integer: {N!r}")
-    N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least 2 grid intervals, got {N}")
-    return N
 
 
 _input_columns = input_columns  # still importable from here under this name
@@ -230,7 +220,7 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     The result is exactly symmetric and positive semidefinite up to
     quadrature noise.
     """
-    N = _grid_intervals(N)
+    N = as_count(N, "N (grid intervals)", 2)
     IB, cols = input_columns(sys, S)
     if _stack_is_cheaper(N, cols.size, sys.n):
         return _input_response(sys, S, N)[1]
@@ -301,7 +291,7 @@ def min_energy_transfer(
     infeasible targets the synthesized input reaches only the projection of
     ``w`` onto the reachable set and ``terminal_error`` stays large.
     """
-    N = _grid_intervals(N)
+    N = as_count(N, "N (grid intervals)", 2)
     IB, cols = input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N

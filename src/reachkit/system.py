@@ -46,6 +46,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_count,
     as_indices,
     as_matrix,
     as_vector,
@@ -254,11 +255,10 @@ def reachability_matrix(
     and the loop stops as soon as a block adds no direction; the span is
     unchanged, since ``A`` then maps the basis into itself.  An empty ``S``,
     or one whose rows of ``B`` are all zero, yields the all-zero ``n x m``
-    block.  A negative ``max_power`` raises ValueError, whatever ``S``.
+    block.  A ``max_power`` that is not a nonnegative integer raises
+    ValueError, whatever ``S``.
     """
-    p = sys.n - 1 if max_power is None else int(max_power)
-    if p < 0:
-        raise ValueError("max_power must be nonnegative")
+    p = sys.n - 1 if max_power is None else as_count(max_power, "max_power")
     Q = extend_basis(None, input_columns(sys, S)[0], tol, scale=sys.input_scale)
     if Q.shape[1] == 0:
         return np.zeros_like(sys.B)

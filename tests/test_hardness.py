@@ -85,8 +85,34 @@ class TestStackedCorner:
         with pytest.raises(ValueError):
             stacked_corner(np.ones((2, 2)), 5, 0)
 
+    @pytest.mark.parametrize("key", ["n", "d"])
+    @pytest.mark.parametrize("value", [1.7, True, np.float64(2.0)])
+    def test_non_integer_size_is_rejected(self, key, value):
+        # int() would truncate 1.7 to 1 and read True as 1
+        args = {"n": 4, "d": 1, key: value}
+        name = "stack count d" if key == "d" else "n"
+        message = re.escape(f"{name} is not an integer: {value!r}")
+        with pytest.raises(ValueError, match=message):
+            stacked_corner(np.ones((2, 2)), **args)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        M = np.ones((2, 2))
+        expected = stacked_corner(M, 6, 2)
+        assert np.array_equal(stacked_corner(M, np.int64(6), np.int64(2)), expected)
+
 
 class TestGenerate:
+    @pytest.mark.parametrize("d", [1.7, True, np.float64(2.0)])
+    def test_non_integer_stack_count_is_rejected(self, d):
+        message = re.escape(f"stack count d is not an integer: {d!r}")
+        with pytest.raises(ValueError, match=message):
+            generate(np.eye(2), d=d)
+
+    def test_numpy_integer_stack_count_is_accepted(self):
+        inst = generate(np.eye(2), d=np.int64(2))
+        assert inst.dims == generate(np.eye(2), d=2).dims
+        assert type(inst.dims.d) is int
+
     def test_scalar_source(self):
         inst = generate(np.array([[1.0]]), d=1)
         assert inst.dims.n == 2
@@ -170,6 +196,29 @@ class TestFindDisjointBlock:
     def test_all_blocks_hit_is_an_error(self):
         with pytest.raises(ValueError):
             find_disjoint_block([1, 3], m=2, d=2)
+
+    @pytest.mark.parametrize("value", [1.7, True, np.float64(2.0)])
+    def test_non_integer_arguments_are_rejected(self, value):
+        # int() would read 1.7 and True as node 1 and pick block 1
+        for S, m, d, name in (
+            ([value], 2, 2, "node index"),
+            ([1], value, 2, "block width m"),
+            ([1], 2, value, "block count d"),
+        ):
+            message = re.escape(f"{name} is not an integer: {value!r}")
+            with pytest.raises(ValueError, match=message):
+                find_disjoint_block(S, m, d)
+
+    def test_node_indices_start_at_one(self):
+        with pytest.raises(ValueError, match="^node index must be at least 1, got 0$"):
+            find_disjoint_block([0], 2, 2)
+        with pytest.raises(ValueError, match="^block width m must be at least 1, got 0$"):
+            find_disjoint_block([], 0, 2)
+
+    def test_numpy_integers_are_accepted(self):
+        block = find_disjoint_block([np.int64(1)], np.int64(2), np.int64(2))
+        assert block == find_disjoint_block([1], 2, 2)
+        assert block.indices == (3, 4)
 
 
 class TestExtractSolution:

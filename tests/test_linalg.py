@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,8 @@ from reachkit.linalg import (
     STACK_ENTRIES,
     STACK_SUBSETS,
     Tolerance,
+    as_count,
+    as_indices,
     column_stacks,
     dist_sq_to_range,
     dist_sq_to_ranges,
@@ -33,6 +36,36 @@ def lstsq_dist_sq(v, cols):
     coef, *_ = np.linalg.lstsq(cols, v, rcond=None)
     r = v - cols @ coef
     return float(r @ r)
+
+
+class TestAsCount:
+    @pytest.mark.parametrize("value", [1.7, True, np.float64(2.0), np.bool_(True), "2"])
+    def test_non_integer_is_rejected(self, value):
+        message = re.escape(f"k is not an integer: {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_count(value, "k")
+
+    def test_python_and_numpy_integers_are_returned_as_int(self):
+        for value in (3, np.int64(3), np.uint8(3), np.intp(3)):
+            count = as_count(value, "k")
+            assert count == 3 and type(count) is int
+
+    def test_floor_messages(self):
+        assert as_count(0, "k") == 0
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            as_count(-1, "k")
+        assert as_count(np.int64(2), "k", 2) == 2
+        with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+            as_count(np.int64(1), "k", 2)
+
+    def test_indices_make_no_count_call(self, monkeypatch):
+        # as_count is traced as a public function: one call per index would
+        # add a span per node to every feasibility test
+        def refuse(*args, **kwargs):
+            raise AssertionError("as_indices called as_count")
+
+        monkeypatch.setattr(reachkit.linalg, "as_count", refuse)
+        assert as_indices(range(1, 5), 4, "node") == (1, 2, 3, 4)
 
 
 class TestRangeBasis:

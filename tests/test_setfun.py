@@ -288,6 +288,23 @@ class TestValidation:
             ColumnSelectionFunction(v=np.ones(2), M=M)
 
 
+class TestIntegerCap:
+    @pytest.mark.parametrize("check", [check_supermodular, check_monotone])
+    @pytest.mark.parametrize("cap", [1.7, True, np.float64(2.0), 3.5])
+    def test_non_integer_cap_is_rejected(self, check, cap):
+        # int() would truncate 3.5 to 3 and read True as 1
+        message = re.escape(f"cap is not an integer: {cap!r}")
+        with pytest.raises(ValueError, match=message):
+            check(counterexample(), cap=cap)
+
+    @pytest.mark.parametrize("check", [check_supermodular, check_monotone])
+    def test_numpy_integer_cap_is_accepted(self, check):
+        fn = counterexample()
+        assert check(fn, cap=np.int64(3)) == check(fn, cap=3)
+        with pytest.raises(CapacityError, match="cap 2"):
+            check(fn, cap=np.int64(2))
+
+
 class TestIntegerColumns:
     @pytest.mark.parametrize("index", [1.5, 1.7, 2.0, True, np.float64(1)])
     def test_non_integer_column_index_is_rejected(self, index):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -28,6 +29,9 @@ from reachkit.system import LinearSystem, is_feasible, star_system, transfer_off
 from helpers import plant_instance, random_source_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# int() would truncate 1.7 to 1 and read True as 1
+NOT_COUNTS = [1.7, True, np.float64(2.0)]
 
 COUNTEREXAMPLE_M = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -246,6 +250,27 @@ class TestExactMinReach:
             exact_min_reach(sys)
 
 
+    @pytest.mark.parametrize("key", ["budget", "cap"])
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_non_integer_budget_and_cap_are_rejected(self, key, value):
+        message = re.escape(f"{key} is not an integer: {value!r}")
+        with pytest.raises(ValueError, match=message):
+            exact_min_reach(star_system(4), **{key: value})
+
+    def test_numpy_integer_budget_and_cap_are_accepted(self):
+        sys = star_system(25)
+        assert exact_min_reach(sys, budget=np.int64(2)) == exact_min_reach(sys, budget=2)
+        assert exact_min_reach(star_system(4), cap=np.int64(4)).nodes == (1,)
+        with pytest.raises(CapacityError, match="cap of 24"):
+            exact_min_reach(sys, cap=np.int64(24))
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            exact_min_reach(star_system(4), cap=-1)
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            exact_min_reach(star_system(4), budget=1, cap=-1)
+
+
 class TestGreedyMinReach:
     def test_star_zeroes_residual_immediately(self):
         result = greedy_min_reach(star_system(5))
@@ -305,6 +330,20 @@ class TestGreedyMinReach:
             greedy_min_reach(doc.system, max_iters=-1)
         result = greedy_min_reach(doc.system, max_iters=0)
         assert (result.nodes, result.feasible) == ((), False)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_non_integer_max_iters_is_rejected(self, value):
+        doc = load_instance(FIXTURES / "greedy_gap.json")
+        message = re.escape(f"max_iters is not an integer: {value!r}")
+        with pytest.raises(ValueError, match=message):
+            greedy_min_reach(doc.system, max_iters=value)
+
+    def test_numpy_integer_max_iters_is_accepted(self):
+        doc = load_instance(FIXTURES / "greedy_gap.json")
+        for k in range(3):
+            assert greedy_min_reach(doc.system, max_iters=np.int64(k)) == greedy_min_reach(
+                doc.system, max_iters=k
+            )
 
     def test_stall_reports_infeasible_instead_of_raising(self):
         # input only reaches node 1 but the target lives on node 2, so no
@@ -381,6 +420,19 @@ class TestVarselExact:
             varsel_exact(inst, cap=-1)
         empty = VarSelInstance(U=np.zeros((2, 0)), z=np.zeros(2), delta=0.0)
         assert varsel_exact(empty, cap=0).support == ()
+
+    @pytest.mark.parametrize("value", NOT_COUNTS + [3.5])
+    def test_non_integer_cap_is_rejected(self, value):
+        inst = VarSelInstance(U=np.eye(2), z=np.ones(2), delta=0.0)
+        message = re.escape(f"cap is not an integer: {value!r}")
+        with pytest.raises(ValueError, match=message):
+            varsel_exact(inst, cap=value)
+
+    def test_numpy_integer_cap_is_accepted(self):
+        inst = VarSelInstance(U=np.eye(2), z=np.ones(2), delta=0.0)
+        assert varsel_exact(inst, cap=np.int64(2)).support == (1, 2)
+        with pytest.raises(CapacityError, match="cap of 1"):
+            varsel_exact(inst, cap=np.int64(1))
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,23 @@ class TestReachGramian:
                 reach_gramian(star_system(4), [1], N=N)
             with pytest.raises(ValueError, match=r"\bN\b"):
                 min_energy_transfer(star_system(4), [1], N=N)
+
+    def test_integral_float_and_short_grids_are_rejected(self):
+        N = np.float64(2.0)
+        message = re.escape(f"N (grid intervals) is not an integer: {N!r}")
+        with pytest.raises(ValueError, match=message):
+            reach_gramian(star_system(4), [1], N=N)
+        with pytest.raises(ValueError, match=message):
+            min_energy_transfer(star_system(4), [1], N=N)
+        with pytest.raises(ValueError, match=r"^N \(grid intervals\) must be at least 2, got 1$"):
+            reach_gramian(star_system(4), [1], N=np.int64(1))
+
+    def test_numpy_integer_grid_is_accepted(self):
+        sys = star_system(4)
+        W = reach_gramian(sys, [1], N=np.int64(10))
+        assert W.tobytes() == reach_gramian(sys, [1], N=10).tobytes()
+        u = min_energy_transfer(sys, [1], N=np.int64(10)).u_samples
+        assert u.tobytes() == min_energy_transfer(sys, [1], N=10).u_samples.tobytes()
 
 
 class TestMinEnergyTransfer:

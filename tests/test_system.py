@@ -398,6 +398,20 @@ class TestMaxPowerValidation:
         with pytest.raises(ValueError, match="max_power must be nonnegative"):
             reachability_matrix(star_system(4), S, max_power=-1)
 
+    @pytest.mark.parametrize("power", [1.7, True, np.float64(2.0)])
+    def test_non_integer_max_power_is_rejected(self, power):
+        # int() would read 1.7 and True as 1
+        message = re.escape(f"max_power is not an integer: {power!r}")
+        with pytest.raises(ValueError, match=message):
+            reachability_matrix(star_system(4), [2], max_power=power)
+
+    def test_numpy_integer_max_power_is_accepted(self):
+        sys = star_system(4)
+        for p in range(3):
+            expected = reachability_matrix(sys, [2], max_power=p)
+            got = reachability_matrix(sys, [2], max_power=np.int64(p))
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestIntegerIndices:
     @pytest.mark.parametrize("index", [1.7, 2.0, True, np.float64(1)])
