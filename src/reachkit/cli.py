@@ -11,9 +11,11 @@ The subcommand ``check-feasible`` runs ``cmd_check_feasible``, and so on.
 Each ``cmd_*`` returns ``(ok, payload, lines)``: the positive verdict, the
 ``--json`` report and the human one. :func:`main` alone prints the report and
 maps the verdict to the exit code.  The argument parser is built once per
-process.
+process; a flag two subcommands take is declared once, in an argparse parent,
+and :func:`_generate_from_args` alone requires ``--d``.
 
-``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.
+``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
+``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import hardness, instance_io, setfun, solvers
 from .errors import CapacityError, InfeasibleError, InstanceFormatError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, as_count
 from .system import check_node_set, is_feasible
 
 EXIT_OK = 0
@@ -50,12 +52,11 @@ def _exact_cap() -> int:
     if not raw:
         return solvers.DEFAULT_EXACT_CAP
     try:
-        cap = int(raw)
+        return as_count(int(raw), "REACHKIT_MAX_EXACT_N")
     except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"REACHKIT_MAX_EXACT_N must be a nonnegative integer, got {raw!r}")
-    return cap
+        raise ValueError(
+            f"REACHKIT_MAX_EXACT_N must be a nonnegative integer, got {raw!r}"
+        ) from None
 
 
 def _node_list(nodes) -> str:
@@ -122,9 +123,7 @@ def _generate_from_args(args) -> hardness.HardInstance:
     if args.U is not None:
         U = instance_io.load_matrix(args.U)
     elif args.random is not None:
-        m, l = args.random
-        if m < 1 or l < 1:
-            raise ValueError("--random dimensions must be positive")
+        m, l = (as_count(k, f"--random {name}", least=1) for k, name in zip(args.random, "ML"))
         rng = np.random.default_rng(args.seed)
         U = rng.integers(0, 2, size=(m, l)).astype(float)
     else:
@@ -210,7 +209,7 @@ def cmd_roundtrip(args) -> Report:
     result = solvers.exact_min_reach(
         inst.sys, tol=tol, budget=args.budget, cap=_exact_cap()
     )
-    y = hardness.extract_solution(inst, result.nodes, inst.sys.x1, tol).y
+    y = hardness.extract_solution(inst, result.nodes, inst.sys.x1).y
     check = solvers.check_varsel_solution(inst.source, y, tol)
     verified = check.fits and check.norm0 <= result.cardinality
     payload = {
@@ -251,6 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="draw a random 0/1 source matrix of shape M x L")
     gen.add_argument("--seed", type=int, default=0, help="seed for --random")
     gen.add_argument("--delta", type=float, default=0.0, help="residual budget")
+    gen.add_argument("--d", type=int, help="stack count (>= 1)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, help="cardinality cap for the exact solve")
     actuate = argparse.ArgumentParser(add_help=False, parents=[tol])
     actuate.add_argument("--actuate", nargs="*", type=int, default=[],
                          help="1-based node indices")
@@ -263,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("check-feasible", "decide transfer feasibility for a node set", [actuate])
 
-    p = add("solve-exact", "minimum-cardinality node set by enumeration", [tol])
-    p.add_argument("--budget", type=int, help="cardinality cap for the search")
+    add("solve-exact", "minimum-cardinality node set by enumeration", [tol, budget])
 
     p = add("solve-greedy", "greedy marginal-decrease heuristic", [tol])
     p.add_argument("--max-iters", type=int, help="cap on greedy additions")
@@ -273,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=solvers.DEFAULT_VARSEL_CAP)
 
     p = add("gen-hard", "generate a reduction instance file", [gen, json_out], file=False)
-    p.add_argument("--d", type=int, required=True, help="stack count (>= 1)")
     p.add_argument("--out", required=True, help="output instance file")
 
     p = add("check-supermodular", "brute-force set-function verdicts", [tol])
@@ -284,10 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write grid/input/state trajectories to this file")
 
     p = add("roundtrip", "generate (or load), solve, extract, and verify in one shot",
-            [gen, tol], file=False)
+            [gen, tol, budget], file=False)
     p.add_argument("--file", help="existing instance file with a 'source' section")
-    p.add_argument("--d", type=int, help="stack count (>= 1)")
-    p.add_argument("--budget", type=int, help="cardinality cap for the exact solve")
 
     return parser
 

@@ -180,12 +180,7 @@ class ExtractionResult:
     residual_sq: float
 
 
-def extract_solution(
-    inst: HardInstance,
-    S: Iterable[int],
-    xhat1,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ExtractionResult:
+def extract_solution(inst: HardInstance, S: Iterable[int], xhat1) -> ExtractionResult:
     """Recover a variable-selection solution from a feasible node set.
 
     Picks a block of ``m`` consecutive target rows disjoint from ``S``,

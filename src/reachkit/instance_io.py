@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InstanceFormatError
 from .hardness import HardInstance, ReductionDims, generate, stacked_corner
-from .linalg import as_matrix
+from .linalg import as_count, as_matrix
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
 from .system import LinearSystem
@@ -87,14 +87,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _int(value, where: str) -> int:
-    # int() would silently truncate 2.7 to 2 and read true as 1.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InstanceFormatError(f"{where} is not an integer: {value!r}")
+def _int(value, where: str, least: int = 0) -> int:
+    # a JSON writer may spell 2 as 2.0; anything else follows as_count
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{where} is not an integer: {value!r}") from exc
+        return as_count(value, where, least)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
 
 
 def _float(value, where: str) -> float:
@@ -117,7 +117,7 @@ def _as_array(value, where: str, ndim: int) -> np.ndarray:
 
 
 def _parse_system(data: dict) -> LinearSystem:
-    n = _int(_require(data, "n", "system section"), "key 'n'")
+    n = _int(_require(data, "n", "system section"), "key 'n'", least=1)
     m = _int(_require(data, "m", "system section"), "key 'm'")
     raw_A = _require(data, "A", "system section")
     if isinstance(raw_A, dict):

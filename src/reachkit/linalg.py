@@ -18,7 +18,8 @@ call per Krylov block in :mod:`reachkit.system`), though
 :func:`extend_basis` still runs :func:`as_matrix` on every block it is
 given.  Count arguments (grid sizes, caps, budgets, stack counts) and
 1-based indices follow one integer rule, :func:`as_count` and
-:func:`as_indices`.  Brute-force scans over
+:func:`as_indices`; so do the counts the CLI reads from instance files,
+flags and the environment.  Brute-force scans over
 column subsets (:mod:`reachkit.setfun`, :func:`reachkit.solvers.varsel_exact`)
 take their subsets from :func:`column_stacks`, one stack of equal-size
 submatrices per chunk, and measure them with :func:`range_bases` and

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from .linalg import (
     extend_basis,
     mat_exp,
 )
-
-NodeSet = Sequence[int]
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,21 @@ class TestGenHard:
         out = tmp_path / "inst.json"
         assert main(["gen-hard", "--random", "2", "2", "--d", "0", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--random", "0", "3", "--d", "2"], "error: --random M must be at least 1, got 0"),
+            (["--random", "2", "-1", "--d", "2"], "error: --random L must be at least 1, got -1"),
+            (["--random", "2", "3"], "error: --d is required when generating an instance"),
+        ],
+        ids=["zero-M", "negative-L", "no-d"],
+    )
+    def test_bad_generation_flags_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_written_file_round_trips(self, tmp_path):
         out = tmp_path / "inst.json"
         assert main(["gen-hard", "--random", "2", "3", "--seed", "3", "--d", "2", "--out", str(out)]) == 0

@@ -156,6 +156,15 @@ class TestParsing:
                 }
             )
 
+    def test_integral_float_counts_are_read_as_integers(self):
+        # a JSON writer may spell the count 2 as 2.0
+        doc = parse_instance(
+            {"n": 2.0, "m": 2.0, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+             "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]}
+        )
+        assert doc.system.n == 2 and type(doc.system.n) is int
+        assert doc.system.m == 2
+
     def test_invalid_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 1,,}')
@@ -208,6 +217,26 @@ class TestParsing:
             (
                 {"n": True, "m": 1, "A": [[0.0]], "B": "identity",
                  "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": -1, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": 0, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": 1, "m": -2, "A": [[0.0]], "B": [[1.0]],
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'm'",
+            ),
+            (
+                {"n": "2", "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
                 "key 'n'",
             ),
             (
