@@ -220,26 +220,6 @@ class TestParsing:
                 "key 'n'",
             ),
             (
-                {"n": -1, "m": 1, "A": [[0.0]], "B": "identity",
-                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
-                "key 'n'",
-            ),
-            (
-                {"n": 0, "m": 1, "A": [[0.0]], "B": "identity",
-                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
-                "key 'n'",
-            ),
-            (
-                {"n": 1, "m": -2, "A": [[0.0]], "B": [[1.0]],
-                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
-                "key 'm'",
-            ),
-            (
-                {"n": "2", "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
-                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
-                "key 'n'",
-            ),
-            (
                 {"setfun": {"v": [-1.0, 1.0, 1.0], "M": [[1.0], [1.0], [0.0]], "c": 2000}},
                 "'setfun' section: .*overflows",
             ),
@@ -270,6 +250,35 @@ class TestParsing:
         ],
     )
     def test_mistyped_values_name_the_key(self, doc, where):
+        with pytest.raises(InstanceFormatError, match=where):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (
+                {"n": -1, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": 0, "m": 1, "A": [[0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'n'",
+            ),
+            (
+                {"n": 1, "m": -2, "A": [[0.0]], "B": [[1.0]],
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0], "x1": [1.0]},
+                "key 'm'",
+            ),
+            (
+                {"n": "2", "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]},
+                "key 'n'",
+            ),
+        ],
+    )
+    def test_bad_counts_name_the_key(self, doc, where):
         with pytest.raises(InstanceFormatError, match=where):
             parse_instance(doc)
 
