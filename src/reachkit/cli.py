@@ -5,14 +5,15 @@ Exit codes are a stable contract across all subcommands:
 * 0: success / positive verdict (feasible, supermodular, solved, verified)
 * 1: negative verdict (infeasible, violated, not verified)
 * 2: usage or input error (bad flags, malformed or inconsistent files)
-* 3: resource cap exceeded (brute-force or enumeration limits)
+* 3: resource cap exceeded (brute-force or enumeration limits, or memory)
 
 The subcommand ``check-feasible`` runs ``cmd_check_feasible``, and so on.
 Each ``cmd_*`` returns ``(ok, payload, lines)``: the positive verdict, the
 ``--json`` report and the human one. :func:`main` alone prints the report and
 maps the verdict to the exit code.  The argument parser is built once per
 process; a flag two subcommands take is declared once, in an argparse parent,
-and :func:`_generate_from_args` alone requires ``--d``.
+and :func:`_generate_from_args` alone requires ``--d``.  ``roundtrip`` takes
+its instance from ``--file`` or from the generation flags, never from both.
 
 ``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
 ``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
@@ -120,17 +121,19 @@ def cmd_varsel(args) -> Report:
 
 
 def _generate_from_args(args) -> hardness.HardInstance:
+    if args.U is not None and args.random is not None:
+        raise ValueError("provide either --U FILE or --random M L, not both")
     if args.U is not None:
         U = instance_io.load_matrix(args.U)
     elif args.random is not None:
         m, l = (as_count(k, f"--random {name}", least=1) for k, name in zip(args.random, "ML"))
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
         U = rng.integers(0, 2, size=(m, l)).astype(float)
     else:
         raise ValueError("provide either --U FILE or --random M L")
     if args.d is None:
         raise ValueError("--d is required when generating an instance")
-    return hardness.generate(U, d=args.d, delta=args.delta)
+    return hardness.generate(U, d=args.d, delta=0.0 if args.delta is None else args.delta)
 
 
 def cmd_gen_hard(args) -> Report:
@@ -202,6 +205,12 @@ def cmd_synthesize(args) -> Report:
 
 def cmd_roundtrip(args) -> Report:
     if args.file is not None:
+        # the generation flags (the gen parent) all default to None
+        given = [f"--{key}" for key in ("U", "random", "seed", "delta", "d")
+                 if getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"--file cannot be combined with {', '.join(given)}: "
+                             "the instance comes from the file")
         inst = instance_io.load_instance(args.file).hard_instance(args.file)
     else:
         inst = _generate_from_args(args)
@@ -248,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--U", help="JSON file holding the source matrix")
     gen.add_argument("--random", nargs=2, type=int, metavar=("M", "L"),
                      help="draw a random 0/1 source matrix of shape M x L")
-    gen.add_argument("--seed", type=int, default=0, help="seed for --random")
-    gen.add_argument("--delta", type=float, default=0.0, help="residual budget")
+    gen.add_argument("--seed", type=int, help="seed for --random (default 0)")
+    gen.add_argument("--delta", type=float, help="residual budget (default 0)")
     gen.add_argument("--d", type=int, help="stack count (>= 1)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, help="cardinality cap for the exact solve")
@@ -308,6 +317,10 @@ def main(argv=None) -> int:
         return EXIT_OK if ok else EXIT_NEGATIVE
     except CapacityError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        # a size no cap stopped; exit 1 would read as a negative verdict
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=_sys.stderr)
         return EXIT_CAP
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=_sys.stderr)

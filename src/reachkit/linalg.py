@@ -21,10 +21,14 @@ given.  Count arguments (grid sizes, caps, budgets, stack counts) and
 :func:`as_indices`; so do the counts the CLI reads from instance files,
 flags and the environment.  Brute-force scans over
 column subsets (:mod:`reachkit.setfun`, :func:`reachkit.solvers.varsel_exact`)
-take their subsets from :func:`column_stacks`, one stack of equal-size
+take their subsets from :func:`column_stacks` (all subsets of one size) or
+:func:`subset_stacks` (a given list of equal-size subsets), one stack of
 submatrices per chunk, and measure them with :func:`range_bases` and
 :func:`dist_sq_to_bases` (together :func:`dist_sq_to_ranges`): one batched
-SVD per stack instead of one factorization per subset.  All
+SVD per stack instead of one factorization per subset.  From ``l = 7`` on,
+:mod:`reachkit.setfun` measures most subsets by a certified Gram-Schmidt
+walk over the subset lattice and sends only the subsets whose verdicts are
+close to these stacks.  All
 thresholds come from a :class:`Tolerance`, so callers control numerical
 strictness in one place.  Functions never modify their inputs and hold no
 state; concurrent use is safe.
@@ -251,6 +255,10 @@ def dist_sq_to_ranges(v: np.ndarray, stack: np.ndarray, rank_rel: float) -> np.n
     return dist_sq_to_bases(v, range_bases(stack, rank_rel)[0])
 
 
+def _stack_size(m: int, k: int) -> int:
+    return max(1, min(STACK_SUBSETS, STACK_ENTRIES // max(1, m * k)))
+
+
 def column_stacks(M: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The ``k``-column submatrices of ``M``, lexicographically by their
     0-based column indices, in chunks.
@@ -260,12 +268,21 @@ def column_stacks(M: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarra
     ``STACK_SUBSETS`` submatrices and at most ``STACK_ENTRIES`` entries, but
     never fewer than one submatrix.
     """
-    m, l = M.shape
-    size = max(1, min(STACK_SUBSETS, STACK_ENTRIES // max(1, m * k)))
-    scan = combinations(range(l), k)
+    size = _stack_size(M.shape[0], k)
+    scan = combinations(range(M.shape[1]), k)
     while batch := list(islice(scan, size)):
         idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
         yield idx, M.T[idx].transpose(0, 2, 1)
+
+
+def subset_stacks(M: np.ndarray, idx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The submatrices ``M[:, idx[i]]`` for the rows of a ``(b, k)`` array of
+    0-based column indices, in order, in chunks bounded as in
+    :func:`column_stacks`; yields ``(idx chunk, stack)`` pairs."""
+    size = _stack_size(M.shape[0], idx.shape[1])
+    for start in range(0, len(idx), size):
+        chunk = idx[start:start + size]
+        yield chunk, M.T[chunk].transpose(0, 2, 1)
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:

@@ -6,24 +6,54 @@ only the selected columns.  The function is always non-increasing (adding a
 column can only shrink the distance), but it is *not* supermodular: marginal
 decreases can grow as the base set grows, and :func:`check_supermodular`
 hunts for an explicit witness of that among the single-column decreases
-``f(A) - f(A + x)`` of all ``2**l`` column subsets.  Their values are
-computed one subset size at a time, with one batched SVD per chunk of
-equal-size subsets (:func:`reachkit.linalg.dist_sq_to_ranges`), and
-:func:`evaluate` is the same kernel on a stack of one, so the table and
-:func:`evaluate` agree bit for bit.
+``f(A) - f(A + x)`` of all ``2**l`` column subsets.
+
+The kernel value of a subset is the batched SVD of
+:func:`reachkit.linalg.dist_sq_to_ranges` on a stack of equal-size subsets,
+and :func:`evaluate` is the same kernel on a stack of one, so the two agree
+bit for bit.  Below ``l = 7`` (the cost rule :func:`_is_lattice_cheaper`,
+fitted to timings) the checks take every value from the kernel.  From there
+on they walk the subset lattice one size at a time instead: the child
+``S + x``, with ``x`` above every member of ``S``, appends one twice-projected
+unit column to the orthonormal basis of ``S``, updates the residual of ``v``
+and multiplies the Gram determinant of ``S`` (columns scaled to unit norm) by
+the squared norm ``rho**2`` of that projected column.  A lattice value is
+used only where it is certified:
+
+* ``sigma_min(M(S))**2 >= det G_S / sum_{i in S} det G_{S-i}`` (an
+  eigenvalue bound) must clear ``(SAFETY * rank_rel * ||M(S)||_F)**2``, so the
+  kernel keeps every column of ``S`` and both compute the same distance;
+* a subset of more than ``m`` columns gets value 0 when it holds a certified
+  ``m``-column subset whose bound clears ``SAFETY * rank_rel * ||M(S)||_F``:
+  by interlacing its range is all of ``R^m`` for the kernel too;
+* a determinant that overflows or underflows certifies nothing.
+
+A certified value lies within ``ALLOW * eps * kappa * ||v||**2 * (m + 1)`` of
+the kernel's in squared distance, ``kappa = ||M(S)||_F / sigma_min`` bound,
+mapped through ``d -> d**(c/2)`` as an interval.  Each monotone and local test
+whose lattice margin exceeds the summed allowances of its subsets is decided
+as the kernel would decide it; the subsets of every other test, and the
+uncertified ones, get kernel values (:func:`_needs_kernel`).  The checks then
+run on that mixed table exactly as on the kernel's, so their verdicts and
+witnesses are the kernel table's, and a witness's ``lhs`` and ``rhs`` are
+differences of kernel values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+from math import comb
 from typing import Iterable
 
 import numpy as np
 
+from . import linalg
 from .errors import CapacityError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, column_stacks,
-    dist_sq_to_ranges,
+    dist_sq_to_ranges, subset_stacks,
 )
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
@@ -31,6 +61,16 @@ DEFAULT_BRUTE_FORCE_CAP = 12
 
 # A reported violation must beat float noise by this absolute margin.
 VIOLATION_SLACK = 1e-9
+
+# The lattice walk certifies a subset when its smallest singular value is
+# provably at least SAFETY * rank_rel * ||M(S)||_F, and then trusts its value
+# to ALLOW * eps * kappa * ||v||^2 * (m + 1) of the kernel's.
+SAFETY = 1e3
+ALLOW = 64.0
+_EPS = float(np.finfo(float).eps)
+
+# Ground sets below this size keep the whole kernel table (the cost rule).
+_LATTICE_MIN_L = 7
 
 
 @dataclass(frozen=True)
@@ -131,17 +171,188 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _drop_table(fn: ColumnSelectionFunction, tol: Tolerance) -> np.ndarray:
-    """``drops[x, A] = f(A) - f(A + x)`` over bitmasks ``A`` (bit ``k - 1`` is
-    column ``k``), zero where ``x`` is in ``A``; the values are filled one
-    subset size at a time, one stacked kernel call per chunk."""
+@cache
+def _lattice_level(l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the ``(k + 1)``-subsets of ``l`` columns grow from the ``k``-subsets,
+    both in colex order: ``(parent, x, mask)`` says the ``i``-th is ``S + x``
+    with ``S`` the ``parent[i]``-th ``k``-subset and ``x`` above every member
+    of ``S``, and gives its bitmask.  In colex order the ``k``-subsets below
+    ``x`` are the first ``C(x, k)``."""
+    masks = _lattice_level(l, k - 1)[2] if k else np.zeros(1, dtype=np.intp)
+    parent = np.concatenate([np.arange(comb(x, k)) for x in range(k, l)])
+    x = np.repeat(np.arange(k, l), [comb(x, k) for x in range(k, l)])
+    return parent, x, masks[parent] | 1 << x
+
+
+def _is_lattice_cheaper(l: int, m: int) -> bool:
+    """Private cost rule: walk the lattice for large ground sets whose widest
+    level of bases fits in ``STACK_ENTRIES`` entries (fitted to timings)."""
+    return l >= _LATTICE_MIN_L and m * max(
+        comb(l, k) * k for k in range(min(l, m) + 1)
+    ) <= linalg.STACK_ENTRIES
+
+
+def _lattice_table(fn: ColumnSelectionFunction, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice values of ``fn`` on every bitmask, NaN where uncertified, and
+    a bound on how far each lies from the kernel's value.
+
+    Columns are scaled to unit norm, which changes no span; ``w`` holds their
+    squared norms relative to the largest, ``det`` the Gram determinant of
+    the unit columns of each subset and ``d2`` its squared distance.
+    """
+    v, M = fn.v, fn.M
+    m, l = M.shape
+    M = M / np.abs(M).max()
+    norms2 = np.einsum("ij,ij->j", M, M)
+    w = norms2 / norms2.max()
+    N = (M / np.sqrt(norms2)).T
+    size = 1 << l
+    det = np.zeros(size)
+    d2 = np.zeros(size)
+    det[0], d2[0] = 1.0, v @ v
+    Q, r = np.zeros((1, 0, m)), v[None]
+    for k in range(min(l, m)):
+        parent, x, masks = _lattice_level(l, k)
+        child = np.empty((len(parent), k + 1, m))
+        Q = np.take(Q, parent, axis=0, out=child[:, :k])
+        c = N[x]
+        for _ in range(2):  # Gram-Schmidt with one reorthogonalization
+            c -= np.einsum("bk,bkm->bm", np.einsum("bkm,bm->bk", Q, c), Q)
+        rho2 = np.einsum("ij,ij->i", c, c)
+        q = np.divide(c, np.sqrt(rho2)[:, None], out=child[:, k])
+        r = r[parent]
+        r -= np.einsum("ij,ij->i", r, q)[:, None] * q
+        # S + x from S: det G gains the factor rho^2
+        det[masks] = det[masks ^ 1 << x] * rho2
+        d2[masks] = np.einsum("ij,ij->i", r, r)
+        Q = child
+    del Q, child, c, q, r
+    # sigma_min(M(S))^2 >= det G_S / sum_i det G_{S-i}, in units of the
+    # largest squared column norm; frob2 = ||M(S)||_F^2 in the same units
+    frob2 = np.zeros(size)
+    den = np.zeros(size)
+    count = np.zeros(size, dtype=np.intp)
+    for i in range(l):
+        frob2[1 << i:2 << i] = frob2[:1 << i] + w[i]
+        count[1 << i:2 << i] = count[:1 << i] + 1
+        view = den.reshape(-1, 2, 1 << i)
+        view[:, 1] += det.reshape(-1, 2, 1 << i)[:, 0] / w[i]
+    sig2 = det / den
+    floor2 = (SAFETY * tol.rank_rel) ** 2 * frob2
+    # an m-column subset that certifies rank m for a superset makes the
+    # superset's span all of R^m (interlacing), so its distance is 0
+    best = np.where((count == m) & (sig2 >= floor2), sig2, 0.0)
+    for i in range(l):
+        view = best.reshape(-1, 2, 1 << i)
+        np.maximum(view[:, 1], view[:, 0], out=view[:, 1])
+    wide = count > m
+    sig2[wide] = best[wide]
+    d2[wide] = 0.0
+    certified = sig2 >= floor2
+    kappa = np.maximum(1.0, np.sqrt(frob2 / sig2))
+    vv = float(v @ v)
+    allow = ALLOW * _EPS * (m + 1) * vv * kappa
+    e = fn.c / 2.0
+    values = d2 ** e
+    err = np.maximum((d2 + allow) ** e - values, values - np.maximum(d2 - allow, 0.0) ** e)
+    # the float rounding of the checks' own sums and comparisons
+    err += 4.0 * _EPS * (vv ** e + VIOLATION_SLACK)
+    # an allowance that overflowed, or is 0/0 for columns that are all zero,
+    # certifies nothing
+    values[~(certified & np.isfinite(err))] = np.nan
+    return values, err
+
+
+def _halves(table: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of an ``(l, 2**l)`` table at the bases ``A`` without ``y`` and
+    at ``A + y``, each shaped ``(l, 2**l >> (y + 1), 2**y)``."""
+    split = table.reshape(len(table), -1, 2, 1 << y)
+    return split[:, :, 0], split[:, :, 1]
+
+
+def _needs_kernel(values: np.ndarray, err: np.ndarray, local: bool) -> np.ndarray:
+    """Bitmasks that need kernel values: the uncertified ones and the four
+    subsets of every test whose lattice margin is inside its allowance (two
+    for a monotone test)."""
+    need = np.isnan(values)
+    drops = _drop_table(np.where(need, 0.0, values))
+    # -inf where x is in A: no test there can be close, and the local tests
+    # with x = y are excluded along with them
+    spread = _pair_table(np.where(need, np.inf, err), np.add, -np.inf)
+    l = len(drops)
+    close = np.abs(drops + VIOLATION_SLACK) <= spread
+    xs, bases = np.nonzero(close)
+    need[bases] = need[bases | 1 << xs] = True
+    # a local test's margin f(A) - f(A+x) - f(A+y) + f(A+x+y) is symmetric
+    # in x and y, so each pair is screened once, with x > y
+    for y in range(l - 1 if local else 0):
+        (lo, hi), (slo, shi) = _halves(drops[y + 1:], y), _halves(spread[y + 1:], y)
+        gap = lo - hi
+        gap += VIOLATION_SLACK
+        close = np.abs(gap, out=gap) <= slo + shi
+        if close.any():
+            xs, high, low = np.nonzero(close)
+            xs += y + 1
+            bases = high << (y + 1) | low
+            need[bases] = need[bases | 1 << y] = True
+            need[bases | 1 << xs] = need[bases | 1 << xs | 1 << y] = True
+    return need
+
+
+def _fill(fn: ColumnSelectionFunction, values: np.ndarray, masks: np.ndarray | None,
+          tol: Tolerance) -> None:
+    """Write kernel values of ``fn`` into ``values`` at ``masks`` (at every
+    bitmask when None), one stacked kernel call per chunk of equal-size
+    subsets."""
     l = fn.ground_size
-    values = np.empty(1 << l)
-    for k in range(l + 1):
-        for idx, stack in column_stacks(fn.M, k):
-            values[(1 << idx).sum(axis=1)] = _values(fn, stack, tol)
-    masks = np.arange(1 << l)
-    return values - values[masks | 1 << np.arange(l)[:, None]]
+    if masks is None:
+        stacks = chain.from_iterable(column_stacks(fn.M, k) for k in range(l + 1))
+    else:
+        bits = masks[:, None] >> np.arange(l) & 1
+        sizes = bits.sum(axis=1)
+        groups = (bits[sizes == k] for k in np.flatnonzero(np.bincount(sizes)))
+        stacks = chain.from_iterable(
+            subset_stacks(fn.M, np.nonzero(g)[1].reshape(len(g), -1)) for g in groups
+        )
+    for idx, stack in stacks:
+        values[(1 << idx).sum(axis=1)] = _values(fn, stack, tol)
+
+
+def _value_table(fn: ColumnSelectionFunction, tol: Tolerance,
+                 local: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values of ``fn`` over bitmasks (bit ``k - 1`` is column ``k``) and
+    which of them are kernel values (None when all are).
+
+    A lattice value stands only where its certified allowance already
+    decides every monotone test it is in, and every local test too when
+    ``local``; so each check decides as it would on the kernel's table.
+    """
+    if not (_is_lattice_cheaper(fn.ground_size, fn.M.shape[0]) and fn.M.any()):
+        values = np.empty(1 << fn.ground_size)
+        _fill(fn, values, None, tol)
+        return values, None
+    with np.errstate(all="ignore"):
+        values, err = _lattice_table(fn, tol)
+        kernel = _needs_kernel(values, err, local)
+    _fill(fn, values, np.flatnonzero(kernel), tol)
+    return values, kernel
+
+
+def _pair_table(table: np.ndarray, op: np.ufunc, inside: float) -> np.ndarray:
+    """``op(table[A], table[A + x])`` at ``[x, A]`` over bitmasks ``A``, and
+    ``inside`` where ``x`` is in ``A``."""
+    l = len(table).bit_length() - 1
+    out = np.full((l, len(table)), inside)
+    for x in range(l):
+        pair = table.reshape(-1, 2, 1 << x)
+        op(pair[:, 0], pair[:, 1], out=out[x].reshape(-1, 2, 1 << x)[:, 0])
+    return out
+
+
+def _drop_table(values: np.ndarray) -> np.ndarray:
+    """``drops[x, A] = f(A) - f(A + x)`` over bitmasks ``A``, zero where
+    ``x`` is in ``A``."""
+    return _pair_table(values, np.subtract, 0.0)
 
 
 def check_monotone(
@@ -156,7 +367,8 @@ def check_monotone(
     guarantees monotonicity for every column-selection function.
     """
     _check_cap(fn, cap)
-    return not (_drop_table(fn, tol) < -VIOLATION_SLACK).any()
+    values, _ = _value_table(fn, tol, local=False)
+    return not (_drop_table(values) < -VIOLATION_SLACK).any()
 
 
 def check_supermodular(
@@ -179,32 +391,45 @@ def check_supermodular(
     noise; a gap that beats it only when summed along a chain is not found.
     """
     _check_cap(fn, cap)
-    drops = _drop_table(fn, tol)
+    values, kernel = _value_table(fn, tol, local=True)
+    drops = _drop_table(values)
     monotone = not (drops < -VIOLATION_SLACK).any()
     l, size = drops.shape
-    masks = np.arange(size)
     # Base A violates if drops[x, A] < drops[x, A + y] for some x != y; when
-    # x or y lies in A both sides are equal, so no mask is needed.  first_y[A]
-    # and first_x[A] record A's first violating pair, y then x ascending.
+    # y lies in A both sides are equal, so only the bases without y are
+    # tested.  first_y[A] and first_x[A] record A's first violating pair, y
+    # then x ascending.
     first_y = np.full(size, -1)
     first_x = np.zeros(size, dtype=int)
     for y in range(l):
-        local = drops < drops[:, masks | 1 << y] - VIOLATION_SLACK
+        lo, hi = _halves(drops, y)
+        local = lo < hi - VIOLATION_SLACK
         local[y] = False
-        hit = (first_y < 0) & local.any(axis=0)
-        first_y[hit] = y
-        first_x[hit] = local[:, hit].argmax(axis=0)
+        fy = first_y.reshape(-1, 2, 1 << y)[:, 0]
+        hit = (fy < 0) & local.any(axis=0)
+        fy[hit] = y
+        first_x.reshape(-1, 2, 1 << y)[:, 0][hit] = local[:, hit].argmax(axis=0)
     violation = None
-    violated = np.flatnonzero(first_y >= 0).tolist()
-    if violated:
-        base = min(violated, key=lambda mask: (-bin(mask).count("1"), _members(mask)))
+    violated = np.flatnonzero(first_y >= 0)
+    if len(violated):
+        # the largest base, and among those the lexicographically least
+        # member tuple: the one holding the lowest bit where two differ, so
+        # the largest mask once its bits are reversed
+        bits = violated[:, None] >> np.arange(l) & 1
+        sizes = bits.sum(axis=1)
+        largest = sizes == sizes.max()
+        reversed_masks = (bits[largest] << np.arange(l)[::-1]).sum(axis=1)
+        base = int(violated[largest][reversed_masks.argmax()])
         y, x = int(first_y[base]), int(first_x[base])
+        witness = np.array([base, base | 1 << x, base | 1 << y, base | 1 << x | 1 << y])
+        if kernel is not None:
+            _fill(fn, values, witness[~kernel[witness]], tol)
         violation = Violation(
             subset=_members(base),
             superset=_members(base | 1 << y),
             element=x + 1,
-            lhs=float(drops[x, base]),
-            rhs=float(drops[x, base | 1 << y]),
+            lhs=float(values[base] - values[base | 1 << x]),
+            rhs=float(values[base | 1 << y] - values[base | 1 << x | 1 << y]),
         )
     return SetFunctionReport(
         monotone_nonincreasing=monotone,

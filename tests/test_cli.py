@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reachkit import cli
 from reachkit.cli import build_parser, main
 from reachkit.instance_io import InstanceDoc, load_instance, write_instance
 from reachkit.linalg import DEFAULT_TOL
@@ -377,6 +378,78 @@ class TestRoundtrip:
         capsys.readouterr()
         assert main(["roundtrip", "--file", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: 'source.dims.l'")
+
+
+class TestInstanceSource:
+    """``roundtrip`` reads its instance from ``--file`` or generates it from
+    the generation flags, and refuses a command line that names both."""
+
+    @pytest.fixture
+    def hard_file(self, tmp_path):
+        out = tmp_path / "hard.json"
+        assert main(["gen-hard", "--random", "2", "2", "--seed", "9", "--d", "3",
+                     "--out", str(out)]) == 0
+        return str(out)
+
+    def test_file_with_generation_flags_exits_2(self, hard_file, capsys):
+        capsys.readouterr()
+        argv = ["roundtrip", "--file", hard_file, "--random", "5", "5", "--d", "7",
+                "--delta", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --file cannot be combined with --random, --delta, --d: "
+            "the instance comes from the file\n"
+        )
+
+    @pytest.mark.parametrize("flags", [["--seed", "0"], ["--delta", "0"], ["--d", "3"],
+                                       ["--U", "u.json"]])
+    def test_file_with_any_generation_flag_exits_2(self, hard_file, flags, capsys):
+        assert main(["roundtrip", "--file", hard_file, *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --file cannot be combined with {flags[0]}:"
+        )
+
+    def test_file_keeps_budget_and_tolerances(self, hard_file, capsys):
+        capsys.readouterr()
+        argv = ["roundtrip", "--file", hard_file, "--budget", "2", "--tol-rank", "1e-9",
+                "--tol-feas", "1e-9", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("command", ["roundtrip", "gen-hard"])
+    def test_matrix_file_and_random_exit_2(self, tmp_path, command, capsys):
+        U = tmp_path / "U.json"
+        U.write_text(json.dumps({"U": [[1.0, 0.0], [0.0, 1.0]]}))
+        argv = [command, "--U", str(U), "--random", "2", "2", "--d", "2"]
+        if command == "gen-hard":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: provide either --U FILE or --random M L, not both\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_3_without_traceback(self, monkeypatch, star_file, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_synthesize", exhausted)
+        assert main(["synthesize", star_file, "--actuate", "1", "--grid", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
+
+    def test_bare_memory_error_is_named(self, monkeypatch, star_file, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_check_feasible", exhausted)
+        assert main(["check-feasible", star_file, "--json"]) == 3
+        assert capsys.readouterr().err == "error: out of memory: MemoryError\n"
 
 
 class TestUsage:

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 import reachkit.linalg
+import reachkit.setfun
 from reachkit.errors import CapacityError
+from reachkit.linalg import DEFAULT_TOL
 from reachkit.setfun import (
     ColumnSelectionFunction,
+    _fill,
+    _lattice_table,
+    _value_table,
     check_monotone,
     check_supermodular,
     evaluate,
@@ -321,3 +326,103 @@ class TestIntegerColumns:
         fn = ColumnSelectionFunction(v=V, M=M)
         with pytest.raises(ValueError, match=r"column indices must lie in 1\.\.3, got \[4\]"):
             evaluate(fn, [4])
+
+
+def near_threshold_fn(rng, l, ratio, c=2.0):
+    """Columns 1 and 2 differ by ``ratio`` times a random vector, so the
+    smaller singular value of that pair is about ``ratio`` times the larger,
+    near the default ``rank_rel`` of 1e-9."""
+    m = l // 2 + 2
+    M = rng.normal(size=(m, l))
+    M[:, 1] = M[:, 0] + ratio * rng.normal(size=m)
+    return ColumnSelectionFunction(v=rng.normal(size=m), M=M, c=c)
+
+
+def kernel_table(fn):
+    values = np.empty(1 << fn.ground_size)
+    _fill(fn, values, None, DEFAULT_TOL)
+    return values
+
+
+def screen_cases(rng, c):
+    """Random, scaled and near-threshold functions with exponent ``c``; the
+    scale keeps ||v||**c finite."""
+    big = 10.0 ** (300 / max(c, 2.0))
+    fns = []
+    for l in (7, 9):
+        m = int(rng.integers(3, 9))
+        fns.append(ColumnSelectionFunction(v=rng.normal(size=m), M=rng.normal(size=(m, l)), c=c))
+        fn = planted_violation_fn(rng, l)
+        fns.append(ColumnSelectionFunction(v=fn.v * big, M=fn.M * 1e-150, c=c))
+        fns.append(ColumnSelectionFunction(v=fn.v * 1e-150, M=fn.M * 1e-150, c=c))
+        fns.append(ColumnSelectionFunction(v=fn.v, M=fn.M * 1e150, c=c))
+        fns += [near_threshold_fn(rng, l, ratio, c) for ratio in (1e-10, 1e-9, 1e-8)]
+    return fns
+
+
+class TestLatticeScreen:
+    """The lattice walk stands in for the kernel only where its certified
+    allowance cannot change a verdict, so every report is the kernel's."""
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+    def test_certified_values_lie_within_the_allowance(self, c):
+        rng = np.random.default_rng(83)
+        for fn in screen_cases(rng, c):
+            with np.errstate(all="ignore"):
+                lattice, err = _lattice_table(fn, DEFAULT_TOL)
+            certified = ~np.isnan(lattice)
+            assert certified.sum() > len(lattice) // 2
+            gap = np.abs(lattice - kernel_table(fn))
+            assert (gap[certified] <= err[certified]).all()
+
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-9, 1e-8])
+    def test_near_threshold_pair_is_not_certified(self, ratio):
+        fn = near_threshold_fn(np.random.default_rng(89), 8, ratio)
+        with np.errstate(all="ignore"):
+            lattice, _ = _lattice_table(fn, DEFAULT_TOL)
+        # every subset of at most m columns holding columns 1 and 2 falls to
+        # the kernel; a larger one can span R^m without that pair
+        m = fn.M.shape[0]
+        pair = [mask for mask in range(0b11, 1 << 8, 4) if bin(mask).count("1") <= m]
+        assert np.isnan(lattice[pair]).all()
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+    def test_near_threshold_reports_match_nested_pair_scan(self, c):
+        rng = np.random.default_rng(97)
+        for ratio in (1e-10, 3e-10, 1e-9, 3e-9, 1e-8):
+            fn = near_threshold_fn(rng, 7, ratio, c)
+            report = check_supermodular(fn)
+            assert report_tuple(report) == nested_pair_scan(fn)
+            assert check_monotone(fn) == report.monotone_nonincreasing
+
+    def test_nothing_certified_gives_the_same_reports(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        fns = [planted_violation_fn(rng, 9), orthonormal_fn(rng, 8),
+               near_threshold_fn(rng, 8, 1e-9, c=1.0)]
+        fns += screen_cases(rng, 3.0)[:4]
+        reports = [(repr(check_supermodular(fn)), check_monotone(fn)) for fn in fns]
+        # SAFETY * rank_rel = inf: no bound clears it, the empty set included
+        monkeypatch.setattr(reachkit.setfun, "SAFETY", np.inf)
+        for fn, report in zip(fns, reports):
+            assert _value_table(fn, DEFAULT_TOL, local=True)[1].all()
+            assert (repr(check_supermodular(fn)), check_monotone(fn)) == report
+
+    def test_screen_sends_few_subsets_to_the_kernel(self):
+        rng = np.random.default_rng(103)
+        for fn in (planted_violation_fn(rng, 10), orthonormal_fn(rng, 10)):
+            for local in (False, True):
+                _, kernel = _value_table(fn, DEFAULT_TOL, local)
+                assert kernel.sum() <= len(kernel) // 8
+
+    def test_small_ground_sets_keep_the_kernel_table(self):
+        assert _value_table(counterexample(), DEFAULT_TOL, local=True)[1] is None
+
+    def test_planted_with_small_chunks(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        fn = planted_violation_fn(rng, 10)
+        report = check_supermodular(fn)
+        assert not report.supermodular
+        monkeypatch.setattr(reachkit.linalg, "STACK_SUBSETS", 3)
+        assert check_supermodular(fn) == report
+        monkeypatch.setattr(reachkit.setfun, "SAFETY", np.inf)
+        assert check_supermodular(fn) == report
