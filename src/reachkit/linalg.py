@@ -20,12 +20,13 @@ given.  Count arguments (grid sizes, caps, budgets, stack counts) and
 1-based indices follow one integer rule, :func:`as_count` and
 :func:`as_indices`; so do the counts the CLI reads from instance files,
 flags and the environment.  Brute-force scans over
-column subsets (:mod:`reachkit.setfun`, :func:`reachkit.solvers.varsel_exact`)
-take their subsets from :func:`column_stacks` (all subsets of one size) or
-:func:`subset_stacks` (a given list of equal-size subsets), one stack of
-submatrices per chunk, and measure them with :func:`range_bases` and
-:func:`dist_sq_to_bases` (together :func:`dist_sq_to_ranges`): one batched
-SVD per stack instead of one factorization per subset.  From ``l = 7`` on,
+column subsets take their subsets in chunks, one stack of submatrices per
+chunk: :func:`reachkit.solvers.varsel_exact` from :func:`column_stacks` (all
+subsets of one size), :mod:`reachkit.setfun` from :func:`subset_stacks` (a
+given list of equal-size subsets).  Both measure them with
+:func:`range_bases` and :func:`dist_sq_to_bases` (together
+:func:`dist_sq_to_ranges`): one batched SVD per stack instead of one
+factorization per subset.  From ``l = 7`` on,
 :mod:`reachkit.setfun` measures most subsets by a certified Gram-Schmidt
 walk over the subset lattice and sends only the subsets whose verdicts are
 close to these stacks.  All
@@ -36,15 +37,12 @@ state; concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
-
-# ||A @ A|| below this fraction of max(1, ||A||^2) counts as "squares to zero",
-# switching mat_exp to the exact two-term form I + A t.
-NILPOTENT_REL_TOL = 1e-12
 
 # column_stacks hands out at most this many subsets, and at most this many
 # matrix entries, per stack, which bounds the working memory of a scan.
@@ -60,8 +58,9 @@ class Tolerance:
         Singular values below ``rank_rel * scale`` count as zero when
         computing numerical rank.  For a single matrix the scale is its
         largest singular value; for the first Krylov block ``M(S) B`` it is
-        ``sigma_max(B)``, whatever ``S``; for a Krylov block ``A Q_k``
-        appended to an orthonormal basis it is ``||A||_F``.  Relative
+        ``sigma_max(B)``, whatever ``S`` (``LinearSystem.input_scale``); for a
+        Krylov block ``A Q_k`` appended to an orthonormal basis it is
+        ``||A||_F`` (``LinearSystem.drift_scale``).  Relative
         thresholding keeps decisions invariant under rescaling of the data
         and of ``A``.
     feas_rel
@@ -288,11 +287,15 @@ def subset_stacks(M: np.ndarray, idx: np.ndarray) -> Iterator[tuple[np.ndarray, 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(A t)``.
 
-    When ``A @ A`` vanishes (relative to ``max(1, ||A||^2)``) the power series
-    truncates and ``I + A t`` is returned exactly; this removes quadrature and
-    feasibility noise for the corner-stacked instances, which all square to
-    zero.  Otherwise the computation is delegated to :func:`scipy.linalg.expm`
-    (scaling and squaring).
+    When ``A @ A`` is exactly zero the power series ends after two terms and
+    ``I + A t`` is returned.  The square is taken of ``A`` divided exactly by
+    a power of two, so that its entries lie below 1: it cannot overflow, and
+    it underflows only where entries are tiny next to the largest, so the
+    test does not depend on the scale of ``A``.  An exact test suffices
+    because every nilpotent matrix the package builds (the corner-stacked
+    reductions and the hub row of :func:`reachkit.system.star_system`)
+    squares to exactly zero.  Otherwise the computation is delegated to
+    :func:`scipy.linalg.expm` (scaling and squaring).
     """
     A = as_matrix(A, name="A")
     n, m = A.shape
@@ -300,9 +303,8 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"matrix exponential needs a square matrix, got {A.shape}")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    norm = float(np.linalg.norm(A))
-    norm_sq_of_square = float(np.linalg.norm(A @ A))
-    if norm_sq_of_square <= NILPOTENT_REL_TOL * max(1.0, norm * norm):
+    P = np.ldexp(A, -math.frexp(np.abs(A).max(initial=0.0))[1])
+    if not (P @ P).any():
         return np.eye(n) + A * t
     import scipy.linalg  # loaded on first use: most commands never form exp(A t)
 

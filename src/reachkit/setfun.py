@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from math import comb
 from typing import Iterable
 
@@ -52,8 +51,8 @@ import numpy as np
 from . import linalg
 from .errors import CapacityError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, column_stacks,
-    dist_sq_to_ranges, subset_stacks,
+    DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, dist_sq_to_ranges,
+    subset_stacks,
 )
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
@@ -305,17 +304,16 @@ def _fill(fn: ColumnSelectionFunction, values: np.ndarray, masks: np.ndarray | N
     bitmask when None), one stacked kernel call per chunk of equal-size
     subsets."""
     l = fn.ground_size
-    if masks is None:
-        stacks = chain.from_iterable(column_stacks(fn.M, k) for k in range(l + 1))
-    else:
-        bits = masks[:, None] >> np.arange(l) & 1
-        sizes = bits.sum(axis=1)
-        groups = (bits[sizes == k] for k in np.flatnonzero(np.bincount(sizes)))
-        stacks = chain.from_iterable(
-            subset_stacks(fn.M, np.nonzero(g)[1].reshape(len(g), -1)) for g in groups
-        )
-    for idx, stack in stacks:
-        values[(1 << idx).sum(axis=1)] = _values(fn, stack, tol)
+    masks = np.arange(1 << l) if masks is None else masks
+    bits = masks[:, None] >> np.arange(l) & 1
+    sizes = bits.sum(axis=1)
+    # the members of every subset, row by row, the smallest subsets first
+    cols = np.nonzero(bits[np.argsort(sizes, kind="stable")])[1]
+    end = 0
+    for k, count in enumerate(np.bincount(sizes).tolist()):
+        start, end = end, end + k * count
+        for chunk, stack in subset_stacks(fn.M, cols[start:end].reshape(count, k)):
+            values[(1 << chunk).sum(axis=1)] = _values(fn, stack, tol)
 
 
 def _value_table(fn: ColumnSelectionFunction, tol: Tolerance,

@@ -17,9 +17,12 @@ That space is represented by an orthonormal basis built by block Arnoldi
 applied to the previous block's new directions, orthonormalized against the
 basis so far by :func:`reachkit.linalg.extend_basis`.  The first block is
 judged against ``sigma_max(B)`` (``LinearSystem.input_scale``), which does
-not depend on ``S``, and every later block against ``||A||_F``, so verdicts
-do not change when ``A`` and the time window are rescaled together
-(``A -> c A``, ``t -> t / c``).  The verdict is taken on the offset scaled by
+not depend on ``S``, and every later block against ``||A||_F``
+(``LinearSystem.drift_scale``), so verdicts do not change when ``A`` and the
+time window are rescaled together (``A -> c A``, ``t -> t / c``).  Both
+scales are cached on the system.  The norms of data that may be huge,
+``||A||_F`` and the offset's, follow one rule (:func:`_peak_norm`): divide by
+the largest entry first.  The verdict is taken on the offset scaled by
 ``max(1, ||offset||)`` (``LinearSystem.scaled_offset``), so an offset whose
 squared norm overflows is still judged.
 
@@ -54,6 +57,17 @@ from .linalg import (
     extend_basis,
     mat_exp,
 )
+
+
+def _peak_norm(M: np.ndarray, what: str) -> float:
+    """Frobenius norm of ``M``, taken after dividing by its largest entry so
+    that squaring does not overflow.  Raises ValueError naming ``what`` when
+    the norm itself exceeds the float range."""
+    peak = float(np.max(np.abs(M), initial=0.0))
+    norm = peak * float(np.linalg.norm(M / peak)) if peak else 0.0
+    if norm == float("inf"):
+        raise ValueError(f"{what} norm exceeds the float range")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -118,20 +132,16 @@ class LinearSystem:
         return float(np.linalg.norm(self.B, 2))
 
     @cached_property
+    def drift_scale(self) -> float:
+        """``||A||_F``, the scale every Krylov block after the first is judged
+        against; computed once per system by :func:`_peak_norm`."""
+        return _peak_norm(self.A, "drift matrix A")
+
+    @cached_property
     def offset_scale(self) -> float:
         """``max(1, ||offset||)``, the scale that feasibility verdicts and
-        structural bounds divide the offset by.
-
-        The norm is taken after dividing by the largest entry, so squaring
-        does not overflow.  Raises ValueError when the norm itself exceeds
-        the float range.
-        """
-        w = self.offset
-        peak = float(np.max(np.abs(w), initial=0.0))
-        norm = peak * float(np.linalg.norm(w / peak)) if peak else 0.0
-        if norm == float("inf"):
-            raise ValueError("transfer offset norm exceeds the float range")
-        return max(1.0, norm)
+        structural bounds divide the offset by (:func:`_peak_norm`)."""
+        return max(1.0, _peak_norm(self.offset, "transfer offset"))
 
     @cached_property
     def scaled_offset(self) -> np.ndarray:
@@ -249,24 +259,26 @@ def reachability_matrix(
     diagonal ``B``) a node kept in ``S`` stays kept in every superset, and
     feasibility is monotone in ``S``.  Each later block is ``A`` times the
     previous block's new directions, projected off the basis and kept where
-    its singular values reach ``rank_rel * ||A||_F``.  ``p`` defaults to ``n - 1``
-    and the loop stops as soon as a block adds no direction; the span is
-    unchanged, since ``A`` then maps the basis into itself.  An empty ``S``,
-    or one whose rows of ``B`` are all zero, yields the all-zero ``n x m``
-    block.  A ``max_power`` that is not a nonnegative integer raises
-    ValueError, whatever ``S``.
+    its singular values reach ``rank_rel * ||A||_F``
+    (``LinearSystem.drift_scale``, computed once per system), so the rank
+    decisions hold under ``A -> c A`` at every ``c`` whose data are finite.
+    ``p`` defaults to ``n - 1`` and the loop stops as soon as a block adds no
+    direction; the span is unchanged, since ``A`` then maps the basis into
+    itself.  An empty ``S``, or one whose rows of ``B`` are all zero, yields
+    the all-zero ``n x m`` block.  A ``max_power`` that is not a nonnegative integer raises
+    ValueError, whatever ``S``, and so does an ``A`` whose norm exceeds the
+    float range, once a second block is formed.
     """
     p = sys.n - 1 if max_power is None else as_count(max_power, "max_power")
     Q = extend_basis(None, input_columns(sys, S)[0], tol, scale=sys.input_scale)
     if Q.shape[1] == 0:
         return np.zeros_like(sys.B)
-    a_scale = float(np.linalg.norm(sys.A))
     new = Q
     for _ in range(p):
         rank = Q.shape[1]
         if rank == sys.n:
             break
-        Q = extend_basis(Q, sys.A @ new, tol, scale=a_scale)
+        Q = extend_basis(Q, sys.A @ new, tol, scale=sys.drift_scale)
         if Q.shape[1] == rank:
             break
         new = Q[:, rank:]

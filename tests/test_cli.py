@@ -66,6 +66,18 @@ class TestCheckFeasible:
         assert main(["check-feasible", str(path), "--actuate", "1"]) == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_drift_norm_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # ||A||_F is about 2e308, so no Krylov block after the first can be
+        # judged
+        sys = LinearSystem(
+            A=1e307 * np.ones((20, 20)), B=np.eye(20)[:, :1], t0=0.0, t1=1.0,
+            x0=np.zeros(20), x1=np.ones(20),
+        )
+        path = tmp_path / "huge-drift.json"
+        write_instance(InstanceDoc(system=sys), path)
+        assert main(["check-feasible", str(path), "--actuate", "1"]) == 2
+        assert "drift matrix A norm exceeds the float range" in capsys.readouterr().err
+
     def test_json_output(self, star_file, capsys):
         assert main(["check-feasible", star_file, "--actuate", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

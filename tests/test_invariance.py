@@ -13,7 +13,7 @@ import pytest
 
 from reachkit.linalg import numerical_rank
 from reachkit.solvers import exact_min_reach
-from reachkit.system import LinearSystem, is_feasible, reachability_matrix
+from reachkit.system import LinearSystem, is_feasible, reachability_matrix, star_system
 
 
 def exact_rank(rows):
@@ -139,6 +139,48 @@ class TestMetamorphic:
             twin = LinearSystem(A[np.ix_(perm, perm)], B[perm], 0.0, 1.0, zero, x1[perm])
             S_perm = sorted(int(inv[i - 1]) + 1 for i in S)
             assert is_feasible(twin, S_perm).feasible == base.feasible, (perm, S, T)
+
+
+def metamorphic_cases():
+    """The 150 systems and node sets of :class:`TestMetamorphic`, drawn in
+    its order."""
+    rng = np.random.default_rng(103)
+    for _ in range(150):
+        A, B, x1, T = random_sparse_case(rng)
+        n = A.shape[0]
+        S = T if rng.random() < 0.5 else random_subset(rng, n)
+        yield A, B, x1, S
+        rng.permutation(n)
+
+
+class TestExtremeRescaling:
+    """Time-rescaling far past ``1e±4``: ``||A||_F**2`` and the entries of
+    ``A @ A`` leave the float range from about ``c = 1e±154``, and
+    ``||A @ A||`` is tiny next to 1 for every small ``c``."""
+
+    def test_verdicts_survive_time_rescaling(self):
+        for A, B, x1, S in metamorphic_cases():
+            zero = np.zeros(A.shape[0])
+            base = is_feasible(LinearSystem(A, B, 0.0, 1.0, zero, x1), S)
+            for c in (1e-200, 1e-9, 1e-7, 1e155, 1e200):
+                twin = LinearSystem(c * A, B, 0.0, 1.0 / c, zero, x1)
+                assert is_feasible(twin, S).feasible == base.feasible, (c, S)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-9, 1e-7, 1e160])
+    def test_transfer_offset_survives_time_rescaling(self, c):
+        for A, B, x1, _ in metamorphic_cases():
+            ones = np.ones(A.shape[0])
+            w = LinearSystem(A, B, 0.0, 1.0, ones, x1).offset
+            twin = LinearSystem(c * A, B, 0.0, 1.0 / c, ones, x1).offset
+            assert np.linalg.norm(twin - w) <= 1e-12 * np.linalg.norm(w), c
+
+    def test_huge_star_keeps_the_minimum_set(self):
+        # ||A||_F**2 overflows: A e3 = 1e160 e1 must still count as a
+        # direction, so actuating node 3 alone reaches e1 + e3
+        star = star_system(5, x1=np.eye(5)[0] + np.eye(5)[2])
+        huge = LinearSystem(1e160 * star.A, star.B, 0.0, 1.0, star.x0, star.x1)
+        assert exact_min_reach(star).nodes == (3,)
+        assert exact_min_reach(huge).nodes == (3,)
 
 
 class TestOffsetScale:

@@ -196,6 +196,20 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-9, 1e160])
+    def test_rescaled_rotation(self, c):
+        # exp(c R t) with t = 1 / c is the rotation by 1 rad at every scale,
+        # although (c R)^2 underflows or overflows at the extremes
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])
+        rotation = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        np.testing.assert_allclose(mat_exp(c * R, 1.0 / c), rotation, rtol=0, atol=1e-14)
+
+    def test_small_matrix_that_does_not_square_to_zero(self):
+        A = 1e-7 * np.random.default_rng(31).normal(size=(3, 3))
+        assert np.linalg.norm(A) ** 2 < 1e-12
+        assert np.array_equal(mat_exp(A, 1.0), scipy.linalg.expm(A))
+        np.testing.assert_allclose(mat_exp(A, 1e7), scipy.linalg.expm(A * 1e7), rtol=1e-12)
+
 
 class TestTolerance:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])

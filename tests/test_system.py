@@ -287,6 +287,57 @@ class TestOverflowingOffset:
             np.testing.assert_allclose(sys.scaled_offset, np.array(x1) / scale, rtol=1e-15)
 
 
+class TestDriftScale:
+    """``LinearSystem.drift_scale`` is ``||A||_F``, the scale of every
+    Krylov block after the first."""
+
+    def test_matches_the_frobenius_norm(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            sys = random_system(rng, int(rng.integers(1, 12)))
+            assert sys.drift_scale == pytest.approx(np.linalg.norm(sys.A), rel=1e-15, abs=0.0)
+
+    def test_finite_where_the_squared_norm_overflows(self):
+        A = np.random.default_rng(41).normal(size=(6, 6))
+        sys = LinearSystem(1e200 * A, np.eye(6), 0.0, 1.0, np.zeros(6), np.ones(6))
+        assert sys.drift_scale == pytest.approx(1e200 * np.linalg.norm(A), rel=1e-15)
+
+    def test_computed_once_per_system(self, monkeypatch):
+        import reachkit.system
+
+        sys = random_system(np.random.default_rng(43), 10)
+        peak_norm = reachkit.system._peak_norm
+        norms_of_A = []
+
+        def counting(M, what):
+            norms_of_A.append(M is sys.A)
+            return peak_norm(M, what)
+
+        calls = []
+        krylov = reachkit.system.reachability_matrix
+
+        def counting_krylov(*args, **kwargs):
+            calls.append(1)
+            return krylov(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.system, "_peak_norm", counting)
+        monkeypatch.setattr(reachkit.system, "reachability_matrix", counting_krylov)
+        greedy_min_reach(sys)
+        assert len(calls) > 1
+        assert sum(norms_of_A) == 1
+
+    def test_norm_beyond_float_range_raises(self):
+        # ||A||_F is about 2e308; at A = ones, S = [1] reaches x1 = ones
+        # in two blocks
+        def system(A):
+            return LinearSystem(A, np.eye(20)[:, :1], 0.0, 1.0, np.zeros(20), np.ones(20))
+
+        verdict = is_feasible(system(np.ones((20, 20))), [1])
+        assert verdict.feasible and verdict.rank == 2
+        with pytest.raises(ValueError, match="drift matrix A norm exceeds the float range"):
+            is_feasible(system(1e307 * np.ones((20, 20))), [1])
+
+
 def graph_reach(A, B, i):
     """Nodes reachable from node ``i`` (1-based) by breadth-first search over
     the edges ``j -> k`` with ``A[k, j] != 0``; empty when row ``i`` of ``B``
