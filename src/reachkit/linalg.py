@@ -19,19 +19,22 @@ call per Krylov block in :mod:`reachkit.system`), though
 given.  Count arguments (grid sizes, caps, budgets, stack counts) and
 1-based indices follow one integer rule, :func:`as_count` and
 :func:`as_indices`; so do the counts the CLI reads from instance files,
-flags and the environment.  Brute-force scans over
-column subsets take their subsets in chunks, one stack of submatrices per
-chunk: :func:`reachkit.solvers.varsel_exact` from :func:`column_stacks` (all
-subsets of one size), :mod:`reachkit.setfun` from :func:`subset_stacks` (a
-given list of equal-size subsets).  Both measure them with
-:func:`range_bases` and :func:`dist_sq_to_bases` (together
-:func:`dist_sq_to_ranges`): one batched SVD per stack instead of one
-factorization per subset.  From ``l = 7`` on,
-:mod:`reachkit.setfun` measures most subsets by a certified Gram-Schmidt
-walk over the subset lattice and sends only the subsets whose verdicts are
-close to these stacks.  All
-thresholds come from a :class:`Tolerance`, so callers control numerical
-strictness in one place.  Functions never modify their inputs and hold no
+flags and the environment.
+
+The two brute-force scans over column subsets, :mod:`reachkit.setfun`
+(from ``l = 7``) and :func:`reachkit.solvers.varsel_exact` (sizes up to
+``m``), measure most subsets with one Gram-Schmidt walk over the subset
+lattice, :func:`lattice_walk` on the columns of :func:`unit_columns`: a
+subset's orthonormal basis grows from its parent's by one column, and a
+Gram-determinant bound certifies the subsets whose smallest singular value
+clears the caller's floor.  The subsets the walk does not certify, or whose
+verdicts it leaves close, go to stacks of submatrices, from
+:func:`subset_stacks` (a given list of equal-size subsets) or
+:func:`column_stacks` (all subsets of one size, for the sizes the walk does
+not reach), measured with :func:`range_bases` and :func:`dist_sq_to_bases`
+(together :func:`dist_sq_to_ranges`): one batched SVD per stack instead of
+one factorization per subset.  All thresholds come from a
+:class:`Tolerance`, so callers control numerical strictness in one place.  Functions never modify their inputs and hold no
 state; concurrent use is safe.
 """
 
@@ -39,13 +42,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 # column_stacks hands out at most this many subsets, and at most this many
-# matrix entries, per stack, which bounds the working memory of a scan.
+# matrix entries, per stack, which bounds the working memory of a scan; a
+# scan walks no lattice level whose bases hold more than STACK_ENTRIES.
 STACK_SUBSETS = 4096
 STACK_ENTRIES = 1 << 20
 
@@ -282,6 +287,95 @@ def subset_stacks(M: np.ndarray, idx: np.ndarray) -> Iterator[tuple[np.ndarray, 
     for start in range(0, len(idx), size):
         chunk = idx[start:start + size]
         yield chunk, M.T[chunk].transpose(0, 2, 1)
+
+
+@cache
+def _lattice_level(l: int, k: int) -> tuple[np.ndarray, ...]:
+    """How the ``(k + 1)``-subsets of ``l`` columns grow from the ``k``-subsets,
+    both in colex order, which is ascending bitmask order (bit ``j`` is
+    column ``j``).  Returns ``(parent, x, masks, members, drop)``: the
+    ``i``-th ``(k + 1)``-subset is ``S + x[i]`` with ``S`` the
+    ``parent[i]``-th ``k``-subset and ``x[i]`` above every member of ``S``;
+    ``masks[i]`` is its bitmask, ``members[:, i]`` its columns in ascending
+    order, and ``drop[j, i]`` the index of the ``k``-subset left when its
+    ``j``-th member is removed.  In colex order the ``k``-subsets below ``x``
+    are the first ``C(x, k)``."""
+    if k:
+        _, _, below, above, _ = _lattice_level(l, k - 1)
+    else:
+        below, above = np.zeros(1, dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
+    parent = np.concatenate([np.arange(math.comb(x, k)) for x in range(k, l)])
+    x = np.repeat(np.arange(k, l), [math.comb(x, k) for x in range(k, l)])
+    masks = below[parent] | 1 << x
+    members = np.concatenate([above[:, parent], x[None]])
+    drop = np.searchsorted(below, masks ^ 1 << members)
+    return parent, x, masks, members, drop
+
+
+def unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a nonzero ``M`` scaled to unit norm, as the rows of an
+    ``(l, m)`` array, and their squared norms relative to the largest.  A
+    zero column gives a row of NaN."""
+    M = M / np.abs(M).max()
+    norms2 = np.einsum("ij,ij->j", M, M)
+    with np.errstate(invalid="ignore"):
+        return (M / np.sqrt(norms2)).T, norms2 / norms2.max()
+
+
+def lattice_walk(
+    v: np.ndarray, N: np.ndarray, w: np.ndarray, floor: float
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Gram-Schmidt walk over the subset lattice of the unit columns ``N``
+    (rows, from :func:`unit_columns`, with relative squared norms ``w``),
+    certifying each subset at ``sigma_min(M(S)) >= floor * ||M(S)||_F``.
+
+    Yields, for ``k = 1 .. min(l, m)``, the ``k``-subsets in colex order as
+    ``(masks, members, d2, sig2, frob2)`` (see :func:`_lattice_level` for the
+    first two).  The child ``S + x`` appends the twice-projected column
+    ``x`` to the orthonormal basis of ``S``; ``d2`` is the squared distance
+    from ``v`` to that span, updated from the parent's residual.  The Gram
+    determinant of the unit columns gains the factor ``rho**2``, the squared
+    norm of the projected column.  ``frob2`` is ``||M(S)||_F**2`` and
+    ``sig2 = det G_S / sum_{i in S} det G_{S-i}``, with ``G`` the Gram matrix
+    of the columns scaled by ``sqrt(w)``, a lower bound on
+    ``sigma_min(M(S))**2``, both in units of the largest squared column norm
+    and summed over the members in ascending order.
+
+    ``sig2`` is NaN where it certifies nothing: where it is below
+    ``floor**2 * frob2``, and where some ``S - i`` is uncertified.  In exact
+    arithmetic the bound of ``S - i`` is at least that of ``S``, so the second
+    rule only drops subsets built on a step whose ``rho`` was too small for
+    Gram-Schmidt to keep its basis orthonormal; their determinants, and so
+    their bounds, are noise.  Each level's bases take ``C(l, k) * k * m``
+    floats, so a caller stops the walk at a level it cannot afford.
+    """
+    l, m = N.shape
+    det, frob2 = np.ones(1), np.zeros(1)
+    certified = np.ones(1, dtype=bool)
+    Q, r = np.zeros((1, 0, m)), v[None]
+    for k in range(min(l, m)):
+        parent, x, masks, members, drop = _lattice_level(l, k)
+        with np.errstate(all="ignore"):
+            child = np.empty((len(parent), k + 1, m))
+            Q = np.take(Q, parent, axis=0, out=child[:, :k])
+            c = N[x]
+            # Gram-Schmidt with one reorthogonalization; a first column has
+            # nothing to be projected off
+            for _ in range(2 if k else 0):
+                c -= np.einsum("bk,bkm->bm", np.einsum("bkm,bm->bk", Q, c), Q)
+            rho2 = np.einsum("ij,ij->i", c, c)
+            q = np.divide(c, np.sqrt(rho2)[:, None], out=child[:, k])
+            r = r[parent]
+            r -= np.einsum("ij,ij->i", r, q)[:, None] * q
+            den = np.add.accumulate(det[drop] / w[members])[-1]
+            det = det[parent] * rho2
+            sig2 = det / den
+            frob2 = frob2[parent] + w[x]
+            certified = (sig2 >= floor ** 2 * frob2) & certified[drop].all(axis=0)
+            sig2[~certified] = np.nan
+            level = masks, members, np.einsum("ij,ij->i", r, r), sig2, frob2
+        Q = child
+        yield level
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:

@@ -13,16 +13,20 @@ The kernel value of a subset is the batched SVD of
 and :func:`evaluate` is the same kernel on a stack of one, so the two agree
 bit for bit.  Below ``l = 7`` (the cost rule :func:`_is_lattice_cheaper`,
 fitted to timings) the checks take every value from the kernel.  From there
-on they walk the subset lattice one size at a time instead: the child
-``S + x``, with ``x`` above every member of ``S``, appends one twice-projected
-unit column to the orthonormal basis of ``S``, updates the residual of ``v``
-and multiplies the Gram determinant of ``S`` (columns scaled to unit norm) by
+on they walk the subset lattice one size at a time instead, with
+:func:`reachkit.linalg.lattice_walk`, the walk that screens
+:func:`reachkit.solvers.varsel_exact`'s supports too: the child ``S + x``,
+with ``x`` above every member of ``S``, appends one twice-projected unit
+column to the orthonormal basis of ``S``, updates the residual of ``v`` and
+multiplies the Gram determinant of ``S`` (columns scaled to unit norm) by
 the squared norm ``rho**2`` of that projected column.  A lattice value is
 used only where it is certified:
 
 * ``sigma_min(M(S))**2 >= det G_S / sum_{i in S} det G_{S-i}`` (an
   eigenvalue bound) must clear ``(SAFETY * rank_rel * ||M(S)||_F)**2``, so the
   kernel keeps every column of ``S`` and both compute the same distance;
+  every ``S - i`` must be certified too, or the walk's basis of ``S`` may
+  rest on a step that lost orthogonality;
 * a subset of more than ``m`` columns gets value 0 when it holds a certified
   ``m``-column subset whose bound clears ``SAFETY * rank_rel * ||M(S)||_F``:
   by interlacing its range is all of ``R^m`` for the kernel too;
@@ -42,7 +46,6 @@ differences of kernel values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 from typing import Iterable
 
@@ -52,7 +55,7 @@ from . import linalg
 from .errors import CapacityError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, dist_sq_to_ranges,
-    subset_stacks,
+    lattice_walk, subset_stacks, unit_columns,
 )
 
 # Both checks evaluate f on all 2^l column subsets: too many past this cap.
@@ -63,7 +66,8 @@ VIOLATION_SLACK = 1e-9
 
 # The lattice walk certifies a subset when its smallest singular value is
 # provably at least SAFETY * rank_rel * ||M(S)||_F, and then trusts its value
-# to ALLOW * eps * kappa * ||v||^2 * (m + 1) of the kernel's.
+# to ALLOW * eps * kappa * ||v||^2 * (m + 1) of the kernel's.  The
+# variable-selection screen of reachkit.solvers reads both at call time.
 SAFETY = 1e3
 ALLOW = 64.0
 _EPS = float(np.finfo(float).eps)
@@ -170,19 +174,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-@cache
-def _lattice_level(l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How the ``(k + 1)``-subsets of ``l`` columns grow from the ``k``-subsets,
-    both in colex order: ``(parent, x, mask)`` says the ``i``-th is ``S + x``
-    with ``S`` the ``parent[i]``-th ``k``-subset and ``x`` above every member
-    of ``S``, and gives its bitmask.  In colex order the ``k``-subsets below
-    ``x`` are the first ``C(x, k)``."""
-    masks = _lattice_level(l, k - 1)[2] if k else np.zeros(1, dtype=np.intp)
-    parent = np.concatenate([np.arange(comb(x, k)) for x in range(k, l)])
-    x = np.repeat(np.arange(k, l), [comb(x, k) for x in range(k, l)])
-    return parent, x, masks[parent] | 1 << x
-
-
 def _is_lattice_cheaper(l: int, m: int) -> bool:
     """Private cost rule: walk the lattice for large ground sets whose widest
     level of bases fits in ``STACK_ENTRIES`` entries (fitted to timings)."""
@@ -195,48 +186,28 @@ def _lattice_table(fn: ColumnSelectionFunction, tol: Tolerance) -> tuple[np.ndar
     """Lattice values of ``fn`` on every bitmask, NaN where uncertified, and
     a bound on how far each lies from the kernel's value.
 
-    Columns are scaled to unit norm, which changes no span; ``w`` holds their
-    squared norms relative to the largest, ``det`` the Gram determinant of
-    the unit columns of each subset and ``d2`` its squared distance.
+    :func:`reachkit.linalg.lattice_walk` gives the squared distance ``d2``
+    and the certified bound ``sig2`` on ``sigma_min**2`` (NaN where
+    uncertified) of every subset of at most ``m`` columns; ``w`` holds the
+    squared column norms relative to the largest.
     """
     v, M = fn.v, fn.M
     m, l = M.shape
-    M = M / np.abs(M).max()
-    norms2 = np.einsum("ij,ij->j", M, M)
-    w = norms2 / norms2.max()
-    N = (M / np.sqrt(norms2)).T
+    N, w = unit_columns(M)
     size = 1 << l
-    det = np.zeros(size)
     d2 = np.zeros(size)
-    det[0], d2[0] = 1.0, v @ v
-    Q, r = np.zeros((1, 0, m)), v[None]
-    for k in range(min(l, m)):
-        parent, x, masks = _lattice_level(l, k)
-        child = np.empty((len(parent), k + 1, m))
-        Q = np.take(Q, parent, axis=0, out=child[:, :k])
-        c = N[x]
-        for _ in range(2):  # Gram-Schmidt with one reorthogonalization
-            c -= np.einsum("bk,bkm->bm", np.einsum("bkm,bm->bk", Q, c), Q)
-        rho2 = np.einsum("ij,ij->i", c, c)
-        q = np.divide(c, np.sqrt(rho2)[:, None], out=child[:, k])
-        r = r[parent]
-        r -= np.einsum("ij,ij->i", r, q)[:, None] * q
-        # S + x from S: det G gains the factor rho^2
-        det[masks] = det[masks ^ 1 << x] * rho2
-        d2[masks] = np.einsum("ij,ij->i", r, r)
-        Q = child
-    del Q, child, c, q, r
-    # sigma_min(M(S))^2 >= det G_S / sum_i det G_{S-i}, in units of the
-    # largest squared column norm; frob2 = ||M(S)||_F^2 in the same units
+    sig2 = np.zeros(size)
+    # the empty set: det G = 1 over an empty sum
+    d2[0], sig2[0] = v @ v, np.inf
+    for masks, _, level_d2, level_sig2, _ in lattice_walk(v, N, w, SAFETY * tol.rank_rel):
+        d2[masks] = level_d2
+        sig2[masks] = level_sig2
+    # frob2 = ||M(S)||_F^2 in units of the largest squared column norm
     frob2 = np.zeros(size)
-    den = np.zeros(size)
     count = np.zeros(size, dtype=np.intp)
     for i in range(l):
         frob2[1 << i:2 << i] = frob2[:1 << i] + w[i]
         count[1 << i:2 << i] = count[:1 << i] + 1
-        view = den.reshape(-1, 2, 1 << i)
-        view[:, 1] += det.reshape(-1, 2, 1 << i)[:, 0] / w[i]
-    sig2 = det / den
     floor2 = (SAFETY * tol.rank_rel) ** 2 * frob2
     # an m-column subset that certifies rank m for a superset makes the
     # superset's span all of R^m (interlacing), so its distance is 0

@@ -11,20 +11,38 @@ infeasible, and its ``optimal`` flag is always False).  Both decide each node
 set with :func:`reachkit.system.is_feasible`; variable selection and the
 reduction's backward map fit supports with :func:`fit_support`.
 
-Variable selection screens each size's supports before fitting them.  For
-a chunk of equal-size supports, one batched SVD
-(:func:`reachkit.linalg.range_bases` with ``rank_rel = eps``) gives the
+Variable selection screens each size's supports before fitting them.  The
+screen's rule is a lower bound from one batched SVD per chunk of equal-size
+supports (:func:`reachkit.linalg.range_bases` with ``rank_rel = eps``): the
 distance from ``z`` to the span of each support's columns.  That span keeps
 every direction that ``lstsq``'s cutoff ``eps max(m, k) sigma_max`` keeps,
 so the distance bounds the support's least-squares residual from below, up
 to roundoff: on columns whose singular values spread by a factor ``kappa``,
 the residual ``lstsq`` computes can fall short of the exact one by about
 ``eps * kappa * ||z||``.  A support is skipped when its bound exceeds the fit
-budget by more than ``feas_rel * max(1, ||z||)`` plus ``SCREEN_ROUNDOFF``
-times that roundoff; so a support with a nonzero singular value below
-``eps * sigma_max`` is always fitted.  The supports left are fitted by
-:func:`fit_support` in lexicographic order, so the support, ``y`` and
-``residual`` returned are those of the unscreened scan.
+budget by more than ``margin = delta + 2 feas_rel * max(1, ||z||)`` plus
+``SCREEN_ROUNDOFF`` times that roundoff; so a support with a nonzero
+singular value below ``eps * sigma_max`` is always fitted.
+
+Sizes ``1 <= k <= m`` whose level of bases fits in ``STACK_ENTRIES`` floats
+take most of those verdicts from the Gram-Schmidt walk over the subset
+lattice that :mod:`reachkit.setfun` uses too
+(:func:`reachkit.linalg.lattice_walk`), walked one size further only when
+the size before fitted nothing.  Its certification is the set-function
+checks': ``sigma_min**2 >= det G_S / sum_{i in S} det G_{S-i}`` must clear
+``(setfun.SAFETY * eps * ||U(S)||_F)**2`` for ``S`` and for every ``S - i``.
+A certified distance ``d`` then lies within ``a = setfun.ALLOW * eps *
+(m + 1) * kappa * ||z||`` of the bound's, and within ``a * ||z||`` in
+squared distance (observed: at most 0.02 of either), where ``kappa =
+||U(S)||_F / sigma_min bound`` is at least the bound's spread.  A certified
+support is skipped when ``d**2 - a ||z||`` exceeds ``(margin + roundoff *
+kappa)**2``, and fitted without the bound when ``d + a`` is at most
+``margin + roundoff``; both are verdicts the bound would give.  Every other
+support (uncertified ones, those with zero or repeated columns, and every
+size past ``m`` or past the walk) gets the bound itself.  The
+supports left are fitted by :func:`fit_support` in lexicographic order, so
+the supports fitted are those the bound alone keeps, and the support, ``y``
+and ``residual`` returned are those of the unscreened scan.
 
 Both node-set solvers first consult the structural bound cached as
 ``LinearSystem.reach``: the squared mass of the scaled offset off the reach
@@ -52,10 +70,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg, setfun
 from .errors import CapacityError, InfeasibleError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_matrix, as_vector, column_stacks,
-    dist_sq_to_bases, range_bases,
+    dist_sq_to_bases, lattice_walk, range_bases, subset_stacks, unit_columns,
 )
 from .system import LinearSystem, is_feasible
 
@@ -82,6 +101,8 @@ GREEDY_SKIP_FACTOR = 2.0
 # eps * kappa * ||z||; the variable-selection screen allows this many times
 # that on top of its feasibility margin.
 SCREEN_ROUNDOFF = 64.0
+
+_EPS = float(np.finfo(float).eps)
 
 # Entries of a variable-selection vector at or below this magnitude count as
 # zero when its support is read off.
@@ -204,6 +225,50 @@ def fit_support(
     coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
     y[idx] = coef
     return y, float(np.linalg.norm(cols @ coef - target))
+
+
+def _bound_keeps(
+    z: np.ndarray, stack: np.ndarray, margin: float, roundoff: float
+) -> np.ndarray:
+    """Which supports of a stack of equal-size column submatrices the
+    batched-SVD bound keeps: those whose distance from ``z`` exceeds
+    ``margin`` by at most ``roundoff`` times their singular-value spread."""
+    Q, s = range_bases(stack, _EPS)
+    bound = np.sqrt(dist_sq_to_bases(z, Q))
+    spread = s.max(axis=1, initial=0.0) / np.min(
+        s, axis=1, where=s > 0.0, initial=np.inf
+    )
+    # a NaN limit, from an ||z|| that overflows, skips nothing
+    return ~(bound > margin + roundoff * spread)
+
+
+def _lattice_survivors(
+    inst: VarSelInstance, level: tuple[np.ndarray, ...], margin: float, roundoff: float
+) -> np.ndarray:
+    """The supports of one level of :func:`reachkit.linalg.lattice_walk`
+    that :func:`_bound_keeps` keeps, as rows of 0-based columns in
+    lexicographic order.  Certified supports are decided from the walk (see
+    the module docstring); the rest get the bound itself."""
+    _, members, d2, sig2, frob2 = level
+    m = inst.U.shape[0]
+    z_norm = inst._z_norm
+    # an uncertified support has a NaN bound, so both tests below are False
+    with np.errstate(all="ignore"):
+        kappa = np.maximum(1.0, np.sqrt(frob2 / sig2))
+        # how far a certified distance may lie from the bound's, times ||z||
+        # in squared distance
+        allow = setfun.ALLOW * _EPS * (m + 1) * z_norm * kappa
+        skip = d2 - allow * z_norm > (margin + roundoff * kappa) ** 2
+        keep = np.sqrt(d2) + allow <= margin + roundoff
+    left = np.flatnonzero(~skip)
+    left = left[np.lexsort(members[::-1, left])]
+    idx, keep = members[:, left].T, keep[left]
+    if not keep.all():
+        keep[~keep] = np.concatenate([
+            _bound_keeps(inst.z, stack, margin, roundoff)
+            for _, stack in subset_stacks(inst.U, idx[~keep])
+        ])
+    return idx[keep]
 
 
 def exact_min_reach(
@@ -349,8 +414,8 @@ def varsel_exact(
     Supports are scanned by increasing size and lexicographically within each
     size; each candidate support gets a least-squares fit of ``z`` over the
     selected columns, and the first support whose residual meets the budget
-    (:meth:`VarSelInstance.fits`) wins.  Supports whose stacked lower bound
-    rules them out are not fitted (see the module docstring).
+    (:meth:`VarSelInstance.fits`) wins.  Supports whose lower bound rules
+    them out are not fitted (see the module docstring).
     """
     m, l = inst.U.shape
     if l > as_count(cap, "cap"):
@@ -358,19 +423,24 @@ def varsel_exact(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )
     margin = inst.delta + 2.0 * inst.slack(tol)
-    eps = float(np.finfo(float).eps)
-    roundoff = SCREEN_ROUNDOFF * eps * inst._z_norm
+    roundoff = SCREEN_ROUNDOFF * _EPS * inst._z_norm
+    walk = None
+    if inst.U.any():
+        walk = lattice_walk(inst.z, *unit_columns(inst.U), setfun.SAFETY * _EPS)
     for k in range(l + 1):
-        for idx, stack in column_stacks(inst.U, k):
-            Q, s = range_bases(stack, eps)
-            bound = np.sqrt(dist_sq_to_bases(inst.z, Q))
-            spread = s.max(axis=1, initial=0.0) / np.min(
-                s, axis=1, where=s > 0.0, initial=np.inf
+        walkable = k <= m and m * comb(l, k) * k <= linalg.STACK_ENTRIES
+        if k and walk is not None and walkable:
+            chunks = [_lattice_survivors(inst, next(walk), margin, roundoff)]
+        else:
+            if k:
+                walk = None  # the walk cannot skip a level
+            chunks = (
+                idx[_bound_keeps(inst.z, stack, margin, roundoff)]
+                for idx, stack in column_stacks(inst.U, k)
             )
-            # a NaN limit, from an ||z|| that overflows, skips nothing
-            skip = bound > margin + roundoff * spread
-            for row in np.flatnonzero(~skip).tolist():
-                support = tuple((idx[row] + 1).tolist())
+        for chunk in chunks:
+            for row in chunk.tolist():
+                support = tuple(j + 1 for j in row)
                 y, residual = fit_support(inst.U, support, inst.z)
                 if inst.fits(residual, tol):
                     return VarSelResult(

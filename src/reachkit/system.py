@@ -128,8 +128,12 @@ class LinearSystem:
     @cached_property
     def input_scale(self) -> float:
         """``sigma_max(B)``, the scale the first Krylov block of every node
-        set is judged against; computed once per system."""
-        return float(np.linalg.norm(self.B, 2))
+        set is judged against; computed once per system.  Raises ValueError
+        when it exceeds the float range."""
+        scale = float(np.linalg.norm(self.B, 2))
+        if not np.isfinite(scale):
+            raise ValueError("input matrix B norm exceeds the float range")
+        return scale
 
     @cached_property
     def drift_scale(self) -> float:

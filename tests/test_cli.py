@@ -78,6 +78,21 @@ class TestCheckFeasible:
         assert main(["check-feasible", str(path), "--actuate", "1"]) == 2
         assert "drift matrix A norm exceeds the float range" in capsys.readouterr().err
 
+    def test_input_norm_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # sigma_max(B) is about 2.4e308, so the first Krylov block cannot be
+        # judged
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.array([[1.7e308, 0.0], [1.7e308, 1.0]]), t0=0.0,
+            t1=1.0, x0=np.zeros(2), x1=np.array([0.0, 1.0]),
+        )
+        path = tmp_path / "huge-input.json"
+        write_instance(InstanceDoc(system=sys), path)
+        for argv in (["check-feasible", str(path), "--actuate", "1", "2"], ["solve-exact", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "input matrix B norm exceeds the float range" in err
+            assert "Traceback" not in err
+
     def test_json_output(self, star_file, capsys):
         assert main(["check-feasible", star_file, "--actuate", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

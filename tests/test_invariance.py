@@ -3,7 +3,10 @@
 Rank and membership decisions are checked against exact rational arithmetic
 and against metamorphic twins of random systems: time-rescaling
 (``A -> c A``, ``t1 -> t1 / c``), positive scaling of ``B``, and node
-permutations.
+permutations.  Variable selection keeps its support when the columns of
+``U`` are scaled or ``(U, z, delta)`` is scaled together, and the
+set-function checks keep their verdicts and witnesses when the columns of
+``M`` are scaled: none of these changes a span.
 """
 
 from fractions import Fraction
@@ -12,8 +15,11 @@ import numpy as np
 import pytest
 
 from reachkit.linalg import numerical_rank
-from reachkit.solvers import exact_min_reach
+from reachkit.setfun import ColumnSelectionFunction, check_monotone, check_supermodular
+from reachkit.solvers import VarSelInstance, exact_min_reach, varsel_exact
 from reachkit.system import LinearSystem, is_feasible, reachability_matrix, star_system
+
+from helpers import orthonormal_fn, planted_varsel, planted_violation_fn
 
 
 def exact_rank(rows):
@@ -209,3 +215,45 @@ class TestOffsetScale:
             tiny = LinearSystem(A, B, 0.0, 1.0, np.zeros(n), 1e-200 * x1)
             result = exact_min_reach(tiny)
             assert result.nodes == () and result.feasible
+
+
+def planted_varsel_cases():
+    """60 planted instances, 20 each of shapes 6x10, 7x12 and 8x16, with
+    supports of size 1 to 3 and budgets 0 or 1e-3."""
+    rng = np.random.default_rng(163)
+    for trial in range(60):
+        m, l = [(6, 10), (7, 12), (8, 16)][trial % 3]
+        inst = planted_varsel(rng, m, l, trial % 9 // 3 + 1)
+        yield VarSelInstance(U=inst.U, z=inst.z, delta=float(rng.choice([0.0, 1e-3])))
+
+
+class TestVarselScaling:
+    def test_column_scaling_keeps_the_support(self):
+        rng = np.random.default_rng(167)
+        for inst in planted_varsel_cases():
+            scale = np.exp(rng.uniform(-5.0, 5.0, size=inst.U.shape[1]))
+            twin = VarSelInstance(U=inst.U * scale, z=inst.z, delta=inst.delta)
+            assert varsel_exact(twin).support == varsel_exact(inst).support
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_scaling_the_instance_keeps_the_support(self, c):
+        for inst in planted_varsel_cases():
+            twin = VarSelInstance(U=c * inst.U, z=c * inst.z, delta=c * inst.delta)
+            assert varsel_exact(twin).support == varsel_exact(inst).support
+
+
+class TestSetfunColumnScaling:
+    def test_column_scaling_keeps_verdicts_and_witnesses(self):
+        rng = np.random.default_rng(173)
+        for trial in range(24):
+            l = 5 + trial % 6
+            fn = (planted_violation_fn if trial % 2 else orthonormal_fn)(rng, l)
+            scale = np.exp(rng.uniform(-5.0, 5.0, size=l))
+            twin = ColumnSelectionFunction(v=fn.v, M=fn.M * scale)
+            report, scaled = check_supermodular(fn), check_supermodular(twin)
+            assert scaled.monotone_nonincreasing == report.monotone_nonincreasing
+            assert scaled.supermodular == report.supermodular
+            if report.violation is not None:
+                w, t = report.violation, scaled.violation
+                assert (t.subset, t.superset, t.element) == (w.subset, w.superset, w.element)
+            assert check_monotone(twin) == check_monotone(fn)

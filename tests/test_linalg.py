@@ -16,10 +16,12 @@ from reachkit.linalg import (
     dist_sq_to_range,
     dist_sq_to_ranges,
     extend_basis,
+    lattice_walk,
     mat_exp,
     numerical_rank,
     range_bases,
     range_basis,
+    unit_columns,
 )
 
 # The 3x3 dictionary and target used throughout: the target is orthogonal to
@@ -367,3 +369,53 @@ class TestColumnStacks:
         # one subset even when it alone exceeds the entry bound
         idx, stack = next(column_stacks(np.zeros((STACK_ENTRIES // 2 + 1, 2)), 2))
         assert len(idx) == 1
+
+
+class TestLatticeWalk:
+    FLOOR = 1e3 * np.finfo(float).eps
+
+    def test_levels_hold_every_subset_in_colex_order(self):
+        M = np.random.default_rng(251).normal(size=(5, 7))
+        levels = list(lattice_walk(np.ones(5), *unit_columns(M), self.FLOOR))
+        assert len(levels) == 5
+        for k, (masks, members, d2, sig2, frob2) in enumerate(levels, start=1):
+            subsets = sorted(combinations(range(7), k), key=lambda S: sum(1 << j for j in S))
+            assert [tuple(col) for col in members.T.tolist()] == subsets
+            assert masks.tolist() == [sum(1 << j for j in S) for S in subsets]
+            assert d2.shape == sig2.shape == frob2.shape == (len(subsets),)
+
+    @pytest.mark.parametrize("spread", [0.0, 5.0])
+    def test_values_match_the_stacked_kernel(self, spread):
+        # columns scaled by e^[-spread, spread]
+        rng = np.random.default_rng(257)
+        for _ in range(10):
+            m, l = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+            M = rng.normal(size=(m, l)) * np.exp(rng.uniform(-spread, spread, size=l))
+            v = rng.normal(size=m)
+            norms2 = (M * M).sum(axis=0)
+            for masks, members, d2, sig2, frob2 in lattice_walk(v, *unit_columns(M), self.FLOOR):
+                stack = np.stack([M[:, S] for S in members.T])
+                kernel = dist_sq_to_ranges(v, stack, np.finfo(float).eps)
+                np.testing.assert_allclose(d2, kernel, rtol=0, atol=1e-12 * (v @ v))
+                np.testing.assert_allclose(frob2 * norms2.max(), (stack**2).sum(axis=(1, 2)), rtol=1e-13)
+                # a lower bound on sigma_min^2, in units of the largest
+                # squared column norm
+                smin2 = np.linalg.svd(stack, compute_uv=False)[:, -1] ** 2 / norms2.max()
+                assert not np.isnan(sig2).any()
+                assert (sig2 <= smin2 * (1 + 1e-9)).all()
+
+    def test_dependent_columns_certify_nothing(self):
+        # columns 1-3 are equal, 5 and 6 are equal and column 4 is column 1
+        # plus column 7: the Gram determinant of a subset built on a step
+        # that adds a dependent column is noise, and so is every bound built
+        # on it, however large
+        M = 0.1 * np.array([[0, 0, 0, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 0, 0, 0.0]])
+        for _, members, _, sig2, _ in lattice_walk(np.ones(3), *unit_columns(M), self.FLOOR):
+            for S, bound in zip(members.T.tolist(), sig2):
+                assert np.isnan(bound) == (np.linalg.matrix_rank(M[:, S]) < len(S)), S
+
+    def test_zero_column_gives_nan(self):
+        M = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        masks, members, d2, sig2, frob2 = next(lattice_walk(np.ones(2), *unit_columns(M), self.FLOOR))
+        assert np.isnan(sig2).tolist() == [False, True, False]
+        assert np.isnan(d2).tolist() == [False, True, False]

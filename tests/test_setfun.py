@@ -18,6 +18,8 @@ from reachkit.setfun import (
     evaluate,
 )
 
+from helpers import orthonormal_fn, planted_violation_fn
+
 # Target orthogonal to columns 1 and 3; columns 1 and 2 span the plane x3 = 0.
 V = np.array([-1.0, 1.0, 1.0])
 M = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -85,27 +87,6 @@ def nested_pair_scan(fn):
                             subset, superset = tuple(sorted(a_set)), tuple(sorted(sup))
                             return monotone, False, (subset, superset, x, lhs, rhs)
     return monotone, True, None
-
-
-def planted_violation_fn(rng, l):
-    """Columns p = v + u and q = u with u orthogonal to v and ||u|| = ||v||:
-    adding p to {} lowers f by ||v||^2 / 2, adding p to {q} by ||v||^2."""
-    m = l // 2 + 2
-    v = rng.normal(size=m)
-    u = rng.normal(size=m)
-    u -= (u @ v) / (v @ v) * v
-    u *= np.linalg.norm(v) / np.linalg.norm(u)
-    M = rng.normal(size=(m, l))
-    p, q = rng.choice(l, size=2, replace=False)
-    M[:, p] = v + u
-    M[:, q] = u
-    return ColumnSelectionFunction(v=v, M=M)
-
-
-def orthonormal_fn(rng, l):
-    """Orthonormal columns make the function modular, hence supermodular."""
-    Q, _ = np.linalg.qr(rng.normal(size=(l + 2, l)))
-    return ColumnSelectionFunction(v=rng.normal(size=l + 2), M=Q)
 
 
 def report_tuple(report):
@@ -416,6 +397,21 @@ class TestLatticeScreen:
 
     def test_small_ground_sets_keep_the_kernel_table(self):
         assert _value_table(counterexample(), DEFAULT_TOL, local=True)[1] is None
+
+    def test_dependent_columns_stay_within_the_allowance(self):
+        # columns 1-3 are equal, 5 and 6 are equal and column 4 is column 1
+        # plus column 7; a subset whose walk added a dependent column has a
+        # Gram bound of noise, which must certify nothing
+        M = 0.1 * np.array([[0, 0, 0, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 0, 0, 0.0]])
+        rng = np.random.default_rng(109)
+        for _ in range(5):
+            fn = ColumnSelectionFunction(v=rng.normal(size=3), M=M)
+            with np.errstate(all="ignore"):
+                lattice, err = _lattice_table(fn, DEFAULT_TOL)
+            certified = ~np.isnan(lattice)
+            assert certified.sum() > len(lattice) // 2
+            gap = np.abs(lattice - kernel_table(fn))
+            assert (gap[certified] <= err[certified]).all()
 
     def test_planted_with_small_chunks(self, monkeypatch):
         rng = np.random.default_rng(107)

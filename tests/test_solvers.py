@@ -26,7 +26,7 @@ from reachkit.solvers import (
 )
 from reachkit.system import LinearSystem, is_feasible, star_system, transfer_offset
 
-from helpers import plant_instance, random_source_matrix
+from helpers import plant_instance, planted_varsel, random_source_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -503,15 +503,6 @@ class TestFitSupport:
             np.testing.assert_allclose(result.residual, ref[3], rtol=1e-12, atol=0)
 
 
-def planted_varsel(rng, m, l, k):
-    """Gaussian dictionary with z an exact combination of its last k
-    columns, the last support of size k that the scan reaches."""
-    U = rng.normal(size=(m, l))
-    y = np.zeros(l)
-    y[l - k :] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k)
-    return VarSelInstance(U=U, z=U @ y, delta=0.0)
-
-
 def awkward_dictionary(rng, m, l):
     """Gaussian columns, then a zero column, a duplicate column and columns
     that are near-combinations of others (singular-value ratios 1e-16 to
@@ -642,6 +633,63 @@ class TestVarselScreen:
         assert result.support == tuple(range(l - k + 1, l + 1))
         assert comb(l, k) > reachkit.linalg.STACK_SUBSETS
         assert peak < whole / 2
+
+    def test_lattice_fits_the_supports_the_bound_fits(self, monkeypatch):
+        # SAFETY * eps = inf certifies nothing, so every support gets the
+        # batched-SVD bound; the lattice's verdicts must be the bound's
+        rng = np.random.default_rng(239)
+        cases = []
+        for trial in range(60):
+            m, l = int(rng.integers(2, 7)), int(rng.integers(5, 9))
+            U = awkward_dictionary(rng, m, l)
+            if trial % 2:
+                z = rng.normal(size=m)
+            else:
+                z = U[:, rng.choice(l, size=trial % 3 + 1, replace=False)].sum(axis=1)
+            cases.append(VarSelInstance(U=U, z=z, delta=float(rng.choice([0.0, 1e-3, 0.5]))))
+        fitted = []
+        fit = reachkit.solvers.fit_support
+
+        def recording(U, support, target):
+            fitted.append(tuple(support))
+            return fit(U, support, target)
+
+        def run(inst):
+            fitted.clear()
+            try:
+                result = varsel_exact(inst)
+            except InfeasibleError:
+                return None, list(fitted)
+            return (result.support, result.y.tobytes(), result.residual), list(fitted)
+
+        monkeypatch.setattr(reachkit.solvers, "fit_support", recording)
+        runs = [run(inst) for inst in cases]
+        monkeypatch.setattr(reachkit.setfun, "SAFETY", np.inf)
+        for inst, default in zip(cases, runs):
+            assert run(inst) == default
+            ref = lstsq_varsel(inst)
+            if ref is None:
+                assert default[0] is None
+            else:
+                assert default[0] == (ref[1], ref[0].tobytes(), ref[3])
+
+    def test_planted_instance_needs_no_svd(self, monkeypatch):
+        inst = planted_varsel(np.random.default_rng(241), 8, 16, 3)
+        calls = {"svd": 0, "lstsq": 0}
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+        def counting_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counting_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        assert varsel_exact(inst).support == (14, 15, 16)
+        assert calls == {"svd": 0, "lstsq": 1}
 
 
 class TestTransferOffset:

@@ -338,6 +338,36 @@ class TestDriftScale:
             is_feasible(system(1e307 * np.ones((20, 20))), [1])
 
 
+class TestInputScale:
+    """``LinearSystem.input_scale`` is ``sigma_max(B)``, the scale of the
+    first Krylov block of every node set."""
+
+    @staticmethod
+    def system(B):
+        return LinearSystem(
+            A=np.zeros((2, 2)), B=np.array(B), t0=0.0, t1=1.0,
+            x0=np.zeros(2), x1=np.array([0.0, 1.0]),
+        )
+
+    def test_finite_values_are_the_spectral_norm(self):
+        rng = np.random.default_rng(47)
+        for B in [rng.normal(size=(2, int(rng.integers(1, 4)))) for _ in range(20)] + [
+            [[1e308, 0.0], [0.0, 1.0]], [[1.7e308, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
+        ]:
+            assert self.system(B).input_scale == float(np.linalg.norm(np.array(B), 2))
+
+    def test_norm_beyond_float_range_raises(self):
+        # B is full rank; with its 1.7e308 entries replaced by 1, S = {1, 2}
+        # reaches e2 with rank 2
+        verdict = is_feasible(self.system([[1.0, 0.0], [1.0, 1.0]]), [1, 2])
+        assert verdict.feasible and verdict.rank == 2
+        huge = self.system([[1.7e308, 0.0], [1.7e308, 1.0]])
+        with pytest.raises(ValueError, match="input matrix B norm exceeds the float range"):
+            is_feasible(huge, [1, 2])
+        with pytest.raises(ValueError, match="input matrix B norm exceeds the float range"):
+            exact_min_reach(huge)
+
+
 def graph_reach(A, B, i):
     """Nodes reachable from node ``i`` (1-based) by breadth-first search over
     the edges ``j -> k`` with ``A[k, j] != 0``; empty when row ``i`` of ``B``
