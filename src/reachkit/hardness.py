@@ -118,12 +118,13 @@ def forward_map(
 
     ``y`` must satisfy ``U y = all-ones`` within the source instance's fit
     slack, ``feas_rel * max(1, sqrt(m))`` (``delta`` is not added).  Its
-    support, the 1-based indices of its entries above ``1e-12`` in magnitude
-    (the rule ``norm0`` counts by), shifts by ``n - l`` into node indices; a
-    declared ``support`` must equal it.  The resulting set is feasible with
-    cardinality ``norm0`` by construction, and that is asserted here: a
-    failure raises :class:`ReductionIntegrityError` because it means the
-    kernel, not the caller, is wrong.
+    support, the 1-based indices of its entries above ``1e-12`` times its
+    largest magnitude (the rule ``norm0`` counts by,
+    :func:`reachkit.solvers.check_varsel_solution`), shifts by ``n - l``
+    into node indices; a declared ``support`` must equal it.  The resulting
+    set is feasible with cardinality ``norm0`` by construction, and that is
+    asserted here: a failure raises :class:`ReductionIntegrityError` because
+    it means the kernel, not the caller, is wrong.
     """
     l, n = inst.dims.l, inst.dims.n
     check = check_varsel_solution(inst.source, y, tol)

@@ -14,9 +14,8 @@ columns and keeps only the directions whose singular value clears
 :func:`range_basis` and :func:`dist_sq_to_range` are thin wrappers over it
 that validate their arguments; library code calls :func:`extend_basis` and
 :func:`dist_sq_to_basis` directly on arrays it has already validated (one
-call per Krylov block in :mod:`reachkit.system`), though
-:func:`extend_basis` still runs :func:`as_matrix` on every block it is
-given.  Count arguments (grid sizes, caps, budgets, stack counts) and
+call per Krylov block in :mod:`reachkit.system`), and neither validates
+again.  Count arguments (grid sizes, caps, budgets, stack counts) and
 1-based indices follow one integer rule, :func:`as_count` and
 :func:`as_indices`; so do the counts the CLI reads from instance files,
 flags and the environment.
@@ -27,15 +26,17 @@ The two brute-force scans over column subsets, :mod:`reachkit.setfun`
 lattice, :func:`lattice_walk` on the columns of :func:`unit_columns`: a
 subset's orthonormal basis grows from its parent's by one column, and a
 Gram-determinant bound certifies the subsets whose smallest singular value
-clears the caller's floor.  The subsets the walk does not certify, or whose
-verdicts it leaves close, go to stacks of submatrices, from
-:func:`subset_stacks` (a given list of equal-size subsets) or
-:func:`column_stacks` (all subsets of one size, for the sizes the walk does
-not reach), measured with :func:`range_bases` and :func:`dist_sq_to_bases`
-(together :func:`dist_sq_to_ranges`): one batched SVD per stack instead of
-one factorization per subset.  All thresholds come from a
-:class:`Tolerance`, so callers control numerical strictness in one place.  Functions never modify their inputs and hold no
-state; concurrent use is safe.
+clears the caller's floor.  The walk alone decides how far it goes: it ends
+before a level whose bases would hold more than ``STACK_ENTRIES`` floats.
+The subsets the walk does not certify, or whose verdicts it leaves close,
+go to stacks of submatrices, from :func:`subset_stacks` (a given list of
+equal-size subsets) or :func:`column_stacks` (all subsets of one size, for
+the sizes the walk does not reach), measured with :func:`range_bases` and
+:func:`dist_sq_to_bases` (together :func:`dist_sq_to_ranges`): one batched
+SVD per stack instead of one factorization per subset.  All thresholds
+come from a :class:`Tolerance`, so callers control numerical strictness in
+one place.  Functions never modify their inputs and hold no state;
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 # column_stacks hands out at most this many subsets, and at most this many
-# matrix entries, per stack, which bounds the working memory of a scan; a
-# scan walks no lattice level whose bases hold more than STACK_ENTRIES.
+# matrix entries, per stack, which bounds the working memory of a scan;
+# lattice_walk builds no level whose bases hold more than STACK_ENTRIES.
 STACK_SUBSETS = 4096
 STACK_ENTRIES = 1 << 20
 
@@ -145,7 +146,7 @@ def as_indices(S: Iterable, size: int, name: str) -> tuple[int, ...]:
 
 def extend_basis(
     Q: np.ndarray | None,
-    M,
+    M: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     scale: float | None = None,
 ) -> np.ndarray:
@@ -159,9 +160,9 @@ def extend_basis(
     ``None``) this is the relative rank rule of a single matrix.  Callers that
     grow a basis block by block pass the scale of the operator producing the
     blocks instead, so that a block of pure roundoff never counts as new
-    directions.  ``Q`` itself is returned when nothing is added.
+    directions.  ``Q`` itself is returned when nothing is added.  ``M`` must
+    be a finite 2-d float array; the public wrappers validate theirs.
     """
-    M = as_matrix(M)
     if Q is None:
         Q = np.zeros((M.shape[0], 0))
     if M.size == 0:
@@ -183,7 +184,7 @@ def extend_basis(
 
 def numerical_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values at or above ``rank_rel * sigma_max``."""
-    return extend_basis(None, M, tol).shape[1]
+    return range_basis(M, tol).shape[1]
 
 
 def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -194,7 +195,7 @@ def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     entries zero, yields a basis with zero columns, representing the subspace
     ``{0}``.
     """
-    return extend_basis(None, M, tol)
+    return extend_basis(None, as_matrix(M), tol)
 
 
 def dist_sq_to_basis(v: np.ndarray, Q: np.ndarray) -> float:
@@ -313,13 +314,14 @@ def _lattice_level(l: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 def unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a nonzero ``M`` scaled to unit norm, as the rows of an
-    ``(l, m)`` array, and their squared norms relative to the largest.  A
-    zero column gives a row of NaN."""
-    M = M / np.abs(M).max()
-    norms2 = np.einsum("ij,ij->j", M, M)
-    with np.errstate(invalid="ignore"):
-        return (M / np.sqrt(norms2)).T, norms2 / norms2.max()
+    """The columns of ``M`` scaled to unit norm, as the rows of an ``(l, m)``
+    array, and their squared norms relative to the largest.  A zero column
+    gives a row of NaN, and so does every column of an all-zero ``M``; a
+    NaN row certifies no subset in :func:`lattice_walk`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = M / np.abs(M).max(initial=0.0)
+        norms2 = np.einsum("ij,ij->j", M, M)
+        return (M / np.sqrt(norms2)).T, norms2 / norms2.max(initial=0.0)
 
 
 def lattice_walk(
@@ -346,14 +348,17 @@ def lattice_walk(
     arithmetic the bound of ``S - i`` is at least that of ``S``, so the second
     rule only drops subsets built on a step whose ``rho`` was too small for
     Gram-Schmidt to keep its basis orthonormal; their determinants, and so
-    their bounds, are noise.  Each level's bases take ``C(l, k) * k * m``
-    floats, so a caller stops the walk at a level it cannot afford.
+    their bounds, are noise.  Level ``k``'s bases take ``C(l, k) * k * m``
+    floats; the walk ends before the first level that would take more than
+    ``STACK_ENTRIES``, and builds none of its index arrays.
     """
     l, m = N.shape
     det, frob2 = np.ones(1), np.zeros(1)
     certified = np.ones(1, dtype=bool)
     Q, r = np.zeros((1, 0, m)), v[None]
     for k in range(min(l, m)):
+        if m * math.comb(l, k + 1) * (k + 1) > STACK_ENTRIES:
+            return
         parent, x, masks, members, drop = _lattice_level(l, k)
         with np.errstate(all="ignore"):
             child = np.empty((len(parent), k + 1, m))

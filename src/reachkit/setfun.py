@@ -11,10 +11,10 @@ hunts for an explicit witness of that among the single-column decreases
 The kernel value of a subset is the batched SVD of
 :func:`reachkit.linalg.dist_sq_to_ranges` on a stack of equal-size subsets,
 and :func:`evaluate` is the same kernel on a stack of one, so the two agree
-bit for bit.  Below ``l = 7`` (the cost rule :func:`_is_lattice_cheaper`,
-fitted to timings) the checks take every value from the kernel.  From there
-on they walk the subset lattice one size at a time instead, with
-:func:`reachkit.linalg.lattice_walk`, the walk that screens
+bit for bit.  Below ``l = 7`` (a cost rule fitted to timings) the checks
+take every value from the kernel.  From there on they walk the subset
+lattice one size at a time instead, as far as
+:func:`reachkit.linalg.lattice_walk` goes, the walk that screens
 :func:`reachkit.solvers.varsel_exact`'s supports too: the child ``S + x``,
 with ``x`` above every member of ``S``, appends one twice-projected unit
 column to the orthonormal basis of ``S``, updates the residual of ``v`` and
@@ -30,7 +30,8 @@ used only where it is certified:
 * a subset of more than ``m`` columns gets value 0 when it holds a certified
   ``m``-column subset whose bound clears ``SAFETY * rank_rel * ||M(S)||_F``:
   by interlacing its range is all of ``R^m`` for the kernel too;
-* a determinant that overflows or underflows certifies nothing.
+* a determinant that overflows or underflows certifies nothing, and
+  neither does a subset on a level the walk does not reach.
 
 A certified value lies within ``ALLOW * eps * kappa * ||v||**2 * (m + 1)`` of
 the kernel's in squared distance, ``kappa = ||M(S)||_F / sigma_min`` bound,
@@ -46,12 +47,10 @@ differences of kernel values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
 import numpy as np
 
-from . import linalg
 from .errors import CapacityError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_vector, dist_sq_to_ranges,
@@ -174,29 +173,22 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _is_lattice_cheaper(l: int, m: int) -> bool:
-    """Private cost rule: walk the lattice for large ground sets whose widest
-    level of bases fits in ``STACK_ENTRIES`` entries (fitted to timings)."""
-    return l >= _LATTICE_MIN_L and m * max(
-        comb(l, k) * k for k in range(min(l, m) + 1)
-    ) <= linalg.STACK_ENTRIES
-
-
 def _lattice_table(fn: ColumnSelectionFunction, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Lattice values of ``fn`` on every bitmask, NaN where uncertified, and
     a bound on how far each lies from the kernel's value.
 
     :func:`reachkit.linalg.lattice_walk` gives the squared distance ``d2``
     and the certified bound ``sig2`` on ``sigma_min**2`` (NaN where
-    uncertified) of every subset of at most ``m`` columns; ``w`` holds the
-    squared column norms relative to the largest.
+    uncertified) of every subset of at most ``m`` columns on the levels it
+    reaches, and both stay NaN on the others; ``w`` holds the squared column
+    norms relative to the largest.
     """
     v, M = fn.v, fn.M
     m, l = M.shape
     N, w = unit_columns(M)
     size = 1 << l
-    d2 = np.zeros(size)
-    sig2 = np.zeros(size)
+    d2 = np.full(size, np.nan)
+    sig2 = np.full(size, np.nan)
     # the empty set: det G = 1 over an empty sum
     d2[0], sig2[0] = v @ v, np.inf
     for masks, _, level_d2, level_sig2, _ in lattice_walk(v, N, w, SAFETY * tol.rank_rel):
@@ -296,7 +288,7 @@ def _value_table(fn: ColumnSelectionFunction, tol: Tolerance,
     decides every monotone test it is in, and every local test too when
     ``local``; so each check decides as it would on the kernel's table.
     """
-    if not (_is_lattice_cheaper(fn.ground_size, fn.M.shape[0]) and fn.M.any()):
+    if fn.ground_size < _LATTICE_MIN_L:
         values = np.empty(1 << fn.ground_size)
         _fill(fn, values, None, tol)
         return values, None

@@ -24,11 +24,11 @@ budget by more than ``margin = delta + 2 feas_rel * max(1, ||z||)`` plus
 ``SCREEN_ROUNDOFF`` times that roundoff; so a support with a nonzero
 singular value below ``eps * sigma_max`` is always fitted.
 
-Sizes ``1 <= k <= m`` whose level of bases fits in ``STACK_ENTRIES`` floats
-take most of those verdicts from the Gram-Schmidt walk over the subset
-lattice that :mod:`reachkit.setfun` uses too
-(:func:`reachkit.linalg.lattice_walk`), walked one size further only when
-the size before fitted nothing.  Its certification is the set-function
+The sizes ``1 <= k <= m`` that the Gram-Schmidt walk over the subset
+lattice reaches (:func:`reachkit.linalg.lattice_walk`, which
+:mod:`reachkit.setfun` uses too, and which ends at its memory budget) take
+most of those verdicts from it, walked one size further only when the size
+before fitted nothing.  Its certification is the set-function
 checks': ``sigma_min**2 >= det G_S / sum_{i in S} det G_{S-i}`` must clear
 ``(setfun.SAFETY * eps * ||U(S)||_F)**2`` for ``S`` and for every ``S - i``.
 A certified distance ``d`` then lies within ``a = setfun.ALLOW * eps *
@@ -70,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg, setfun
+from . import setfun
 from .errors import CapacityError, InfeasibleError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_matrix, as_vector, column_stacks,
@@ -104,8 +104,8 @@ SCREEN_ROUNDOFF = 64.0
 
 _EPS = float(np.finfo(float).eps)
 
-# Entries of a variable-selection vector at or below this magnitude count as
-# zero when its support is read off.
+# Entries of a variable-selection vector at or below this fraction of its
+# largest magnitude count as zero when its support is read off.
 SUPPORT_EPS = 1e-12
 
 
@@ -182,8 +182,9 @@ class VarSelResult:
 @dataclass(frozen=True)
 class VarSelCheck:
     """Independent check of a candidate vector ``y`` against an instance:
-    its support (the 1-based indices of its entries above ``1e-12`` in
-    magnitude), its fit residual ``||U y - z||`` and whether it fits."""
+    its support (the 1-based indices of its entries above ``1e-12`` times
+    its largest magnitude), its fit residual ``||U y - z||`` and whether it
+    fits."""
 
     support: tuple[int, ...]
     residual: float
@@ -203,8 +204,10 @@ def check_varsel_solution(
     if y.shape[0] != inst.U.shape[1]:
         raise ValueError(f"y must have length {inst.U.shape[1]}, got {y.shape[0]}")
     residual = float(np.linalg.norm(inst.U @ y - inst.z))
+    magnitude = np.abs(y)
+    support = np.flatnonzero(magnitude > SUPPORT_EPS * magnitude.max(initial=0.0)) + 1
     return VarSelCheck(
-        support=tuple((np.flatnonzero(np.abs(y) > SUPPORT_EPS) + 1).tolist()),
+        support=tuple(support.tolist()),
         residual=residual,
         fits=inst.fits(residual, tol),
     )
@@ -417,23 +420,19 @@ def varsel_exact(
     (:meth:`VarSelInstance.fits`) wins.  Supports whose lower bound rules
     them out are not fitted (see the module docstring).
     """
-    m, l = inst.U.shape
+    l = inst.U.shape[1]
     if l > as_count(cap, "cap"):
         raise CapacityError(
             f"support enumeration over {l} columns exceeds the cap of {cap}"
         )
     margin = inst.delta + 2.0 * inst.slack(tol)
     roundoff = SCREEN_ROUNDOFF * _EPS * inst._z_norm
-    walk = None
-    if inst.U.any():
-        walk = lattice_walk(inst.z, *unit_columns(inst.U), setfun.SAFETY * _EPS)
+    walk = lattice_walk(inst.z, *unit_columns(inst.U), setfun.SAFETY * _EPS)
     for k in range(l + 1):
-        walkable = k <= m and m * comb(l, k) * k <= linalg.STACK_ENTRIES
-        if k and walk is not None and walkable:
-            chunks = [_lattice_survivors(inst, next(walk), margin, roundoff)]
+        level = next(walk, None) if k else None
+        if level is not None:
+            chunks = [_lattice_survivors(inst, level, margin, roundoff)]
         else:
-            if k:
-                walk = None  # the walk cannot skip a level
             chunks = (
                 idx[_bound_keeps(inst.z, stack, margin, roundoff)]
                 for idx, stack in column_stacks(inst.U, k)

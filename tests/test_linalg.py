@@ -1,4 +1,5 @@
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -419,3 +420,34 @@ class TestLatticeWalk:
         masks, members, d2, sig2, frob2 = next(lattice_walk(np.ones(2), *unit_columns(M), self.FLOOR))
         assert np.isnan(sig2).tolist() == [False, True, False]
         assert np.isnan(d2).tolist() == [False, True, False]
+
+    # level k of 9 columns in R^4 holds 4 * C(9, k) * k floats: 36, 288,
+    # 1008, then 2016
+    @pytest.mark.parametrize("budget, reached", [(35, 0), (36, 1), (1007, 2), (1008, 3), (2016, 4)])
+    def test_walk_ends_at_its_memory_budget(self, monkeypatch, budget, reached):
+        M = np.random.default_rng(263).normal(size=(4, 9))
+        built = []
+        level = reachkit.linalg._lattice_level
+
+        def recording(l, k):
+            built.append(k)
+            return level(l, k)
+
+        monkeypatch.setattr(reachkit.linalg, "_lattice_level", recording)
+        monkeypatch.setattr(reachkit.linalg, "STACK_ENTRIES", budget)
+        levels = list(lattice_walk(np.ones(4), *unit_columns(M), self.FLOOR))
+        assert [members.shape[0] for _, members, *_ in levels] == list(range(1, reached + 1))
+        # the (k + 1)-subsets grow from _lattice_level(l, k); no level past
+        # the last one yielded is built
+        assert max(built, default=-1) == reached - 1
+
+    @pytest.mark.parametrize("shape", [(3, 5), (0, 4), (3, 0), (0, 0)])
+    def test_zero_or_empty_matrix_certifies_nothing_without_a_warning(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            N, w = unit_columns(np.zeros(shape))
+            levels = list(lattice_walk(np.ones(shape[0]), N, w, self.FLOOR))
+        assert N.shape == shape[::-1]
+        assert len(levels) == min(shape)
+        for _, _, d2, sig2, _ in levels:
+            assert np.isnan(d2).all() and np.isnan(sig2).all()

@@ -7,9 +7,10 @@ import pytest
 import reachkit.linalg
 import reachkit.setfun
 from reachkit.errors import CapacityError
-from reachkit.linalg import DEFAULT_TOL
+from reachkit.linalg import DEFAULT_TOL, lattice_walk, unit_columns
 from reachkit.setfun import (
     ColumnSelectionFunction,
+    SetFunctionReport,
     _fill,
     _lattice_table,
     _value_table,
@@ -412,6 +413,30 @@ class TestLatticeScreen:
             assert certified.sum() > len(lattice) // 2
             gap = np.abs(lattice - kernel_table(fn))
             assert (gap[certified] <= err[certified]).all()
+
+    # 150 floats hold only the first level of these functions, 500 the
+    # first one or two
+    @pytest.mark.parametrize("budget", [150, 500])
+    @pytest.mark.filterwarnings("error")
+    def test_lowered_walk_budget_gives_the_same_reports(self, monkeypatch, budget):
+        rng = np.random.default_rng(113)
+        zero = ColumnSelectionFunction(v=rng.normal(size=4), M=np.zeros((4, 8)))
+        fns = [planted_violation_fn(rng, 9), planted_violation_fn(rng, 7), orthonormal_fn(rng, 8),
+               near_threshold_fn(rng, 8, 1e-9, c=1.0), zero]
+        reports = [(repr(check_supermodular(fn)), check_monotone(fn)) for fn in fns]
+        # every value of an all-zero M is ||v||**2: modular, hence supermodular
+        assert check_supermodular(zero) == SetFunctionReport(True, True, None)
+        monkeypatch.setattr(reachkit.linalg, "STACK_ENTRIES", budget)
+        for fn, report in zip(fns, reports):
+            m, l = fn.M.shape
+            reached = sum(1 for _ in lattice_walk(fn.v, *unit_columns(fn.M), 1.0))
+            assert reached < min(m, l)
+            # the subsets of sizes the walk does not reach have kernel values
+            sizes = np.array([bin(mask).count("1") for mask in range(1 << l)])
+            far = (sizes > reached) & (sizes <= m)
+            values, _ = _value_table(fn, DEFAULT_TOL, local=True)
+            assert np.array_equal(values[far], kernel_table(fn)[far])
+            assert (repr(check_supermodular(fn)), check_monotone(fn)) == report
 
     def test_planted_with_small_chunks(self, monkeypatch):
         rng = np.random.default_rng(107)

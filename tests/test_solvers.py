@@ -457,6 +457,15 @@ class TestCheckVarselSolution:
         assert check_varsel_solution(inst, [1e6 - 5e-4, 0.0]).fits
         assert not check_varsel_solution(inst, [1e6 - 2e-3, 0.0]).fits
 
+    def test_support_rule_is_relative_to_the_largest_entry(self):
+        # U scaled by 1e13 scales every coefficient of y by 1e-13
+        rng = np.random.default_rng(73)
+        for trial in range(30):
+            inst = planted_varsel(rng, 6, 10, trial % 3 + 1)
+            scaled = VarSelInstance(U=inst.U * 1e13, z=inst.z, delta=inst.delta)
+            result = varsel_exact(scaled)
+            assert check_varsel_solution(scaled, result.y).support == result.support
+
     def test_tiny_entries_leave_the_support(self):
         inst = VarSelInstance(U=np.eye(3), z=np.array([1.0, 0.0, 0.0]), delta=0.0)
         check = check_varsel_solution(inst, [1.0, 1e-13, 0.0])
@@ -517,6 +526,29 @@ def awkward_dictionary(rng, m, l):
         ratio = 10.0 ** rng.uniform(-16, -8)
         U[:, j[5]] = U[:, j[2]] - U[:, j[4]] + ratio * rng.normal(size=m)
     return U
+
+
+def recorded_varsel(monkeypatch):
+    """Record the supports ``varsel_exact`` fits; the function returned maps
+    an instance to its answer (``(support, y bytes, residual)``, or None when
+    infeasible) and the supports fitted, in order."""
+    fitted = []
+    fit = reachkit.solvers.fit_support
+
+    def recording(U, support, target):
+        fitted.append(tuple(support))
+        return fit(U, support, target)
+
+    def run(inst):
+        fitted.clear()
+        try:
+            result = varsel_exact(inst)
+        except InfeasibleError:
+            return None, list(fitted)
+        return (result.support, result.y.tobytes(), result.residual), list(fitted)
+
+    monkeypatch.setattr(reachkit.solvers, "fit_support", recording)
+    return run
 
 
 class TestVarselScreen:
@@ -647,22 +679,7 @@ class TestVarselScreen:
             else:
                 z = U[:, rng.choice(l, size=trial % 3 + 1, replace=False)].sum(axis=1)
             cases.append(VarSelInstance(U=U, z=z, delta=float(rng.choice([0.0, 1e-3, 0.5]))))
-        fitted = []
-        fit = reachkit.solvers.fit_support
-
-        def recording(U, support, target):
-            fitted.append(tuple(support))
-            return fit(U, support, target)
-
-        def run(inst):
-            fitted.clear()
-            try:
-                result = varsel_exact(inst)
-            except InfeasibleError:
-                return None, list(fitted)
-            return (result.support, result.y.tobytes(), result.residual), list(fitted)
-
-        monkeypatch.setattr(reachkit.solvers, "fit_support", recording)
+        run = recorded_varsel(monkeypatch)
         runs = [run(inst) for inst in cases]
         monkeypatch.setattr(reachkit.setfun, "SAFETY", np.inf)
         for inst, default in zip(cases, runs):
@@ -672,6 +689,27 @@ class TestVarselScreen:
                 assert default[0] is None
             else:
                 assert default[0] == (ref[1], ref[0].tobytes(), ref[3])
+
+    # 150 floats hold the first level of these dictionaries and 600 the
+    # first two; the planted supports of sizes 3 and 4 lie past the walk
+    @pytest.mark.parametrize("budget", [150, 600])
+    @pytest.mark.filterwarnings("error")
+    def test_lowered_walk_budget_gives_the_same_results(self, monkeypatch, budget):
+        rng = np.random.default_rng(257)
+        cases = [planted_varsel(rng, m, l, k) for m, l, k in ((6, 10, 2), (6, 10, 3), (5, 8, 3), (4, 8, 4))]
+        for _ in range(4):
+            U = awkward_dictionary(rng, 5, 8)
+            cases.append(VarSelInstance(U=U, z=rng.normal(size=5), delta=float(rng.choice([1e-3, 0.5]))))
+        zero = np.zeros((4, 8))
+        cases.append(VarSelInstance(U=zero, z=rng.normal(size=4), delta=0.0))
+        cases.append(VarSelInstance(U=zero, z=np.zeros(4), delta=0.0))
+        run = recorded_varsel(monkeypatch)
+        runs = [run(inst) for inst in cases]
+        assert runs[-2] == (None, [])
+        assert runs[-1] == (((), np.zeros(8).tobytes(), 0.0), [()])
+        monkeypatch.setattr(reachkit.linalg, "STACK_ENTRIES", budget)
+        for inst, default in zip(cases, runs):
+            assert run(inst) == default
 
     def test_planted_instance_needs_no_svd(self, monkeypatch):
         inst = planted_varsel(np.random.default_rng(241), 8, 16, 3)
