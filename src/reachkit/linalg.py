@@ -51,7 +51,9 @@ import numpy as np
 
 # column_stacks hands out at most this many subsets, and at most this many
 # matrix entries, per stack, which bounds the working memory of a scan;
-# lattice_walk builds no level whose bases hold more than STACK_ENTRIES.
+# lattice_walk builds no level whose bases hold more than STACK_ENTRIES, and
+# solvers.greedy_min_reach keeps no more than STACK_ENTRIES floats of
+# per-node Krylov bases.
 STACK_SUBSETS = 4096
 STACK_ENTRIES = 1 << 20
 

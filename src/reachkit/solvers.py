@@ -8,8 +8,9 @@ whose addition shrinks the residual most; because the underlying
 distance-to-subspace objective is not supermodular, greedy can stall or
 overshoot the optimum, and its result is reported honestly (it may be
 infeasible, and its ``optimal`` flag is always False).  Both decide each node
-set with :func:`reachkit.system.is_feasible`; variable selection and the
-reduction's backward map fit supports with :func:`fit_support`.
+set they return by the rule of :func:`reachkit.system.is_feasible`; variable
+selection and the reduction's backward map fit supports with
+:func:`fit_support`.
 
 Variable selection screens each size's supports before fitting them.  The
 screen's rule is a lower bound from one batched SVD per chunk of equal-size
@@ -54,11 +55,30 @@ whose own reach fails that test is not evaluated either.  If the full set
 fails, nothing is evaluated.  The greedy solver scans candidates in index
 order and, once the round has a best candidate, skips one whose bound (the
 mass off the reach of the selected nodes and the candidate together) exceeds
-the best residual of the round so far by more than ``2 feas_rel``.  Both
+the best value of the round so far by more than ``2 feas_rel``.  Both
 margins hold while the computed Krylov basis leaks less than ``feas_rel`` off
 ``R(S)`` (observed: about ``1e-13``), so every skipped set is one that
 :func:`reachkit.system.is_feasible` would reject or that greedy would not
 pick, and the answers are those of the unpruned scans.
+
+A greedy candidate's value is the squared distance of the scaled offset
+(``LinearSystem.scaled_offset``) to the reachable space of the selected
+nodes and the candidate.  For a general ``B`` it is the scaled residual of
+the candidate set's own Krylov basis.  For a node-local ``B``
+(``LinearSystem.node_local``), whose reachable spaces add up node by node,
+the first round builds each explored node's basis
+:func:`reachkit.system.reachability_matrix` ``(sys, [i])`` once and keeps it
+for the call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that
+is built again when it is needed).  From the second round on a candidate is
+valued by projecting its node's basis twice off ``Q_S``, the basis of the
+selected set, with one small SVD (:func:`reachkit.linalg.extend_basis`), and
+no Krylov basis of ``S + {i}`` is built.  Such a value can differ from the
+verdict's by float noise, and feasible candidates tie within about
+``1e-28``, where only that noise orders them.  So after the scan every
+candidate whose value lies within the skip rule's slack, ``2 feas_rel``, of
+the round's best gets the full verdict in index order, and the smallest
+``residual_sq`` among those wins as in the unpruned scan; its basis is the
+next ``Q_S``.
 """
 
 from __future__ import annotations
@@ -70,11 +90,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import setfun
+from . import linalg, setfun, system
 from .errors import CapacityError, InfeasibleError
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_count, as_matrix, as_vector, column_stacks,
-    dist_sq_to_bases, lattice_walk, range_bases, subset_stacks, unit_columns,
+    dist_sq_to_basis, dist_sq_to_bases, extend_basis, lattice_walk, range_bases,
+    subset_stacks, unit_columns,
 )
 from .system import LinearSystem, is_feasible
 
@@ -117,10 +138,11 @@ class SolveResult:
     ``optimal`` is True only for the exact solver, whose enumeration order
     proves minimal cardinality.  ``feasible`` records whether the returned set
     actually achieves the transfer; the greedy solver may terminate without
-    reaching feasibility.  ``nodes_explored`` counts candidate evaluations
-    (calls of :func:`reachkit.system.is_feasible`); ``nodes_pruned`` counts
-    the candidates the structural bound ruled out without one: node subsets
-    for the exact solver, skipped additions for the greedy one.
+    reaching feasibility.  ``nodes_explored`` counts the candidates the
+    index-order scan values: node subsets decided by
+    :func:`reachkit.system.is_feasible` for the exact solver, additions
+    valued for the greedy one (see the module docstring); ``nodes_pruned``
+    counts the candidates the structural bound ruled out without a value.
     """
 
     nodes: tuple[int, ...]
@@ -363,39 +385,76 @@ def greedy_min_reach(
     ``1e-12``), or after ``max_iters >= 0`` additions.  A stall returns the current
     set with ``feasible=False`` rather than raising: stalls are expected
     behavior for a non-supermodular objective and worth observing.
-    Candidates whose structural bound cannot beat the best residual of the
-    round so far are skipped unevaluated (see the module docstring) and
-    counted in ``nodes_pruned``.
+    Candidates whose structural bound cannot beat the best value of the
+    round so far are skipped unvalued and counted in ``nodes_pruned``.  For
+    a node-local ``B`` later rounds value candidates from per-node Krylov
+    bases and build the basis of ``S + {i}`` only for the candidates close
+    to the round's best (see the module docstring); the nodes, residual and
+    counts are those of valuing every candidate by ``is_feasible``.
     """
     n = sys.n
     iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
-    scale = sys.offset_scale
     reach = sys.reach
     off = sys.off_reach_sq
     slack = GREEDY_SKIP_FACTOR * tol.feas_rel
+    local = sys.node_local
+    kept: dict[int, np.ndarray] = {}  # node -> the Krylov basis of the node alone
+    room = linalg.STACK_ENTRIES  # floats of node bases kept; later ones are rebuilt
+
+    def node_basis(i: int) -> np.ndarray:
+        nonlocal room
+        K = kept.get(i)
+        if K is None:
+            K = system.reachability_matrix(sys, [i], tol=tol)
+            if K.size <= room:
+                kept[i], room = K, room - K.size
+        return K
+
     covered = 0  # reach of the selected nodes
     selected: list[int] = []
+    Q_S = None  # node-local B, from the second round on: the basis of selected
     current = is_feasible(sys, selected, tol)
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
-        best = None
+        scanned = []  # (node, value, verdict or None) of each explored candidate
+        best_value = None
         for i in range(1, n + 1):
             if i in selected:
                 continue
             # lower bound on the scaled residual of selected + [i]
-            if best is not None and off(covered | reach[i - 1]) > best_scaled + slack:
+            if best_value is not None and off(covered | reach[i - 1]) > best_value + slack:
                 skipped += 1
                 continue
             explored += 1
-            verdict = is_feasible(sys, selected + [i], tol)
+            if Q_S is None:
+                Q = node_basis(i) if local else system.reachability_matrix(
+                    sys, selected + [i], tol=tol
+                )
+                verdict, value = system._verdict(sys, Q, tol)
+            else:
+                # the columns of a node basis are orthonormal: sigma_max is 1
+                Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
+                verdict, value = None, dist_sq_to_basis(sys.scaled_offset, Q)
+            scanned.append((i, value, verdict))
+            if best_value is None or value < best_value:
+                best_value = value
+        best = best_Q = None
+        for i, value, verdict in scanned:
+            if value > best_value + slack:
+                continue
+            Q = None
+            if verdict is None:
+                Q = system.reachability_matrix(sys, selected + [i], tol=tol)
+                verdict = system._verdict(sys, Q, tol)[0]
             if best is None or verdict.residual_sq < best.residual_sq:
-                best_node, best = i, verdict
-                best_scaled = best.residual_sq / scale / scale
+                best_node, best, best_Q = i, verdict, Q
         if current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS:
             break
         selected.append(best_node)
         covered |= reach[best_node - 1]
         current = best
+        if local:
+            Q_S = node_basis(best_node) if best_Q is None else best_Q
     return SolveResult(
         nodes=tuple(sorted(selected)),
         cardinality=len(selected),

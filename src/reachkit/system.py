@@ -24,7 +24,19 @@ scales are cached on the system.  The norms of data that may be huge,
 ``||A||_F`` and the offset's, follow one rule (:func:`_peak_norm`): divide by
 the largest entry first.  The verdict is taken on the offset scaled by
 ``max(1, ||offset||)`` (``LinearSystem.scaled_offset``), so an offset whose
-squared norm overflows is still judged.
+squared norm overflows is still judged.  The verdict on a basis already built
+is one private rule, shared by :func:`is_feasible` and the greedy solver.
+
+``B`` is node-local (``LinearSystem.node_local``) when each of its columns is
+nonzero on at most one node, as for a diagonal ``B``.  Then the first block of
+``S + {i}`` is the first block of ``S`` next to that of ``{i}``, and the
+reachable space of ``S + {i}`` is the sum of those of ``S`` and of ``{i}``
+alone, which lets :func:`reachkit.solvers.greedy_min_reach` value a candidate
+from one basis per node.  Every Krylov basis is built by
+:func:`reachability_matrix`, looked up as this module's attribute at call
+time.  The nonzero pattern of ``B`` is cached on the system
+(``LinearSystem.input_pattern``) and read by :func:`input_columns`, the
+node-local test and the structural reach.
 
 ``LinearSystem.reach`` caches the structural bound of Lin ("Structural
 controllability", IEEE TAC 1974) and Olshevsky ("Minimal controllability
@@ -153,6 +165,18 @@ class LinearSystem:
         return self.offset / self.offset_scale
 
     @cached_property
+    def input_pattern(self) -> np.ndarray:
+        """``B != 0``, the nonzero pattern of the input matrix; computed once
+        per system."""
+        return self.B != 0.0
+
+    @cached_property
+    def node_local(self) -> bool:
+        """Whether every column of ``B`` is nonzero on at most one node, so
+        that the reachable space of a node set is the sum of its members'."""
+        return bool((np.count_nonzero(self.input_pattern, axis=0) <= 1).all())
+
+    @cached_property
     def reach(self) -> tuple[int, ...]:
         """Structural reach of every node as a bitmask: bit ``j - 1`` of
         ``reach[i - 1]`` is set when node ``j`` is node ``i`` or a descendant
@@ -169,7 +193,7 @@ class LinearSystem:
             if np.array_equal(longer, closure):
                 break
             closure = longer
-        closure[~np.any(self.B != 0.0, axis=1)] = False
+        closure[~self.input_pattern.any(axis=1)] = False
         return tuple(
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in closure
@@ -241,10 +265,17 @@ def masked_input_matrix(sys: LinearSystem, S: Iterable[int]) -> np.ndarray:
 
 
 def input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``M(S) B`` restricted to its nonzero columns, and those columns."""
-    IB = masked_input_matrix(sys, S)
-    cols = np.flatnonzero(np.any(IB != 0.0, axis=0))
-    return IB[:, cols], cols
+    """``M(S) B`` restricted to its nonzero columns, and those columns.
+
+    The columns are read off :attr:`LinearSystem.input_pattern` at the rows
+    of ``S``, and only the kept entries of ``B`` are gathered; the block
+    equals ``masked_input_matrix(sys, S)[:, cols]`` entry for entry.
+    """
+    idx = [i - 1 for i in check_node_set(S, sys.n)]
+    cols = sys.input_pattern[idx].any(axis=0).nonzero()[0]
+    block = np.zeros((sys.n, cols.size))
+    block[idx] = sys.B[idx][:, cols]
+    return block, cols
 
 
 def reachability_matrix(
@@ -322,15 +353,24 @@ def is_feasible(
     the verdict, the squared distance of ``w`` itself (``inf`` past the
     float range) and the dimension of the reachable space.
     """
-    Q = reachability_matrix(sys, S, tol=tol)
+    return _verdict(sys, reachability_matrix(sys, S, tol=tol), tol)[0]
+
+
+def _verdict(
+    sys: LinearSystem, Q: np.ndarray, tol: Tolerance
+) -> tuple[FeasibilityResult, float]:
+    """The :func:`is_feasible` verdict on the Krylov basis ``Q`` of a node
+    set, and the squared distance of ``sys.scaled_offset`` to ``Q`` that it
+    thresholds."""
     with np.errstate(over="ignore"):
         residual_sq = dist_sq_to_basis(sys.offset, Q)
     scaled_sq = dist_sq_to_basis(sys.scaled_offset, Q)
     # an empty reachable space comes back as the all-zero n x m block
     rank = Q.shape[1] if Q.any() else 0
-    return FeasibilityResult(
+    verdict = FeasibilityResult(
         feasible=scaled_sq <= tol.feas_rel**2, residual_sq=residual_sq, rank=rank
     )
+    return verdict, scaled_sq
 
 
 def star_system(

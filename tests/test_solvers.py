@@ -866,6 +866,78 @@ class TestStructuralPrune:
         assert result.nodes == (3, 12, 20)
         assert result.nodes_pruned > result.nodes_explored
 
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e100, 1e-6])
+    def test_node_local_greedy_keeps_the_tie_breaks_at_every_scale(self, c):
+        # feasible candidates tie near 1e-28, where only float noise orders
+        # them; greedy must confirm every candidate whose value is that close
+        rng = np.random.default_rng(211)
+        for _ in range(200):
+            n = int(rng.integers(4, 12))
+            A = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < 0.3)
+            B = np.diag(rng.choice([1.0, 2.5, 1e-11, 0.0], size=n))
+            block, x1 = B * (rng.random(size=n) < 0.4)[:, None], np.zeros(n)
+            for _ in range(int(rng.integers(1, n + 1))):
+                x1 += block @ rng.normal(size=n)
+                block = A @ block
+            x0 = rng.normal(size=n) if rng.random() < 0.3 else np.zeros(n)
+            sys = LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=c * x0, x1=c * x1)
+            self.assert_same(greedy_min_reach(sys), unpruned_greedy(sys))
+
+    @staticmethod
+    def count_krylov_builds(monkeypatch):
+        import reachkit.system
+
+        calls = []
+        build = reachkit.system.reachability_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.system, "reachability_matrix", counting)
+        return calls
+
+    def test_node_local_greedy_builds_fewer_bases_than_it_values(self, monkeypatch):
+        n = 200
+        targets = {3: 1.0, 30: -2.0, 61: 0.5, 90: 1.5, 118: -1.0, 150: 2.0, 171: 0.25, 196: -0.5}
+        sys = self.diagonal_system(np.linspace(-1.0, 1.0, n), targets)
+        assert sys.node_local
+        ref = unpruned_greedy(sys)
+        calls = self.count_krylov_builds(monkeypatch)
+        result = greedy_min_reach(sys)
+        self.assert_same(result, ref)
+        assert result.nodes == tuple(targets)
+        assert len(calls) < result.nodes_explored
+
+    @pytest.mark.parametrize("budget", [0, 100])
+    def test_node_bases_past_the_memory_budget_are_rebuilt(self, monkeypatch, budget):
+        # greedy keeps node bases up to linalg.STACK_ENTRIES floats and builds
+        # the others again when it needs them
+        rng = np.random.default_rng(223)
+        systems = [random_solver_system(rng) for _ in range(40)]
+        calls = self.count_krylov_builds(monkeypatch)
+        refs = [greedy_min_reach(sys) for sys in systems]
+        kept_all = len(calls)
+        monkeypatch.setattr(reachkit.linalg, "STACK_ENTRIES", budget)
+        assert [greedy_min_reach(sys) for sys in systems] == refs
+        assert len(calls) - kept_all > kept_all
+
+    def test_general_input_builds_one_basis_per_candidate(self, monkeypatch):
+        # columns on several nodes: M(S) B is not the sum of its members'
+        rng = np.random.default_rng(7)
+        dense = LinearSystem(
+            A=rng.normal(size=(6, 6)) * (rng.random(size=(6, 6)) < 0.4),
+            B=rng.normal(size=(6, 2)), t0=0.0, t1=1.0, x0=np.zeros(6), x1=rng.normal(size=6),
+        )
+        assert not (BROADCAST.node_local or dense.node_local)
+        refs = [unpruned_greedy(sys) for sys in (BROADCAST, dense)]
+        calls = self.count_krylov_builds(monkeypatch)
+        for sys, ref in zip((BROADCAST, dense), refs):
+            calls.clear()
+            result = greedy_min_reach(sys)
+            self.assert_same(result, ref)
+            assert len(calls) == result.nodes_explored + 1
+
     @staticmethod
     def diagonal_system(diagonal, targets):
         n = len(diagonal)

@@ -472,6 +472,19 @@ class TestInputColumns:
         assert input_columns(sys, [4])[1].tolist() == [2]
         assert input_columns(sys, [3])[0].shape == (4, 0)
 
+    @pytest.mark.parametrize(
+        "B, local",
+        [
+            (np.diag([1.0, 0.0, 2.5]), True),
+            (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]), True),
+            (np.zeros((3, 0)), True),
+            (np.array([[1.0], [0.0], [1.0]]), False),
+        ],
+    )
+    def test_node_local_means_one_node_per_column(self, B, local):
+        sys = LinearSystem(A=np.eye(3), B=B, t0=0.0, t1=1.0, x0=np.zeros(3), x1=np.ones(3))
+        assert sys.node_local is local
+
 
 class TestMaxPowerValidation:
     @pytest.mark.parametrize("S", [[], [1], [2, 3]])
