@@ -61,24 +61,33 @@ margins hold while the computed Krylov basis leaks less than ``feas_rel`` off
 :func:`reachkit.system.is_feasible` would reject or that greedy would not
 pick, and the answers are those of the unpruned scans.
 
-A greedy candidate's value is the squared distance of the scaled offset
-(``LinearSystem.scaled_offset``) to the reachable space of the selected
-nodes and the candidate.  For a general ``B`` it is the scaled residual of
-the candidate set's own Krylov basis.  For a node-local ``B``
-(``LinearSystem.node_local``), whose reachable spaces add up node by node,
-the first round builds each explored node's basis
-:func:`reachkit.system.reachability_matrix` ``(sys, [i])`` once and keeps it
-for the call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that
-is built again when it is needed).  From the second round on a candidate is
-valued by projecting its node's basis twice off ``Q_S``, the basis of the
-selected set, with one small SVD (:func:`reachkit.linalg.extend_basis`), and
-no Krylov basis of ``S + {i}`` is built.  Such a value can differ from the
-verdict's by float noise, and feasible candidates tie within about
-``1e-28``, where only that noise orders them.  So after the scan every
-candidate whose value lies within the skip rule's slack, ``2 feas_rel``, of
-the round's best gets the full verdict in index order, and the smallest
-``residual_sq`` among those wins as in the unpruned scan; its basis is the
-next ``Q_S``.
+A greedy candidate's value is its residual over the offset scale, squared
+(``residual_sq / offset_scale**2``, ``inf`` once ``residual_sq`` overflows),
+and the round's winner has the least ``residual_sq``, the smallest node among
+equal ones.  For a general ``B`` every explored candidate is valued by its
+verdict on the Krylov basis of the selected nodes and the candidate.  For a
+node-local ``B`` (``LinearSystem.node_local``) the first round values each
+explored node by the verdict on its own basis
+:func:`reachkit.system.reachability_matrix` ``(sys, [i])``, which is kept for
+the call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that is
+built again when it is needed).  From the second round on a candidate is
+valued by projecting its node's basis twice off ``Q_S``, the winner's basis
+of the round before, with one small SVD (:func:`reachkit.linalg.extend_basis`).
+The space so spanned is the reachable space of ``S + {i}`` in exact
+arithmetic only: the Krylov build of ``S + {i}`` drops directions under
+``rank_rel ||A||_F`` and may keep fewer or more of them, so a value can lie
+far from its verdict either way.  Three steps keep the answer that of the
+verdicts.  The candidates whose value was the round's least at a skip or at
+the end of the scan get their verdicts.  The winner's verdict is at most the
+least of those and at least its structural bound, so every explored
+candidate whose bound is within ``2 feas_rel`` of that least verdict gets its
+verdict too, and the winner is among the candidates judged.  And if any
+verdict lies more than ``feas_rel`` from its value, a skip may rest on a
+wrong value: the round is scanned again with a verdict per candidate.  The
+nodes, ``residual_sq`` and ``feasible`` are then those of the unpruned scan,
+under the leak margin above.  So are the counts, unless a candidate that
+gets no verdict has a value more than ``feas_rel`` above it; the scan then
+values candidates that a scan on verdicts would skip.
 """
 
 from __future__ import annotations
@@ -388,14 +397,16 @@ def greedy_min_reach(
     Candidates whose structural bound cannot beat the best value of the
     round so far are skipped unvalued and counted in ``nodes_pruned``.  For
     a node-local ``B`` later rounds value candidates from per-node Krylov
-    bases and build the basis of ``S + {i}`` only for the candidates close
-    to the round's best (see the module docstring); the nodes, residual and
-    counts are those of valuing every candidate by ``is_feasible``.
+    bases and build the basis of ``S + {i}`` only for the candidates that
+    set a skip, that can win, or whose value the round must check (see the
+    module docstring); the nodes and residual are those of valuing every
+    candidate by ``is_feasible``.
     """
     n = sys.n
     iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
     reach = sys.reach
     off = sys.off_reach_sq
+    scale = sys.offset_scale
     slack = GREEDY_SKIP_FACTOR * tol.feas_rel
     local = sys.node_local
     kept: dict[int, np.ndarray] = {}  # node -> the Krylov basis of the node alone
@@ -410,51 +421,78 @@ def greedy_min_reach(
                 kept[i], room = K, room - K.size
         return K
 
+    def judge(i: int, Q: np.ndarray | None = None) -> float:
+        """Take the verdict on ``selected + [i]`` (on its basis ``Q`` if
+        given), keep it if it leads the round, and return its value."""
+        nonlocal leader
+        if Q is None:
+            Q = system.reachability_matrix(sys, selected + [i], tol=tol)
+        verdict = system._verdict(sys, Q, tol)
+        # the least residual wins, and the smallest node among equal ones
+        if leader is None or (verdict.residual_sq, i) < leader[:2]:
+            leader = (verdict.residual_sq, i, verdict, Q)
+        return verdict.residual_sq / scale / scale
+
+    def project(i: int) -> float:
+        # the columns of a node basis are orthonormal: sigma_max is 1
+        Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
+        with np.errstate(over="ignore"):
+            return dist_sq_to_basis(sys.offset, Q) / scale / scale
+
+    def scan(value_of) -> tuple[dict[int, float], set[int]]:
+        """Value the round's candidates in index order, skipping each whose
+        structural bound exceeds the least value so far by more than the
+        slack.  Returns the values, and the candidates whose value was the
+        least at a skip or at the end."""
+        values: dict[int, float] = {}
+        least: set[int] = set()
+        best = None
+        for i in range(1, n + 1):
+            if i in selected:
+                continue
+            # lower bound on the scaled residual of selected + [i]
+            if best is not None and off(covered | reach[i - 1]) > values[best] + slack:
+                least.add(best)
+                continue
+            values[i] = value_of(i)
+            if best is None or values[i] < values[best]:
+                best = i
+        least.add(best)
+        return values, least
+
     covered = 0  # reach of the selected nodes
     selected: list[int] = []
     Q_S = None  # node-local B, from the second round on: the basis of selected
     current = is_feasible(sys, selected, tol)
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
-        scanned = []  # (node, value, verdict or None) of each explored candidate
-        best_value = None
-        for i in range(1, n + 1):
-            if i in selected:
-                continue
-            # lower bound on the scaled residual of selected + [i]
-            if best_value is not None and off(covered | reach[i - 1]) > best_value + slack:
-                skipped += 1
-                continue
-            explored += 1
-            if Q_S is None:
-                Q = node_basis(i) if local else system.reachability_matrix(
-                    sys, selected + [i], tol=tol
-                )
-                verdict, value = system._verdict(sys, Q, tol)
-            else:
-                # the columns of a node basis are orthonormal: sigma_max is 1
-                Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
-                verdict, value = None, dist_sq_to_basis(sys.scaled_offset, Q)
-            scanned.append((i, value, verdict))
-            if best_value is None or value < best_value:
-                best_value = value
-        best = best_Q = None
-        for i, value, verdict in scanned:
-            if value > best_value + slack:
-                continue
-            Q = None
-            if verdict is None:
-                Q = system.reachability_matrix(sys, selected + [i], tol=tol)
-                verdict = system._verdict(sys, Q, tol)[0]
-            if best is None or verdict.residual_sq < best.residual_sq:
-                best_node, best, best_Q = i, verdict, Q
+        leader = None  # (residual_sq, node, verdict, basis) of the round's winner
+        if Q_S is None:
+            values, _ = scan(lambda i: judge(i, node_basis(i) if local else None))
+        else:
+            values, least = scan(project)
+            judged = {i: judge(i) for i in sorted(least)}
+            # the winner's verdict is at most the least one judged and at
+            # least its structural bound: judge every candidate so bounded
+            bound = min(judged.values()) + slack
+            for i in values:
+                if i not in judged and off(covered | reach[i - 1]) <= bound:
+                    judged[i] = judge(i)
+            # a value off its verdict by more than feas_rel may have set a
+            # skip that the verdicts would not: scan again on verdicts
+            if any(abs(value - values[i]) > tol.feas_rel for i, value in judged.items()):
+                leader = None
+                values, _ = scan(judge)
+        explored += len(values)
+        skipped += n - len(selected) - len(values)
+        _, best_node, best, Q = leader
         if current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS:
             break
         selected.append(best_node)
         covered |= reach[best_node - 1]
         current = best
         if local:
-            Q_S = node_basis(best_node) if best_Q is None else best_Q
+            Q_S = Q
     return SolveResult(
         nodes=tuple(sorted(selected)),
         cardinality=len(selected),

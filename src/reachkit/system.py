@@ -29,10 +29,12 @@ is one private rule, shared by :func:`is_feasible` and the greedy solver.
 
 ``B`` is node-local (``LinearSystem.node_local``) when each of its columns is
 nonzero on at most one node, as for a diagonal ``B``.  Then the first block of
-``S + {i}`` is the first block of ``S`` next to that of ``{i}``, and the
-reachable space of ``S + {i}`` is the sum of those of ``S`` and of ``{i}``
-alone, which lets :func:`reachkit.solvers.greedy_min_reach` value a candidate
-from one basis per node.  Every Krylov basis is built by
+``S + {i}`` is the first block of ``S`` next to that of ``{i}``, and in exact
+arithmetic the reachable space of ``S + {i}`` is the sum of those of ``S``
+and of ``{i}`` alone.  That lets :func:`reachkit.solvers.greedy_min_reach`
+value a candidate from one basis per node; the computed bases can differ
+from that sum by directions near the rank cut, so greedy checks such values
+against verdicts.  Every Krylov basis is built by
 :func:`reachability_matrix`, looked up as this module's attribute at call
 time.  The nonzero pattern of ``B`` is cached on the system
 (``LinearSystem.input_pattern``) and read by :func:`input_columns`, the
@@ -353,24 +355,20 @@ def is_feasible(
     the verdict, the squared distance of ``w`` itself (``inf`` past the
     float range) and the dimension of the reachable space.
     """
-    return _verdict(sys, reachability_matrix(sys, S, tol=tol), tol)[0]
+    return _verdict(sys, reachability_matrix(sys, S, tol=tol), tol)
 
 
-def _verdict(
-    sys: LinearSystem, Q: np.ndarray, tol: Tolerance
-) -> tuple[FeasibilityResult, float]:
+def _verdict(sys: LinearSystem, Q: np.ndarray, tol: Tolerance) -> FeasibilityResult:
     """The :func:`is_feasible` verdict on the Krylov basis ``Q`` of a node
-    set, and the squared distance of ``sys.scaled_offset`` to ``Q`` that it
-    thresholds."""
+    set."""
     with np.errstate(over="ignore"):
         residual_sq = dist_sq_to_basis(sys.offset, Q)
     scaled_sq = dist_sq_to_basis(sys.scaled_offset, Q)
     # an empty reachable space comes back as the all-zero n x m block
     rank = Q.shape[1] if Q.any() else 0
-    verdict = FeasibilityResult(
+    return FeasibilityResult(
         feasible=scaled_sq <= tol.feas_rel**2, residual_sq=residual_sq, rank=rank
     )
-    return verdict, scaled_sq
 
 
 def star_system(

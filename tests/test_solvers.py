@@ -869,7 +869,7 @@ class TestStructuralPrune:
     @pytest.mark.parametrize("c", [1.0, 1e3, 1e100, 1e-6])
     def test_node_local_greedy_keeps_the_tie_breaks_at_every_scale(self, c):
         # feasible candidates tie near 1e-28, where only float noise orders
-        # them; greedy must confirm every candidate whose value is that close
+        # them; greedy must judge every candidate that can be that close
         rng = np.random.default_rng(211)
         for _ in range(200):
             n = int(rng.integers(4, 12))
@@ -882,6 +882,55 @@ class TestStructuralPrune:
             x0 = rng.normal(size=n) if rng.random() < 0.3 else np.zeros(n)
             sys = LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=c * x0, x1=c * x1)
             self.assert_same(greedy_min_reach(sys), unpruned_greedy(sys))
+
+    @pytest.mark.parametrize(
+        "entries, diagonal, x1, expected",
+        [
+            # ||A||_F is 1e6, so a Krylov block is cut at 1e-3.  A e2 passes
+            # the cut alone, but its e4 part (2e-4) does not once e3 is in the
+            # basis: K({2, 3}) is smaller than K({2}) + K({3}), and the
+            # residual off the sum (0.25) is far below the verdict's (1.25)
+            ({(0, 0): 1e6, (2, 1): 1.99e-3, (3, 1): 2e-4}, [1.0, 1.0, 1.0, 0.0],
+             [0.5, 1.0, 1.0, 1.0], ((1, 2), 7, 2)),
+            # A e1 and A e2 (8e-4 e3 each) fail the cut alone and pass it
+            # together: the residual off K({1}) + K({2}) (104) is far above
+            # the verdict's (4)
+            ({(3, 3): 1e6, (2, 0): 8e-4, (2, 1): 8e-4}, [1.0, 1.0, 0.0, 0.0, 1.0],
+             [3.0, 1.0, 10.0, 0.0, 2.0], ((1, 2, 5), 7, 5)),
+            # A e2 = 1.99e-3 e4 + 2e-4 e5 and A e3 = e4: the residual off
+            # K({2}) + K({3}) is 1 below the verdict's and, the least of
+            # round 2 so far, skips nodes 4 to 6, which the verdicts value
+            ({(0, 0): 1e6, (3, 1): 1.99e-3, (4, 1): 2e-4, (3, 2): 1.0},
+             [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 2.0, 0.5, 1.0, 1.0, 0.3, 1.2],
+             ((2, 3, 6, 7), 20, 5)),
+        ],
+    )
+    def test_node_local_greedy_survives_values_off_their_verdicts(
+        self, entries, diagonal, x1, expected
+    ):
+        n = len(diagonal)
+        A = np.zeros((n, n))
+        for (i, j), value in entries.items():
+            A[i, j] = value
+        sys = LinearSystem(
+            A=A, B=np.diag(diagonal), t0=0.0, t1=1.0, x0=np.zeros(n), x1=np.array(x1)
+        )
+        assert sys.node_local
+        result = greedy_min_reach(sys)
+        self.assert_same(result, unpruned_greedy(sys))
+        assert (result.nodes, result.nodes_explored, result.nodes_pruned) == expected
+
+    @pytest.mark.parametrize("x1", [np.arange(1.0, 7.0), np.arange(6.0, 0.0, -1.0)])
+    def test_overflowing_residuals_tie_and_prune_nothing(self, x1):
+        # residual_sq overflows to inf short of the full set, so every value
+        # of a round ties at inf: nothing is skipped and the first candidate
+        # wins each round, as in the unpruned scan
+        sys = LinearSystem(
+            A=np.zeros((6, 6)), B=np.eye(6), t0=0.0, t1=1.0, x0=np.zeros(6), x1=1e200 * x1
+        )
+        result = greedy_min_reach(sys, max_iters=2)
+        self.assert_same(result, unpruned_greedy(sys, max_iters=2))
+        assert (result.nodes, result.nodes_explored, result.nodes_pruned) == ((1, 2), 11, 0)
 
     @staticmethod
     def count_krylov_builds(monkeypatch):
@@ -909,7 +958,7 @@ class TestStructuralPrune:
         assert result.nodes == tuple(targets)
         assert len(calls) < result.nodes_explored
 
-    @pytest.mark.parametrize("budget", [0, 100])
+    @pytest.mark.parametrize("budget", [0, 20])
     def test_node_bases_past_the_memory_budget_are_rebuilt(self, monkeypatch, budget):
         # greedy keeps node bases up to linalg.STACK_ENTRIES floats and builds
         # the others again when it needs them
