@@ -15,6 +15,8 @@ process; a flag two subcommands take is declared once, in an argparse parent,
 and :func:`_generate_from_args` alone requires ``--d``.  ``roundtrip`` takes
 its instance from ``--file`` or from the generation flags, never from both.
 
+``gen-hard`` and ``roundtrip`` exit 3 before generating an instance whose
+drift matrix would hold more than ``MAX_GENERATED_ENTRIES`` entries.
 ``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
 ``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
 """
@@ -40,6 +42,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+
+# gen-hard and roundtrip refuse to generate a system whose n x n drift matrix
+# A (n = max(M, L) * (d + 1)) has more entries than this, before allocating
+# anything; A then takes at most 32 MiB.
+MAX_GENERATED_ENTRIES = 1 << 22
 
 Report = tuple[bool, dict, list[str]]
 
@@ -125,15 +132,24 @@ def _generate_from_args(args) -> hardness.HardInstance:
         raise ValueError("provide either --U FILE or --random M L, not both")
     if args.U is not None:
         U = instance_io.load_matrix(args.U)
+        m, l = U.shape
     elif args.random is not None:
         m, l = (as_count(k, f"--random {name}", least=1) for k, name in zip(args.random, "ML"))
-        rng = np.random.default_rng(0 if args.seed is None else args.seed)
-        U = rng.integers(0, 2, size=(m, l)).astype(float)
     else:
         raise ValueError("provide either --U FILE or --random M L")
     if args.d is None:
         raise ValueError("--d is required when generating an instance")
-    return hardness.generate(U, d=args.d, delta=0.0 if args.delta is None else args.delta)
+    d = as_count(args.d, "stack count d", 1)
+    n = max(m, l) * (d + 1)
+    if n * n > MAX_GENERATED_ENTRIES:
+        raise CapacityError(
+            f"a {m}x{l} source stacked {d} times gives n = {n}: A would hold "
+            f"{n * n} entries, more than the cap of {MAX_GENERATED_ENTRIES}"
+        )
+    if args.U is None:
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
+        U = rng.integers(0, 2, size=(m, l)).astype(float)
+    return hardness.generate(U, d=d, delta=0.0 if args.delta is None else args.delta)
 
 
 def cmd_gen_hard(args) -> Report:

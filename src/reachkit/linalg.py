@@ -162,8 +162,10 @@ def extend_basis(
     ``None``) this is the relative rank rule of a single matrix.  Callers that
     grow a basis block by block pass the scale of the operator producing the
     blocks instead, so that a block of pure roundoff never counts as new
-    directions.  ``Q`` itself is returned when nothing is added.  ``M`` must
-    be a finite 2-d float array; the public wrappers validate theirs.
+    directions.  ``Q`` itself is returned when nothing is added; when the
+    projected block is exactly zero, as the last Krylov block of a
+    nilpotent, diagonal or chain system often is, no SVD is taken.  ``M``
+    must be a finite 2-d float array; the public wrappers validate theirs.
     """
     if Q is None:
         Q = np.zeros((M.shape[0], 0))
@@ -173,6 +175,9 @@ def extend_basis(
     if Q.shape[1]:
         R = R - Q @ (Q.T @ R)
         R = R - Q @ (Q.T @ R)
+    if not R.any():
+        # every singular value is zero, and none clears a cut
+        return Q
     U, s, _ = np.linalg.svd(R, full_matrices=False)
     if scale is None:
         scale = float(np.linalg.norm(M, 2)) if Q.shape[1] else float(s[0])

@@ -66,13 +66,25 @@ A greedy candidate's value is its residual over the offset scale, squared
 and the round's winner has the least ``residual_sq``, the smallest node among
 equal ones.  For a general ``B`` every explored candidate is valued by its
 verdict on the Krylov basis of the selected nodes and the candidate.  For a
-node-local ``B`` (``LinearSystem.node_local``) the first round values each
-explored node by the verdict on its own basis
+node-local ``B`` (``LinearSystem.node_local``) each round first takes ``r``,
+the scaled offset's residual off ``Q_S``, the winner's basis of the round
+before (the scaled offset itself in the first round), and values two kinds
+of candidate in closed form, with no Krylov build and no SVD.  An *inert*
+candidate reaches neither the offset's support nor ``covered``, the reach of
+the selected nodes: its Krylov space is orthogonal to ``r``, so its value is
+``||r||**2`` and its structural bound ``off_reach_sq(covered)``.  A *sink*
+reaches only itself, keeps its row of ``B`` through the first-block cut
+(:func:`reachkit.system.first_block_kept`) and lies outside ``covered``: its
+Krylov space is its own axis ``e_i``, orthogonal to ``Q_S``, so its value is
+``||r||**2 - r_i**2``.  Both values are exact in exact arithmetic; in
+floating point they differ from the projections below by the leak the guards
+below absorb.  Every other candidate is valued as before.  In the first
+round that is the verdict on its own basis
 :func:`reachkit.system.reachability_matrix` ``(sys, [i])``, which is kept for
 the call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that is
-built again when it is needed).  From the second round on a candidate is
-valued by projecting its node's basis twice off ``Q_S``, the winner's basis
-of the round before, with one small SVD (:func:`reachkit.linalg.extend_basis`).
+built again when it is needed), and the verdicts the guards take reuse it.
+From the second round on it is the projection of its node's basis twice off
+``Q_S``, with one small SVD (:func:`reachkit.linalg.extend_basis`).
 The space so spanned is the reachable space of ``S + {i}`` in exact
 arithmetic only: the Krylov build of ``S + {i}`` drops directions under
 ``rank_rel ||A||_F`` and may keep fewer or more of them, so a value can lie
@@ -94,7 +106,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -381,6 +393,44 @@ def exact_min_reach(
     raise InfeasibleError("transfer is infeasible even with every node actuated")
 
 
+def _sinks(sys: LinearSystem, tol: Tolerance) -> int:
+    """Bitmask of the nodes whose Krylov space alone is their own axis: they
+    reach only themselves and their row of ``B`` survives the first-block
+    cut (:func:`reachkit.system.first_block_kept`)."""
+    kept = system.first_block_kept(sys, tol).tolist()
+    return sum(1 << j for j, mask in enumerate(sys.reach) if mask == 1 << j and kept[j])
+
+
+def _closed_form(
+    sys: LinearSystem, sinks: int, Q_S: np.ndarray | None, covered: int
+):
+    """Values of a greedy round's inert and sink candidates, for a
+    node-local ``B``, without a Krylov build or an SVD (see the module
+    docstring).  ``Q_S`` is the basis of the selected nodes (None when there
+    are none), ``covered`` their reach, and ``sinks`` the bitmask of the nodes
+    whose Krylov space alone is their own axis.  Returns a function of the
+    1-based node that gives its value, or None for any other candidate."""
+    r = sys.scaled_offset
+    if Q_S is not None:
+        r = r - Q_S @ (Q_S.T @ r)
+    total, sq = float(r @ r), (r * r).tolist()
+    seen = sys._offset_weights[0] | covered
+    reach, scale = sys.reach, sys.offset_scale
+
+    def value(i: int) -> float | None:
+        bit = 1 << (i - 1)
+        if not reach[i - 1] & seen:
+            v = total
+        elif sinks & bit and not covered & bit:
+            v = max(total - sq[i - 1], 0.0)
+        else:
+            return None
+        # residual_sq / scale**2, which is inf once residual_sq overflows
+        return v if v * scale * scale < inf else inf
+
+    return value
+
+
 def greedy_min_reach(
     sys: LinearSystem,
     tol: Tolerance = DEFAULT_TOL,
@@ -396,19 +446,23 @@ def greedy_min_reach(
     behavior for a non-supermodular objective and worth observing.
     Candidates whose structural bound cannot beat the best value of the
     round so far are skipped unvalued and counted in ``nodes_pruned``.  For
-    a node-local ``B`` later rounds value candidates from per-node Krylov
-    bases and build the basis of ``S + {i}`` only for the candidates that
-    set a skip, that can win, or whose value the round must check (see the
-    module docstring); the nodes and residual are those of valuing every
-    candidate by ``is_feasible``.
+    a node-local ``B`` candidates are valued in closed form where their
+    Krylov space is known (nodes that reach neither the offset nor the
+    selected nodes, and nodes that reach only themselves), and otherwise
+    from per-node Krylov bases; the basis of ``S + {i}`` is built only for
+    the candidates that set a skip, that can win, or whose value the round
+    must check (see the module docstring).  The nodes and residual are those
+    of valuing every candidate by ``is_feasible``.
     """
     n = sys.n
     iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
     reach = sys.reach
     off = sys.off_reach_sq
+    support = sys._offset_weights[0]
     scale = sys.offset_scale
     slack = GREEDY_SKIP_FACTOR * tol.feas_rel
     local = sys.node_local
+    sinks = _sinks(sys, tol) if local else 0
     kept: dict[int, np.ndarray] = {}  # node -> the Krylov basis of the node alone
     room = linalg.STACK_ENTRIES  # floats of node bases kept; later ones are rebuilt
 
@@ -421,23 +475,42 @@ def greedy_min_reach(
                 kept[i], room = K, room - K.size
         return K
 
-    def judge(i: int, Q: np.ndarray | None = None) -> float:
-        """Take the verdict on ``selected + [i]`` (on its basis ``Q`` if
-        given), keep it if it leads the round, and return its value."""
+    def judge(i: int) -> float:
+        """Take the verdict on ``selected + [i]``, keep it if it leads the
+        round, and return its value."""
         nonlocal leader
-        if Q is None:
+        if local and not selected:
+            Q = node_basis(i)
+        else:
             Q = system.reachability_matrix(sys, selected + [i], tol=tol)
         verdict = system._verdict(sys, Q, tol)
         # the least residual wins, and the smallest node among equal ones
         if leader is None or (verdict.residual_sq, i) < leader[:2]:
             leader = (verdict.residual_sq, i, verdict, Q)
-        return verdict.residual_sq / scale / scale
+        judged[i] = verdict.residual_sq / scale / scale
+        return judged[i]
 
     def project(i: int) -> float:
         # the columns of a node basis are orthonormal: sigma_max is 1
         Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
         with np.errstate(over="ignore"):
             return dist_sq_to_basis(sys.offset, Q) / scale / scale
+
+    def bound_of(i: int) -> float:
+        """Lower bound on the scaled residual of ``selected + [i]``, taken
+        once per round."""
+        bound = bounds.get(i)
+        if bound is None:
+            mask = reach[i - 1]
+            bound = off(covered | mask) if mask & support & ~covered else base
+            bounds[i] = bound
+        return bound
+
+    def value(i: int) -> float:
+        v = closed(i)
+        if v is None:
+            v = project(i) if selected else judge(i)
+        return v
 
     def scan(value_of) -> tuple[dict[int, float], set[int]]:
         """Value the round's candidates in index order, skipping each whose
@@ -450,8 +523,7 @@ def greedy_min_reach(
         for i in range(1, n + 1):
             if i in selected:
                 continue
-            # lower bound on the scaled residual of selected + [i]
-            if best is not None and off(covered | reach[i - 1]) > values[best] + slack:
+            if best is not None and bound_of(i) > values[best] + slack:
                 least.add(best)
                 continue
             values[i] = value_of(i)
@@ -467,20 +539,25 @@ def greedy_min_reach(
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
         leader = None  # (residual_sq, node, verdict, basis) of the round's winner
-        if Q_S is None:
-            values, _ = scan(lambda i: judge(i, node_basis(i) if local else None))
+        judged: dict[int, float] = {}  # the values of the round's verdicts
+        base = off(covered)  # the bound of a candidate that adds no support
+        bounds: dict[int, float] = {}  # node -> its structural bound
+        if not local:
+            values, _ = scan(judge)
         else:
-            values, least = scan(project)
-            judged = {i: judge(i) for i in sorted(least)}
+            closed = _closed_form(sys, sinks, Q_S, covered)
+            values, least = scan(value)
+            for i in sorted(least - judged.keys()):
+                judge(i)
             # the winner's verdict is at most the least one judged and at
             # least its structural bound: judge every candidate so bounded
             bound = min(judged.values()) + slack
             for i in values:
-                if i not in judged and off(covered | reach[i - 1]) <= bound:
-                    judged[i] = judge(i)
+                if i not in judged and bound_of(i) <= bound:
+                    judge(i)
             # a value off its verdict by more than feas_rel may have set a
             # skip that the verdicts would not: scan again on verdicts
-            if any(abs(value - values[i]) > tol.feas_rel for i, value in judged.items()):
+            if any(abs(v - values[i]) > tol.feas_rel for i, v in judged.items()):
                 leader = None
                 values, _ = scan(judge)
         explored += len(values)

@@ -34,9 +34,11 @@ arithmetic the reachable space of ``S + {i}`` is the sum of those of ``S``
 and of ``{i}`` alone.  That lets :func:`reachkit.solvers.greedy_min_reach`
 value a candidate from one basis per node; the computed bases can differ
 from that sum by directions near the rank cut, so greedy checks such values
-against verdicts.  Every Krylov basis is built by
-:func:`reachability_matrix`, looked up as this module's attribute at call
-time.  The nonzero pattern of ``B`` is cached on the system
+against verdicts.  A node that reaches only itself and keeps its row of
+``B`` through the first-block cut (:func:`first_block_kept`) has its own
+axis as its reachable space, so greedy values it without building a basis.
+Every Krylov basis is built by :func:`reachability_matrix`, looked up as this
+module's attribute at call time.  The nonzero pattern of ``B`` is cached on the system
 (``LinearSystem.input_pattern``) and read by :func:`input_columns`, the
 node-local test and the structural reach.
 
@@ -167,6 +169,15 @@ class LinearSystem:
         return self.offset / self.offset_scale
 
     @cached_property
+    def input_row_norms(self) -> np.ndarray:
+        """``||B[i]||`` for every node, each taken after dividing the row by
+        its largest entry, so that it neither overflows nor underflows;
+        computed once per system."""
+        peak = np.abs(self.B).max(axis=1, initial=0.0)
+        peak[peak == 0.0] = 1.0
+        return peak * np.linalg.norm(self.B / peak[:, None], axis=1)
+
+    @cached_property
     def input_pattern(self) -> np.ndarray:
         """``B != 0``, the nonzero pattern of the input matrix; computed once
         per system."""
@@ -278,6 +289,18 @@ def input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.n
     block = np.zeros((sys.n, cols.size))
     block[idx] = sys.B[idx][:, cols]
     return block, cols
+
+
+def first_block_kept(sys: LinearSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Which nodes keep a first Krylov block when actuated alone.
+
+    ``M({i}) B`` has one nonzero row, ``B[i]``, so its one singular value is
+    ``||B[i]||`` (``LinearSystem.input_row_norms``) and
+    :func:`reachability_matrix` ``(sys, [i])`` is nonzero exactly when
+    ``0 < ||B[i]|| >= rank_rel * sigma_max(B)``, up to the rounding of the SVD.
+    """
+    norms = sys.input_row_norms
+    return (norms > 0.0) & (norms >= tol.rank_rel * sys.input_scale)
 
 
 def reachability_matrix(

@@ -479,6 +479,65 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == "error: out of memory: MemoryError\n"
 
 
+class TestGeneratedSizeCap:
+    """gen-hard and roundtrip refuse an A of more than
+    ``cli.MAX_GENERATED_ENTRIES`` entries before allocating anything."""
+
+    @pytest.fixture
+    def nothing_generated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the cap")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(cli.hardness, "generate", refuse)
+
+    @pytest.mark.parametrize("command", ["gen-hard", "roundtrip"])
+    def test_random_source_past_the_cap_exits_3(
+        self, monkeypatch, tmp_path, capsys, nothing_generated, command
+    ):
+        # --random 2 3 --d 2 gives n = 9, so A holds 81 entries
+        monkeypatch.setattr(cli, "MAX_GENERATED_ENTRIES", 80)
+        out = tmp_path / "inst.json"
+        argv = [command, "--random", "2", "3", "--d", "2"]
+        if command == "gen-hard":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a 2x3 source stacked 2 times gives n = 9: A would hold 81 "
+            "entries, more than the cap of 80\n"
+        )
+        assert not out.exists()
+
+    def test_matrix_file_past_the_cap_exits_3(
+        self, monkeypatch, tmp_path, capsys, nothing_generated
+    ):
+        upath = tmp_path / "U.json"
+        upath.write_text(json.dumps(COUNTEREXAMPLE["setfun"]["M"]))
+        monkeypatch.setattr(cli, "MAX_GENERATED_ENTRIES", 143)
+        out = tmp_path / "inst.json"
+        assert main(["gen-hard", "--U", str(upath), "--d", "3", "--out", str(out)]) == 3
+        assert "A would hold 144 entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_system_at_the_cap_is_generated(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "MAX_GENERATED_ENTRIES", 81)
+        out = tmp_path / "inst.json"
+        argv = ["gen-hard", "--random", "2", "3", "--d", "2", "--out", str(out), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 9
+        assert load_instance(out).system.n == 9
+
+    def test_the_default_cap_refuses_a_two_hundred_thousand_node_system(
+        self, tmp_path, capsys, nothing_generated
+    ):
+        out = tmp_path / "inst.json"
+        argv = ["gen-hard", "--random", "100", "100", "--d", "2000", "--out", str(out)]
+        assert main(argv) == 3
+        assert "n = 200100" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_roundtrip_generation_without_d_exits_2(self):
         assert main(["roundtrip", "--random", "2", "2"]) == 2

@@ -256,6 +256,52 @@ class TestExtendBasis:
             A = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 4))
             assert extend_basis(None, A).shape[1] == numerical_rank(A) == 3
 
+    @staticmethod
+    def count_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    @pytest.mark.parametrize("scale", [None, 0.0, 1.0, 1e4])
+    def test_zero_remainder_returns_the_basis_without_an_svd(self, monkeypatch, scale):
+        # an SVD of an all-zero block has no singular value to keep, whatever
+        # the scale: the basis comes back as it was
+        axes = np.eye(4)[:, :2]
+        inside = axes @ np.array([[2.0, 0.0, -1.5], [0.5, 3.0, 0.0]])
+        calls = self.count_svds(monkeypatch)
+        assert extend_basis(axes, inside, scale=scale) is axes
+        assert extend_basis(axes, np.zeros((4, 2)), scale=scale) is axes
+        empty = extend_basis(None, np.zeros((4, 3)), scale=scale)
+        assert empty.shape == (4, 0)
+        assert calls == []
+        # a remainder that is not exactly zero still gets its SVD
+        assert extend_basis(axes, np.eye(4)[:, 2:], scale=scale).shape[1] == (
+            2 if scale == 0.0 else 4
+        )
+        assert len(calls) == 1
+
+    def test_diagonal_krylov_build_takes_one_svd_per_node(self, monkeypatch):
+        # A e_i lies on e_i: the second block projects to exactly zero
+        from reachkit.system import LinearSystem, reachability_matrix
+
+        n = 6
+        sys = LinearSystem(
+            A=np.diag(np.linspace(-2.0, 3.0, n)), B=np.eye(n), t0=0.0, t1=1.0,
+            x0=np.zeros(n), x1=np.ones(n),
+        )
+        calls = self.count_svds(monkeypatch)
+        for i in range(1, n + 1):
+            calls.clear()
+            K = reachability_matrix(sys, [i])
+            assert len(calls) == 1
+            assert np.array_equal(np.abs(K), np.eye(n)[:, [i - 1]])
+
 
 def with_singular_values(rng, m, k, s):
     """An m x k matrix with the given singular values (len(s) <= min(m, k))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import reachkit.linalg
 import reachkit.solvers
@@ -986,6 +987,139 @@ class TestStructuralPrune:
             result = greedy_min_reach(sys)
             self.assert_same(result, ref)
             assert len(calls) == result.nodes_explored + 1
+
+    @staticmethod
+    def systems_with_sinks(rng, c):
+        """Node-local systems where many nodes reach only themselves: block
+        diagonal ``A`` with some 1 x 1 blocks and ``B`` diagonal with cut and
+        zero entries, ``hardness.generate`` instances and stars, each with
+        ``x1`` (and any ``x0``) scaled by ``c``."""
+        systems = []
+        for _ in range(12):
+            sizes = rng.integers(1, 4, size=int(rng.integers(2, 6)))
+            A = block_diag(*(rng.normal(size=(k, k)) for k in sizes))
+            n = A.shape[0]
+            B = np.diag(rng.choice([1.0, 2.5, 1e-11, 0.0], size=n, p=[0.5, 0.3, 0.1, 0.1]))
+            x1 = rng.normal(size=n) * (rng.random(size=n) < 0.6)
+            x0 = rng.normal(size=n) if rng.random() < 0.3 else np.zeros(n)
+            systems.append(LinearSystem(A=A, B=B, t0=0.0, t1=1.0, x0=c * x0, x1=c * x1))
+        for _ in range(8):
+            sys = generate(random_source_matrix(rng), d=int(rng.integers(1, 4))).sys
+            x1 = sys.x1 * rng.uniform(0.5, 2.0, size=sys.n)
+            systems.append(LinearSystem(
+                A=sys.A, B=sys.B, t0=0.0, t1=1.0, x0=sys.x0, x1=c * x1
+            ))
+        for n in (2, 5, 8):
+            systems.append(star_system(n, x1=c * rng.normal(size=n)))
+        return systems
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e3, 1e100, 1e200])
+    def test_closed_form_values_match_projections(self, c):
+        # the value greedy gives an inert or sink candidate without a Krylov
+        # build is the projection of the scaled offset it would otherwise
+        # take, within feas_rel, and inf exactly where that projection times
+        # the scale squared overflows.  (Past about 1e154 the projection of
+        # the offset itself reads inf where roundoff leaves 1e-16 of it.)
+        from reachkit.linalg import dist_sq_to_basis, extend_basis
+        from reachkit.solvers import _closed_form, _sinks
+        from reachkit.system import reachability_matrix
+
+        rng = np.random.default_rng(227)
+        kinds = {"inert": 0, "sink": 0}
+        for sys in self.systems_with_sinks(rng, c):
+            assert sys.node_local
+            sinks, scale = _sinks(sys, DEFAULT_TOL), sys.offset_scale
+            for _ in range(4):
+                S = sorted(set(rng.integers(1, sys.n + 1, size=rng.integers(0, 3)).tolist()))
+                Q_S = reachability_matrix(sys, S) if S else None
+                covered = 0
+                for j in S:
+                    covered |= sys.reach[j - 1]
+                value = _closed_form(sys, sinks, Q_S, covered)
+                for i in range(1, sys.n + 1):
+                    if i in S or (v := value(i)) is None:
+                        continue
+                    Q = extend_basis(Q_S, reachability_matrix(sys, [i]), scale=1.0)
+                    ref = dist_sq_to_basis(sys.scaled_offset, Q)
+                    assert type(v) is float
+                    if v == np.inf:
+                        assert ref * scale * scale == np.inf
+                    else:
+                        assert abs(v - ref) <= DEFAULT_TOL.feas_rel
+                        if c <= 1e100:
+                            with np.errstate(over="ignore"):
+                                unscaled = dist_sq_to_basis(sys.offset, Q)
+                            assert abs(v - unscaled / scale / scale) <= DEFAULT_TOL.feas_rel
+                    sink = sinks >> (i - 1) & 1 and sys.reach[i - 1] & sys._offset_weights[0]
+                    kinds["sink" if sink else "inert"] += 1
+        assert min(kinds.values()) > 50
+
+    def test_generated_instance_builds_no_sink_basis_outside_judging(self, monkeypatch):
+        # the target rows of a generated instance reach only themselves:
+        # greedy values them in closed form and builds the basis of one only
+        # to take its verdict, or to project it once a selected node reaches
+        # it (a sink in covered has no closed form)
+        import reachkit.system
+
+        from reachkit.solvers import _closed_form, _sinks
+
+        rng = np.random.default_rng(229)
+        U, _ = plant_instance(rng, 5, 5, 2)
+        sys = generate(U, d=3).sys
+        sinks = _sinks(sys, DEFAULT_TOL)
+        assert bin(sinks).count("1") >= 15
+        ref = unpruned_greedy(sys)
+        rounds, built, judged = [], [], []
+        build, verdict = reachkit.system.reachability_matrix, reachkit.system._verdict
+
+        def values(sys, sinks, Q_S, covered):
+            rounds.append(covered)
+            return _closed_form(sys, sinks, Q_S, covered)
+
+        def building(sys, S, *args, **kwargs):
+            K = build(sys, S, *args, **kwargs)
+            if len(S) == 1 and sinks >> (S[0] - 1) & 1:
+                built.append((K, S[0], rounds[-1]))
+            return K
+
+        def judging(sys, Q, tol):
+            judged.append(Q)
+            return verdict(sys, Q, tol)
+
+        monkeypatch.setattr(reachkit.solvers, "_closed_form", values)
+        monkeypatch.setattr(reachkit.system, "reachability_matrix", building)
+        monkeypatch.setattr(reachkit.system, "_verdict", judging)
+        result = greedy_min_reach(sys)
+        self.assert_same(result, ref)
+        assert len(rounds) == result.cardinality >= 2
+        assert 0 < len(built) < result.nodes_explored
+        for K, i, covered in built:
+            assert any(K is Q for Q in judged) or covered >> (i - 1) & 1
+
+    def test_sink_rule_matches_the_first_krylov_block(self):
+        # a node keeps a first block alone exactly when first_block_kept
+        # says so, and a sink's Krylov space is then its own axis
+        from reachkit.solvers import _sinks
+        from reachkit.system import first_block_kept, reachability_matrix
+
+        rng = np.random.default_rng(233)
+        systems = self.systems_with_sinks(rng, 1.0)
+        for B in (np.diag([1.0, 1e-10]), np.diag([1.0, 1e-9]), np.diag([1e-170, 1e-175]),
+                  np.diag([1e200, 3e190]), np.array([[1.0, 2.0], [0.0, 0.0]]), np.zeros((2, 2))):
+            for A in (np.zeros((2, 2)), np.diag([0.5, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
+                systems.append(LinearSystem(
+                    A=A, B=B, t0=0.0, t1=1.0, x0=np.zeros(2), x1=np.ones(2)
+                ))
+        for sys in systems:
+            kept, sinks = first_block_kept(sys, DEFAULT_TOL), _sinks(sys, DEFAULT_TOL)
+            for i in range(1, sys.n + 1):
+                K = reachability_matrix(sys, [i])
+                rank = K.shape[1] if K.any() else 0
+                assert kept[i - 1] == (rank > 0)
+                own = sys.reach[i - 1] == 1 << (i - 1)
+                assert bool(sinks >> (i - 1) & 1) == (own and rank == 1)
+                if own:
+                    assert rank == int(kept[i - 1])
 
     @staticmethod
     def diagonal_system(diagonal, targets):
