@@ -16,7 +16,9 @@ and :func:`_generate_from_args` alone requires ``--d``.  ``roundtrip`` takes
 its instance from ``--file`` or from the generation flags, never from both.
 
 ``gen-hard`` and ``roundtrip`` exit 3 before generating an instance whose
-drift matrix would hold more than ``MAX_GENERATED_ENTRIES`` entries.
+drift matrix would hold more than ``MAX_GENERATED_ENTRIES`` entries, and
+``synthesize`` exits 3 before synthesis when its report or its response
+stack would hold more than ``MAX_SYNTH_FLOATS`` floats.
 ``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
 ``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
 """
@@ -36,7 +38,7 @@ import numpy as np
 from . import hardness, instance_io, setfun, solvers
 from .errors import CapacityError, InfeasibleError, InstanceFormatError
 from .linalg import DEFAULT_TOL, Tolerance, as_count
-from .system import check_node_set, is_feasible
+from .system import check_node_set, input_columns, is_feasible
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,6 +49,14 @@ EXIT_CAP = 3
 # A (n = max(M, L) * (d + 1)) has more entries than this, before allocating
 # anything; A then takes at most 32 MiB.
 MAX_GENERATED_ENTRIES = 1 << 22
+
+# synthesize refuses, before synthesis, a report of more than this many floats
+# ((N + 1)(n + m + 1): the grid, the inputs and the states) and, where the
+# response stack is the cheaper path, a stack of more than this many
+# ((N + 1) r n for r actuated input columns).  The stack then takes at most
+# 32 MiB, and the report at most 32 MiB of floats before its Python lists and
+# JSON text.
+MAX_SYNTH_FLOATS = 1 << 22
 
 Report = tuple[bool, dict, list[str]]
 
@@ -195,6 +205,20 @@ def cmd_synthesize(args) -> Report:
     from . import synth  # scipy.integrate loads only for this command
 
     system = instance_io.load_section(args.file, "system")
+    N, n = args.grid, system.n
+    report = (N + 1) * (n + system.m + 1)
+    if report > MAX_SYNTH_FLOATS:
+        raise CapacityError(
+            f"a report on {N} grid intervals would hold {report} floats, "
+            f"more than the cap of {MAX_SYNTH_FLOATS}"
+        )
+    r = input_columns(system, args.actuate)[1].size
+    if synth._stack_is_cheaper(N, r, n) and (N + 1) * r * n > MAX_SYNTH_FLOATS:
+        raise CapacityError(
+            f"the response stack of {r} input columns on {N} grid intervals "
+            f"would hold {(N + 1) * r * n} floats, more than the cap of "
+            f"{MAX_SYNTH_FLOATS}"
+        )
     tol = _tolerance(args)
     verdict = is_feasible(system, args.actuate, tol)
     result = synth.min_energy_transfer(system, args.actuate, N=args.grid, tol=tol)

@@ -48,16 +48,29 @@ and ``residual`` returned are those of the unscreened scan.
 Both node-set solvers first consult the structural bound cached as
 ``LinearSystem.reach``: the squared mass of the scaled offset off the reach
 ``R(S)`` is a lower bound on the scaled residual of ``S`` and of every subset
-of ``S``.  The exact solver runs a lexicographic depth-first search within
-each cardinality and drops a prefix when the prefix together with every later
-candidate already leaves mass ``>= 4 feas_rel**2`` off its reach; a subset
-whose own reach fails that test is not evaluated either.  If the full set
-fails, nothing is evaluated.  The greedy solver scans candidates in index
-order and, once the round has a best candidate, skips one whose bound (the
-mass off the reach of the selected nodes and the candidate together) exceeds
-the best value of the round so far by more than ``2 feas_rel``.  Both
-margins hold while the computed Krylov basis leaks less than ``feas_rel`` off
-``R(S)`` (observed: about ``1e-13``), so every skipped set is one that
+of ``S``.  The exact solver evaluates a subset exactly when the mass off its
+reach is below ``4 feas_rel**2``, in the order of the full scan, and reaches
+those subsets without visiting the others.  The mass off a mask is summed
+node by node in index order over nonnegative floats, so in floating point
+too it can only grow as the mask shrinks.  A lexicographic depth-first
+search within each cardinality therefore drops a prefix when the prefix
+together with every later candidate already fails the test: no subset below
+it passes.  The last node of a set is not searched for.  Call a node
+*heavy* when its own squared entry is ``>= 4 feas_rel**2``; a set whose
+reach misses a heavy node fails the test on that entry alone.  So the last
+node is taken only among the nodes that reach every heavy node the prefix
+misses (the AND of their ``LinearSystem.reached_by`` masks, built on first
+use and kept per set of missed heavy nodes), and only those get the test;
+after one fails it, the scan stops once the prefix together with every later
+node fails too.  ``nodes_pruned`` is the number of subsets the full scan
+visits up to the answer, less those evaluated.  If the full set fails,
+nothing is evaluated.
+The greedy solver scans candidates in index order and, once the round has a
+best candidate, skips one whose bound (the mass off the reach of the
+selected nodes and the candidate together) exceeds the best value of the
+round so far by more than ``2 feas_rel``.  Both margins hold while the
+computed Krylov basis leaks less than ``feas_rel`` off ``R(S)`` (observed:
+about ``1e-13``), so every skipped set is one that
 :func:`reachkit.system.is_feasible` would reject or that greedy would not
 pick, and the answers are those of the unpruned scans.
 
@@ -107,7 +120,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -317,6 +330,21 @@ def _lattice_survivors(
     return idx[keep]
 
 
+def _sets_through(S: Sequence[int], n: int) -> int:
+    """How many node sets the cardinality-ordered scan visits up to and
+    including the 0-based sorted ``S``: every smaller set, and the sets of
+    its size lexicographically up to it."""
+    k = len(S)
+    count = sum(comb(n, size) for size in range(k)) + 1
+    prev = -1
+    for p, c in enumerate(S):
+        # the sets that agree with S before position p and hold a node
+        # strictly between prev and c there
+        count += comb(n - prev - 1, k - p) - comb(n - c, k - p)
+        prev = c
+    return count
+
+
 def exact_min_reach(
     sys: LinearSystem,
     tol: Tolerance = DEFAULT_TOL,
@@ -328,9 +356,11 @@ def exact_min_reach(
 
     Subsets are scanned by increasing size and lexicographically within each
     size, so the first feasible set found has minimal cardinality and is the
-    lexicographically least witness of it.  Within a size the scan is a
-    depth-first search that drops every subset the structural bound rules
-    out (see the module docstring); ``nodes_pruned`` counts them.  Systems
+    lexicographically least witness of it.  A subset is evaluated exactly
+    when the squared mass of the scaled offset off its structural reach is
+    below ``4 feas_rel**2``; the search reaches those subsets in scan order
+    without visiting the others (see the module docstring), and
+    ``nodes_pruned`` counts the subsets scanned but not evaluated.  Systems
     with more than ``cap`` nodes are refused unless ``budget`` bounds the
     cardinality to search; exhausting the budget raises
     :class:`InfeasibleError`.
@@ -350,42 +380,78 @@ def exact_min_reach(
         later[j] = later[j + 1] | masks[j]
     off = sys.off_reach_sq
     prune_at = EXACT_PRUNE_FACTOR * tol.feas_rel**2
-    explored = pruned = 0
-    for k in range(kmax + 1):
-        chosen: list[int] = []  # 0-based nodes of the current prefix
+    # a set whose reach misses a heavy node fails the test on that node alone
+    weights = sys._offset_weights[1]
+    heavy = sum(1 << j for j, w in enumerate(weights) if w >= prune_at)
+    admits: dict[int, int] = {}  # heavy nodes left -> the nodes reaching them all
+
+    def last_nodes(prefix: int, j: int) -> Iterator[int]:
+        """The nodes ``i >= j`` that complete a prefix of reach ``prefix``
+        to a set that passes the test, in increasing order."""
+        left = heavy & ~prefix
+        nodes = admits.get(left)
+        if nodes is None:
+            nodes, by, rest = (1 << n) - 1, sys.reached_by, left
+            while rest:
+                low = rest & -rest
+                nodes &= by[low.bit_length() - 1]
+                rest ^= low
+            admits[left] = nodes
+        rest = nodes >> j << j
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if off(prefix | masks[i]) < prune_at:
+                yield i
+            elif off(prefix | later[i + 1]) >= prune_at:
+                return  # no later node completes the prefix either
+            rest ^= low
+
+    def passing(k: int) -> Iterator[tuple[int, ...]]:
+        """The 0-based k-subsets that pass the test, in lexicographic order:
+        a depth-first search that drops a prefix when it fails the test
+        together with every later node, and takes its last node from
+        :func:`last_nodes`."""
+        if k == 0:
+            if off(0) < prune_at:
+                yield ()
+            return
+        chosen: list[int] = []  # the current prefix
         covered = [0]  # covered[p]: the reach of chosen[:p]
         j = 0  # next candidate to extend the prefix with
         while True:
             need = k - len(chosen)
-            if need and j <= n - need and off(covered[-1] | later[j]) < prune_at:
+            if need == 1:
+                for i in last_nodes(covered[-1], j):
+                    yield (*chosen, i)
+            elif j <= n - need and off(covered[-1] | later[j]) < prune_at:
                 chosen.append(j)
                 covered.append(covered[-1] | masks[j])
                 j += 1
                 continue
-            if need:
-                # no k-subset extends the prefix by a node >= j
-                if j <= n - need:
-                    pruned += comb(n - j, need)
-            elif off(covered[-1]) >= prune_at:
-                pruned += 1
-            else:
-                explored += 1
-                S = tuple(i + 1 for i in chosen)
-                verdict = is_feasible(sys, S, tol)
-                if verdict.feasible:
-                    return SolveResult(
-                        nodes=S,
-                        cardinality=k,
-                        residual_sq=verdict.residual_sq,
-                        feasible=True,
-                        optimal=True,
-                        nodes_explored=explored,
-                        nodes_pruned=pruned,
-                    )
             if not chosen:
-                break
+                return
             j = chosen.pop() + 1
             covered.pop()
+
+    explored = 0
+    # when even every node together fails the test, every set does
+    sizes = range(kmax + 1) if off(later[0]) < prune_at else ()
+    for k in sizes:
+        for S in passing(k):
+            explored += 1
+            nodes = tuple(i + 1 for i in S)
+            verdict = is_feasible(sys, nodes, tol)
+            if verdict.feasible:
+                return SolveResult(
+                    nodes=nodes,
+                    cardinality=k,
+                    residual_sq=verdict.residual_sq,
+                    feasible=True,
+                    optimal=True,
+                    nodes_explored=explored,
+                    nodes_pruned=_sets_through(S, n) - explored,
+                )
     if budget is not None and kmax < n:
         raise InfeasibleError(
             f"no feasible actuated set of cardinality <= {kmax} (budget exhausted)"

@@ -51,7 +51,8 @@ is supported on ``R(S)``, so the squared mass of the scaled offset off
 ``R(S)`` is a lower bound on the scaled residual, and ``R`` grows with ``S``
 for every ``B``.  The computed basis leaks up to about ``1e-13`` off
 ``R(S)``, so a bound is only trusted with a margin (see
-:mod:`reachkit.solvers`).
+:mod:`reachkit.solvers`).  ``LinearSystem.reached_by`` holds, per node, the
+nodes that reach it; it is packed from the same cached closure on first use.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ from .linalg import (
     extend_basis,
     mat_exp,
 )
+
+
+def _row_masks(M: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as a bitmask, bit ``j`` for column ``j``."""
+    packed = np.packbits(M, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _peak_norm(M: np.ndarray, what: str) -> float:
@@ -190,16 +197,11 @@ class LinearSystem:
         return bool((np.count_nonzero(self.input_pattern, axis=0) <= 1).all())
 
     @cached_property
-    def reach(self) -> tuple[int, ...]:
-        """Structural reach of every node as a bitmask: bit ``j - 1`` of
-        ``reach[i - 1]`` is set when node ``j`` is node ``i`` or a descendant
-        of it in the graph of ``A`` (edge ``j -> i`` when ``A[i, j] != 0``).
-
-        A node whose row of ``B`` is zero reaches nothing (mask 0), so the
-        reach ``R(S)`` of a node set is the union of its members' masks.  The
-        closure is taken by repeated boolean squaring of the adjacency
-        pattern.
-        """
+    def _closure(self) -> np.ndarray:
+        """Boolean ``n x n`` matrix whose entry ``[i, j]`` says that node
+        ``i`` reaches node ``j``: ``j`` is ``i`` or a descendant of it in the
+        graph of ``A``, and ``i`` has a nonzero row of ``B``.  Taken by
+        repeated boolean squaring of the adjacency pattern; read-only."""
         closure = (self.A != 0.0).T | np.eye(self.n, dtype=bool)
         while True:
             longer = closure @ closure
@@ -207,10 +209,26 @@ class LinearSystem:
                 break
             closure = longer
         closure[~self.input_pattern.any(axis=1)] = False
-        return tuple(
-            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in closure
-        )
+        closure.flags.writeable = False
+        return closure
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """Structural reach of every node as a bitmask: bit ``j - 1`` of
+        ``reach[i - 1]`` is set when node ``j`` is node ``i`` or a descendant
+        of it in the graph of ``A`` (edge ``j -> i`` when ``A[i, j] != 0``).
+
+        A node whose row of ``B`` is zero reaches nothing (mask 0), so the
+        reach ``R(S)`` of a node set is the union of its members' masks.
+        """
+        return _row_masks(self._closure)
+
+    @cached_property
+    def reached_by(self) -> tuple[int, ...]:
+        """The transpose of :attr:`reach`: bit ``i - 1`` of
+        ``reached_by[j - 1]`` is set when node ``i`` reaches node ``j``, so a
+        node set ``S`` reaches ``j`` exactly when it meets that mask."""
+        return _row_masks(self._closure.T)
 
     def off_reach_sq(self, mask: int) -> float:
         """Squared norm of :attr:`scaled_offset` on the nodes outside the

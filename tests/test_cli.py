@@ -538,6 +538,76 @@ class TestGeneratedSizeCap:
         assert "n = 200100" in capsys.readouterr().err
 
 
+class TestSynthesisSizeCap:
+    """synthesize refuses a report or a response stack of more than
+    ``cli.MAX_SYNTH_FLOATS`` floats before synthesis.  On the 5-node star
+    (B = I) at --grid 10 the report holds 11 * (5 + 5 + 1) = 121 floats and,
+    with every node actuated, the stack 11 * 5 * 5 = 275."""
+
+    ALL = ["1", "2", "3", "4", "5"]
+
+    @pytest.fixture
+    def nothing_synthesized(self, monkeypatch):
+        from reachkit import synth
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized past the cap")
+
+        monkeypatch.setattr(synth, "min_energy_transfer", refuse)
+
+    def test_report_past_the_cap_exits_3(
+        self, monkeypatch, star_file, capsys, nothing_synthesized
+    ):
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 120)
+        argv = ["synthesize", star_file, "--actuate", "1", "--grid", "10", "--json"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a report on 10 grid intervals would hold 121 floats, "
+            "more than the cap of 120\n"
+        )
+
+    def test_stack_past_the_cap_exits_3(
+        self, monkeypatch, star_file, capsys, nothing_synthesized
+    ):
+        from reachkit.synth import _stack_is_cheaper
+
+        assert _stack_is_cheaper(10, 5, 5)
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 274)
+        assert main(["synthesize", star_file, "--actuate", *self.ALL, "--grid", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the response stack of 5 input columns on 10 grid intervals "
+            "would hold 275 floats, more than the cap of 274\n"
+        )
+
+    def test_a_stack_at_the_cap_is_synthesized(self, monkeypatch, star_file, capsys):
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 275)
+        argv = ["synthesize", star_file, "--actuate", *self.ALL, "--grid", "10", "--json"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["x"]) == 11
+
+    def test_the_doubling_path_counts_only_the_report(self, monkeypatch, star_file, capsys):
+        # at --grid 1000 the doubling path is cheaper and builds no stack:
+        # the report's 1001 * 11 floats are all that count
+        from reachkit.synth import _stack_is_cheaper
+
+        assert not _stack_is_cheaper(1000, 5, 5)
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 1001 * 11)
+        argv = ["synthesize", star_file, "--actuate", *self.ALL, "--grid", "1000", "--json"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["x"]) == 1001
+
+    def test_the_default_cap_refuses_a_billion_intervals(
+        self, star_file, capsys, nothing_synthesized
+    ):
+        argv = ["synthesize", star_file, "--actuate", "1", "--grid", "1000000000"]
+        assert main(argv) == 3
+        assert "would hold 11000000011 floats" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_roundtrip_generation_without_d_exits_2(self):
         assert main(["roundtrip", "--random", "2", "2"]) == 2

@@ -1,7 +1,9 @@
 import re
 import tracemalloc
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -850,6 +852,79 @@ class TestStructuralPrune:
         assert result.nodes == tuple(range(1, n + 1))
         assert result.nodes_explored == 1
         assert result.nodes_pruned == sum(comb(n, k) for k in range(n))
+
+    def test_light_offsets_match_the_unpruned_scan(self):
+        # every offset entry's squared weight lies below the bound's threshold
+        # and their sum above it: no node alone decides a set, so the last
+        # level of the search tests every candidate
+        prune_at = reachkit.solvers.EXACT_PRUNE_FACTOR * DEFAULT_TOL.feas_rel**2
+        rng = np.random.default_rng(149)
+        explored = set()
+        for n in (8, 9, 10, 8, 9, 10):
+            support = rng.choice(n, size=int(rng.integers(4, n + 1)), replace=False)
+            x1 = np.zeros(n)
+            x1[support] = rng.choice([-1.0, 1.0], size=support.size) * np.sqrt(
+                rng.uniform(0.05, 0.95, size=support.size) * prune_at
+            )
+            sys = LinearSystem(
+                A=np.diag(rng.normal(size=n)), B=np.eye(n), t0=0.0, t1=1.0,
+                x0=np.zeros(n), x1=x1,
+            )
+            weights = sys.scaled_offset**2
+            assert weights.max() < prune_at < weights.sum()
+            result = exact_min_reach(sys)
+            self.assert_same(result, unpruned_exact(sys))
+            # a set is evaluated exactly when its reach passes the bound
+            scanned = [
+                S for k in range(result.cardinality + 1)
+                for S in combinations(range(1, n + 1), k)
+            ]
+            scanned = scanned[: scanned.index(result.nodes) + 1]
+            passing = [
+                S for S in scanned
+                if sys.off_reach_sq(reduce(or_, (sys.reach[i - 1] for i in S), 0)) < prune_at
+            ]
+            assert result.nodes_explored == len(passing)
+            explored.add(result.nodes_explored)
+        # several sets pass the bound before the answer
+        assert max(explored) > 1
+
+    def test_generated_instances_with_the_support_last_match_the_unpruned_scan(self):
+        # the last three columns of U split the rows among them and every
+        # other column has fewer ones than the smallest part, so the planted
+        # support is the last 3-subset of columns that fits
+        rng = np.random.default_rng(151)
+        for m, l in ((6, 5), (6, 6)):
+            U = np.zeros((m, l))
+            for j in range(l - 3):
+                U[rng.choice(m, size=int(rng.integers(0, m // 3)), replace=False), j] = 1.0
+            parts = rng.permutation(np.arange(m) % 3)
+            for g in range(3):
+                U[:, l - 3 + g] = parts == g
+            sys = generate(U, d=2).sys
+            result = exact_min_reach(sys, budget=3)
+            self.assert_same(result, unpruned_exact(sys, budget=3))
+            assert result.cardinality == 3
+
+    def test_last_level_tests_only_nodes_reaching_the_heavy_ones(self, monkeypatch):
+        # a diagonal n = 200 system: a set passes the bound only if it holds
+        # all three target nodes, and the last level tests only those
+        sys = self.diagonal_system(
+            np.linspace(-1.0, 1.0, 200), {7: 1.0, 90: -2.0, 199: 0.5}
+        )
+        calls = []
+        original = LinearSystem.off_reach_sq
+
+        def counting(self, mask):
+            calls.append(mask)
+            return original(self, mask)
+
+        monkeypatch.setattr(LinearSystem, "off_reach_sq", counting)
+        result = exact_min_reach(sys, budget=3)
+        assert (result.nodes, result.nodes_explored, result.nodes_pruned) == (
+            (7, 90, 199), 1, 147888
+        )
+        assert len(calls) < 1000
 
     def test_greedy_skips_candidates_on_a_diagonal_system(self):
         # decoupled nodes: once a target node is found, nodes off the

@@ -424,6 +424,16 @@ class TestStructuralReach:
         assert sys.reach == (0b0001, 0b0011, 0b0101, 0b1001)
         assert sys.off_reach_sq(0b0001) == 0.0
         assert sys.off_reach_sq(0b1110) == 1.0
+        assert sys.reached_by == (0b1111, 0b0010, 0b0100, 0b1000)
+
+    def test_reached_by_is_the_transpose_of_reach(self):
+        # including nodes whose zero row of B makes them reach nothing
+        rng = np.random.default_rng(157)
+        for _ in range(40):
+            sys = structural_case(rng)
+            for i in range(sys.n):
+                for j in range(sys.n):
+                    assert (sys.reach[i] >> j & 1) == (sys.reached_by[j] >> i & 1)
 
     def test_pruned_subsets_are_infeasible(self):
         # every subset of every system: a subset the exact search prunes is
