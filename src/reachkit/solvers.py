@@ -75,44 +75,42 @@ about ``1e-13``), so every skipped set is one that
 pick, and the answers are those of the unpruned scans.
 
 A greedy candidate's value is its residual over the offset scale, squared
-(``residual_sq / offset_scale**2``, ``inf`` once ``residual_sq`` overflows),
-and the round's winner has the least ``residual_sq``, the smallest node among
-equal ones.  For a general ``B`` every explored candidate is valued by its
-verdict on the Krylov basis of the selected nodes and the candidate.  For a
-node-local ``B`` (``LinearSystem.node_local``) each round first takes ``r``,
-the scaled offset's residual off ``Q_S``, the winner's basis of the round
-before (the scaled offset itself in the first round), and values two kinds
-of candidate in closed form, with no Krylov build and no SVD.  An *inert*
-candidate reaches neither the offset's support nor ``covered``, the reach of
-the selected nodes: its Krylov space is orthogonal to ``r``, so its value is
-``||r||**2`` and its structural bound ``off_reach_sq(covered)``.  A *sink*
-reaches only itself, keeps its row of ``B`` through the first-block cut
-(:func:`reachkit.system.first_block_kept`) and lies outside ``covered``: its
-Krylov space is its own axis ``e_i``, orthogonal to ``Q_S``, so its value is
-``||r||**2 - r_i**2``.  Both values are exact in exact arithmetic; in
-floating point they differ from the projections below by the leak the guards
-below absorb.  Every other candidate is valued as before.  In the first
-round that is the verdict on its own basis
-:func:`reachkit.system.reachability_matrix` ``(sys, [i])``, which is kept for
-the call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that is
-built again when it is needed), and the verdicts the guards take reuse it.
-From the second round on it is the projection of its node's basis twice off
-``Q_S``, with one small SVD (:func:`reachkit.linalg.extend_basis`).
-The space so spanned is the reachable space of ``S + {i}`` in exact
-arithmetic only: the Krylov build of ``S + {i}`` drops directions under
-``rank_rel ||A||_F`` and may keep fewer or more of them, so a value can lie
-far from its verdict either way.  Three steps keep the answer that of the
-verdicts.  The candidates whose value was the round's least at a skip or at
-the end of the scan get their verdicts.  The winner's verdict is at most the
-least of those and at least its structural bound, so every explored
-candidate whose bound is within ``2 feas_rel`` of that least verdict gets its
-verdict too, and the winner is among the candidates judged.  And if any
-verdict lies more than ``feas_rel`` from its value, a skip may rest on a
-wrong value: the round is scanned again with a verdict per candidate.  The
-nodes, ``residual_sq`` and ``feasible`` are then those of the unpruned scan,
-under the leak margin above.  So are the counts, unless a candidate that
-gets no verdict has a value more than ``feas_rel`` above it; the scan then
-values candidates that a scan on verdicts would skip.
+(``residual_sq / offset_scale**2``, ``inf`` once ``residual_sq`` overflows).
+Each round keeps one table of verdicts: node ``i`` to the
+:func:`reachkit.system.is_feasible` verdict on ``selected + [i]`` and its
+Krylov basis, taken at most once a round.  The winner is read off the table:
+the least ``residual_sq``, the smallest node among equal ones.  The scan
+values candidates by an estimate.  For a general ``B`` that is the verdict.
+For a node-local ``B`` (``LinearSystem.node_local``) let ``Q_S`` be the
+winner's basis of the round before (none in the first round), ``r`` the
+scaled offset's residual off it, and ``covered`` the reach of the selected
+nodes.  An *inert* candidate reaches neither the offset's support nor
+``covered``: its Krylov space is orthogonal to ``r``, so its value is
+``||r||**2``.  A *sink* reaches only itself, keeps its row of ``B`` through
+the first-block cut (:func:`reachkit.system.first_block_kept`) and lies
+outside ``covered``: its Krylov space is its own axis ``e_i``, orthogonal to
+``Q_S``, so its value is ``||r||**2 - r_i**2``.  Neither takes a Krylov build
+or an SVD.  Any other candidate is valued on its node's basis
+:func:`reachkit.system.reachability_matrix` ``(sys, [i])``, kept for the
+call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that is
+built again when needed), and projected twice off ``Q_S`` with one small
+SVD (:func:`reachkit.linalg.extend_basis`) when there is a ``Q_S``; a
+one-node verdict reuses that basis.  An estimate spans the reachable space
+of ``S + {i}`` in exact arithmetic only: the Krylov build of ``S + {i}`` drops
+directions under ``rank_rel ||A||_F`` and may keep fewer or more of them, so
+an estimate can lie far from its verdict either way.  Three guards keep the
+answer that of the verdicts.  The scan judges the least candidate at each
+skip and at its end, so every skip is set by a judged candidate.  Every
+scanned candidate whose bound is within ``2 feas_rel`` of the least verdict
+is judged, so the winner, whose verdict lies between its bound and that
+least verdict, is in the table.  And if a verdict lies more than
+``feas_rel`` from its estimate, a skip may rest on a wrong value, so the
+round is scanned again on verdicts, reusing the table's; a candidate judged
+before but skipped then lies above the least verdict and cannot win.  The
+nodes, ``residual_sq`` and ``feasible`` are those of the unpruned scan,
+under the leak margin above.  So are the counts, unless a candidate left
+unjudged has an estimate more than ``feas_rel`` above its verdict; the scan
+then values candidates that a scan on verdicts would skip.
 """
 
 from __future__ import annotations
@@ -511,14 +509,16 @@ def greedy_min_reach(
     set with ``feasible=False`` rather than raising: stalls are expected
     behavior for a non-supermodular objective and worth observing.
     Candidates whose structural bound cannot beat the best value of the
-    round so far are skipped unvalued and counted in ``nodes_pruned``.  For
-    a node-local ``B`` candidates are valued in closed form where their
-    Krylov space is known (nodes that reach neither the offset nor the
-    selected nodes, and nodes that reach only themselves), and otherwise
-    from per-node Krylov bases; the basis of ``S + {i}`` is built only for
-    the candidates that set a skip, that can win, or whose value the round
-    must check (see the module docstring).  The nodes and residual are those
-    of valuing every candidate by ``is_feasible``.
+    round so far are skipped unvalued and counted in ``nodes_pruned``.  Each
+    round keeps one table of verdicts, taken once per candidate, and reads
+    its winner off it.  For a general ``B`` every valued candidate is
+    judged.  For a node-local ``B`` candidates are valued in closed form
+    where their Krylov space is known (nodes that reach neither the offset
+    nor the selected nodes, and nodes that reach only themselves), and
+    otherwise from per-node Krylov bases; only the candidates that set a
+    skip, that can win, or whose value the round must check are judged (see
+    the module docstring).  The nodes and residual are those of valuing
+    every candidate by ``is_feasible``.
     """
     n = sys.n
     iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
@@ -542,100 +542,79 @@ def greedy_min_reach(
         return K
 
     def judge(i: int) -> float:
-        """Take the verdict on ``selected + [i]``, keep it if it leads the
-        round, and return its value."""
-        nonlocal leader
-        if local and not selected:
-            Q = node_basis(i)
-        else:
-            Q = system.reachability_matrix(sys, selected + [i], tol=tol)
-        verdict = system._verdict(sys, Q, tol)
-        # the least residual wins, and the smallest node among equal ones
-        if leader is None or (verdict.residual_sq, i) < leader[:2]:
-            leader = (verdict.residual_sq, i, verdict, Q)
-        judged[i] = verdict.residual_sq / scale / scale
-        return judged[i]
+        """Take the verdict on ``selected + [i]``, once a round, and return
+        its value."""
+        if i not in verdicts:
+            if local and not selected:
+                Q = node_basis(i)
+            else:
+                Q = system.reachability_matrix(sys, selected + [i], tol=tol)
+            verdicts[i] = system._verdict(sys, Q, tol), Q
+        return verdicts[i][0].residual_sq / scale / scale
 
-    def project(i: int) -> float:
-        # the columns of a node basis are orthonormal: sigma_max is 1
-        Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
-        with np.errstate(over="ignore"):
-            return dist_sq_to_basis(sys.offset, Q) / scale / scale
-
-    def bound_of(i: int) -> float:
-        """Lower bound on the scaled residual of ``selected + [i]``, taken
-        once per round."""
-        bound = bounds.get(i)
-        if bound is None:
-            mask = reach[i - 1]
-            bound = off(covered | mask) if mask & support & ~covered else base
-            bounds[i] = bound
-        return bound
-
-    def value(i: int) -> float:
+    def estimate(i: int) -> float:
+        """The value of a node-local candidate without its verdict."""
         v = closed(i)
         if v is None:
-            v = project(i) if selected else judge(i)
+            Q = node_basis(i)
+            if Q_S is not None:
+                # the columns of a node basis are orthonormal: sigma_max is 1
+                Q = extend_basis(Q_S, Q, tol, scale=1.0)
+            with np.errstate(over="ignore"):
+                v = dist_sq_to_basis(sys.offset, Q) / scale / scale
         return v
 
-    def scan(value_of) -> tuple[dict[int, float], set[int]]:
+    def scan(value_of) -> dict[int, float]:
         """Value the round's candidates in index order, skipping each whose
         structural bound exceeds the least value so far by more than the
-        slack.  Returns the values, and the candidates whose value was the
-        least at a skip or at the end."""
+        slack, and judge the least at each skip and at the end."""
         values: dict[int, float] = {}
-        least: set[int] = set()
         best = None
-        for i in range(1, n + 1):
-            if i in selected:
-                continue
-            if best is not None and bound_of(i) > values[best] + slack:
-                least.add(best)
+        for i, bound in bounds.items():
+            if best is not None and bound > values[best] + slack:
+                judge(best)
                 continue
             values[i] = value_of(i)
             if best is None or values[i] < values[best]:
                 best = i
-        least.add(best)
-        return values, least
+        judge(best)
+        return values
 
     covered = 0  # reach of the selected nodes
     selected: list[int] = []
-    Q_S = None  # node-local B, from the second round on: the basis of selected
+    Q_S = None  # the basis of selected
     current = is_feasible(sys, selected, tol)
     explored = skipped = 0
     while not current.feasible and len(selected) < iters:
-        leader = None  # (residual_sq, node, verdict, basis) of the round's winner
-        judged: dict[int, float] = {}  # the values of the round's verdicts
+        verdicts: dict[int, tuple[system.FeasibilityResult, np.ndarray]] = {}
         base = off(covered)  # the bound of a candidate that adds no support
-        bounds: dict[int, float] = {}  # node -> its structural bound
-        if not local:
-            values, _ = scan(judge)
-        else:
+        # the round's candidates in index order, with their structural bounds
+        bounds = {
+            i: off(covered | reach[i - 1]) if reach[i - 1] & support & ~covered else base
+            for i in range(1, n + 1) if i not in selected
+        }
+        if local:
             closed = _closed_form(sys, sinks, Q_S, covered)
-            values, least = scan(value)
-            for i in sorted(least - judged.keys()):
+        values = scan(estimate if local else judge)
+        # the winner's verdict is at most the least one judged and at least
+        # its structural bound: judge every candidate so bounded
+        least = min(map(judge, verdicts)) + slack
+        for i in values:
+            if bounds[i] <= least:
                 judge(i)
-            # the winner's verdict is at most the least one judged and at
-            # least its structural bound: judge every candidate so bounded
-            bound = min(judged.values()) + slack
-            for i in values:
-                if i not in judged and bound_of(i) <= bound:
-                    judge(i)
-            # a value off its verdict by more than feas_rel may have set a
-            # skip that the verdicts would not: scan again on verdicts
-            if any(abs(v - values[i]) > tol.feas_rel for i, v in judged.items()):
-                leader = None
-                values, _ = scan(judge)
+        # a value off its verdict by more than feas_rel may have set a skip
+        # that the verdicts would not: scan again on verdicts
+        if any(abs(judge(i) - values[i]) > tol.feas_rel for i in verdicts):
+            values = scan(judge)
         explored += len(values)
-        skipped += n - len(selected) - len(values)
-        _, best_node, best, Q = leader
+        skipped += len(bounds) - len(values)
+        best_node = min(verdicts, key=lambda i: (verdicts[i][0].residual_sq, i))
+        best, Q_S = verdicts[best_node]
         if current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS:
             break
         selected.append(best_node)
         covered |= reach[best_node - 1]
         current = best
-        if local:
-            Q_S = Q
     return SolveResult(
         nodes=tuple(sorted(selected)),
         cardinality=len(selected),

@@ -1063,6 +1063,47 @@ class TestStructuralPrune:
             self.assert_same(result, ref)
             assert len(calls) == result.nodes_explored + 1
 
+    def test_greedy_builds_no_node_set_twice(self, monkeypatch):
+        # a round keeps one verdict per candidate, and a scan on verdicts
+        # reuses them: within one call no node set's Krylov basis is built
+        # twice.  The first three systems are those of
+        # test_node_local_greedy_survives_values_off_their_verdicts, whose
+        # rounds are scanned again
+        import reachkit.system
+
+        systems = []
+        for entries, diagonal, x1 in [
+            ({(0, 0): 1e6, (2, 1): 1.99e-3, (3, 1): 2e-4}, [1.0, 1.0, 1.0, 0.0],
+             [0.5, 1.0, 1.0, 1.0]),
+            ({(3, 3): 1e6, (2, 0): 8e-4, (2, 1): 8e-4}, [1.0, 1.0, 0.0, 0.0, 1.0],
+             [3.0, 1.0, 10.0, 0.0, 2.0]),
+            ({(0, 0): 1e6, (3, 1): 1.99e-3, (4, 1): 2e-4, (3, 2): 1.0},
+             [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 2.0, 0.5, 1.0, 1.0, 0.3, 1.2]),
+        ]:
+            n = len(diagonal)
+            A = np.zeros((n, n))
+            for (i, j), value in entries.items():
+                A[i, j] = value
+            systems.append(LinearSystem(
+                A=A, B=np.diag(diagonal), t0=0.0, t1=1.0, x0=np.zeros(n), x1=np.array(x1)
+            ))
+        rng = np.random.default_rng(5)
+        systems += [random_solver_system(rng) for _ in range(300)]
+        systems += self.systems_with_sinks(rng, 1.0) + self.systems_with_sinks(rng, 1e3)
+        built = []
+        build = reachkit.system.reachability_matrix
+
+        def recording(sys, S, *args, **kwargs):
+            built.append(tuple(sorted(S)))
+            return build(sys, S, *args, **kwargs)
+
+        monkeypatch.setattr(reachkit.system, "reachability_matrix", recording)
+        for k, sys in enumerate(systems):
+            built.clear()
+            greedy_min_reach(sys)
+            twice = sorted({S for S in built if built.count(S) > 1})
+            assert not twice, f"system {k} built {twice} more than once"
+
     @staticmethod
     def systems_with_sinks(rng, c):
         """Node-local systems where many nodes reach only themselves: block
