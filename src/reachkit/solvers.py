@@ -66,9 +66,9 @@ node fails too.  ``nodes_pruned`` is the number of subsets the full scan
 visits up to the answer, less those evaluated.  If the full set fails,
 nothing is evaluated.
 The greedy solver scans candidates in index order and, once the round has a
-best candidate, skips one whose bound (the mass off the reach of the
-selected nodes and the candidate together) exceeds the best value of the
-round so far by more than ``2 feas_rel``.  Both margins hold while the
+lead (its least value so far), skips one whose bound (the mass off the reach
+of the selected nodes and the candidate together) exceeds the lead's
+verdict by more than ``2 feas_rel``.  Both margins hold while the
 computed Krylov basis leaks less than ``feas_rel`` off ``R(S)`` (observed:
 about ``1e-13``), so every skipped set is one that
 :func:`reachkit.system.is_feasible` would reject or that greedy would not
@@ -98,19 +98,16 @@ SVD (:func:`reachkit.linalg.extend_basis`) when there is a ``Q_S``; a
 one-node verdict reuses that basis.  An estimate spans the reachable space
 of ``S + {i}`` in exact arithmetic only: the Krylov build of ``S + {i}`` drops
 directions under ``rank_rel ||A||_F`` and may keep fewer or more of them, so
-an estimate can lie far from its verdict either way.  Three guards keep the
-answer that of the verdicts.  The scan judges the least candidate at each
-skip and at its end, so every skip is set by a judged candidate.  Every
-scanned candidate whose bound is within ``2 feas_rel`` of the least verdict
-is judged, so the winner, whose verdict lies between its bound and that
-least verdict, is in the table.  And if a verdict lies more than
-``feas_rel`` from its estimate, a skip may rest on a wrong value, so the
-round is scanned again on verdicts, reusing the table's; a candidate judged
-before but skipped then lies above the least verdict and cannot win.  The
-nodes, ``residual_sq`` and ``feasible`` are those of the unpruned scan,
-under the leak margin above.  So are the counts, unless a candidate left
-unjudged has an estimate more than ``feas_rel`` above its verdict; the scan
-then values candidates that a scan on verdicts would skip.
+an estimate can lie far from its verdict either way.  So estimates only
+choose the lead, and two rules keep the answer that of the verdicts.  A skip
+rests on the lead's verdict, taken once a bound exceeds the lead's bound by
+more than ``2 feas_rel`` (a verdict is at least its bound), and the last
+lead is judged.  Every valued candidate whose bound is within ``2 feas_rel``
+of the least verdict is judged.  A skipped or unjudged candidate's verdict
+then lies above one in the table, so the nodes, ``residual_sq`` and
+``feasible`` are those of the unpruned scan, under the leak margin above.
+The counts are those of a scan on verdicts for a general ``B``; for a
+node-local ``B`` the estimates choose the lead.
 """
 
 from __future__ import annotations
@@ -508,17 +505,16 @@ def greedy_min_reach(
     ``1e-12``), or after ``max_iters >= 0`` additions.  A stall returns the current
     set with ``feasible=False`` rather than raising: stalls are expected
     behavior for a non-supermodular objective and worth observing.
-    Candidates whose structural bound cannot beat the best value of the
-    round so far are skipped unvalued and counted in ``nodes_pruned``.  Each
-    round keeps one table of verdicts, taken once per candidate, and reads
-    its winner off it.  For a general ``B`` every valued candidate is
-    judged.  For a node-local ``B`` candidates are valued in closed form
-    where their Krylov space is known (nodes that reach neither the offset
-    nor the selected nodes, and nodes that reach only themselves), and
-    otherwise from per-node Krylov bases; only the candidates that set a
-    skip, that can win, or whose value the round must check are judged (see
-    the module docstring).  The nodes and residual are those of valuing
-    every candidate by ``is_feasible``.
+    Candidates whose structural bound cannot beat the verdict on the round's
+    least value so far are skipped unvalued and counted in ``nodes_pruned``.
+    Each round keeps one table of verdicts, taken once per candidate, and reads
+    its winner off it.  For a general ``B`` every valued candidate is judged.
+    For a node-local ``B`` candidates are valued in closed form where their
+    Krylov space is known (nodes that reach neither the offset nor the selected
+    nodes, and nodes that reach only themselves), and otherwise from per-node
+    Krylov bases; only the candidates that set a skip or that can win are
+    judged (see the module docstring).  The nodes and residual are those of
+    valuing every candidate by ``is_feasible``.
     """
     n = sys.n
     iters = n if max_iters is None else min(as_count(max_iters, "max_iters"), n)
@@ -564,22 +560,6 @@ def greedy_min_reach(
                 v = dist_sq_to_basis(sys.offset, Q) / scale / scale
         return v
 
-    def scan(value_of) -> dict[int, float]:
-        """Value the round's candidates in index order, skipping each whose
-        structural bound exceeds the least value so far by more than the
-        slack, and judge the least at each skip and at the end."""
-        values: dict[int, float] = {}
-        best = None
-        for i, bound in bounds.items():
-            if best is not None and bound > values[best] + slack:
-                judge(best)
-                continue
-            values[i] = value_of(i)
-            if best is None or values[i] < values[best]:
-                best = i
-        judge(best)
-        return values
-
     covered = 0  # reach of the selected nodes
     selected: list[int] = []
     Q_S = None  # the basis of selected
@@ -595,17 +575,23 @@ def greedy_min_reach(
         }
         if local:
             closed = _closed_form(sys, sinks, Q_S, covered)
-        values = scan(estimate if local else judge)
+        # skip a candidate whose bound exceeds the verdict of the lead (the
+        # least value so far) by the slack; that verdict is at least its bound
+        values: dict[int, float] = {}
+        lead = None
+        for i, bound in bounds.items():
+            if lead is not None and bound > bounds[lead] + slack and bound > judge(lead) + slack:
+                continue
+            values[i] = estimate(i) if local else judge(i)
+            if lead is None or values[i] < values[lead]:
+                lead = i
+        judge(lead)
         # the winner's verdict is at most the least one judged and at least
         # its structural bound: judge every candidate so bounded
         least = min(map(judge, verdicts)) + slack
         for i in values:
             if bounds[i] <= least:
                 judge(i)
-        # a value off its verdict by more than feas_rel may have set a skip
-        # that the verdicts would not: scan again on verdicts
-        if any(abs(judge(i) - values[i]) > tol.feas_rel for i in verdicts):
-            values = scan(judge)
         explored += len(values)
         skipped += len(bounds) - len(values)
         best_node = min(verdicts, key=lambda i: (verdicts[i][0].residual_sq, i))

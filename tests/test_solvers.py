@@ -1104,6 +1104,70 @@ class TestStructuralPrune:
             twice = sorted({S for S in built if built.count(S) > 1})
             assert not twice, f"system {k} built {twice} more than once"
 
+    @pytest.mark.parametrize(
+        "entries, diagonal, x1, builds, verdicts",
+        [
+            # the systems of test_node_local_greedy_survives_values_off_their_verdicts
+            ({(0, 0): 1e6, (2, 1): 1.99e-3, (3, 1): 2e-4}, [1.0, 1.0, 1.0, 0.0],
+             [0.5, 1.0, 1.0, 1.0], 8, 7),
+            ({(3, 3): 1e6, (2, 0): 8e-4, (2, 1): 8e-4}, [1.0, 1.0, 0.0, 0.0, 1.0],
+             [3.0, 1.0, 10.0, 0.0, 2.0], 6, 6),
+            ({(0, 0): 1e6, (3, 1): 1.99e-3, (4, 1): 2e-4, (3, 2): 1.0},
+             [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 2.0, 0.5, 1.0, 1.0, 0.3, 1.2], 17, 16),
+        ],
+    )
+    def test_node_local_greedy_scans_each_round_once(
+        self, monkeypatch, entries, diagonal, x1, builds, verdicts
+    ):
+        # estimates off their verdicts only choose the round's lead: the
+        # round is scanned once, and only the verdicts that set a skip or
+        # can win are taken
+        import reachkit.system
+
+        n = len(diagonal)
+        A = np.zeros((n, n))
+        for (i, j), value in entries.items():
+            A[i, j] = value
+        sys = LinearSystem(
+            A=A, B=np.diag(diagonal), t0=0.0, t1=1.0, x0=np.zeros(n), x1=np.array(x1)
+        )
+        ref = unpruned_greedy(sys)
+        built = self.count_krylov_builds(monkeypatch)
+        judged = []
+        verdict = reachkit.system._verdict
+
+        def judging(*args, **kwargs):
+            judged.append(1)
+            return verdict(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.system, "_verdict", judging)
+        self.assert_same(greedy_min_reach(sys), ref)
+        assert (len(built), len(judged)) == (builds, verdicts)
+
+    def test_node_local_greedy_answers_do_not_rest_on_estimates(self, monkeypatch):
+        # every skip rests on a verdict, so closed-form values that are
+        # wrong on every odd node (too low, too high or anywhere in between)
+        # change which candidates are valued but not the answer
+        from reachkit.solvers import _closed_form
+
+        rng = np.random.default_rng(239)
+        systems = []
+        for c in (1.0, 1e3, 1e-6):
+            systems += self.systems_with_sinks(rng, c)
+        draws = (random_solver_system(rng) for _ in range(150))
+        systems += [sys for sys in draws if sys.node_local]
+        assert all(sys.node_local for sys in systems)
+        refs = [unpruned_greedy(sys) for sys in systems]
+        for wrong in (lambda: 0.0, lambda: 1e300, lambda: float(rng.uniform(0.0, 2.0))):
+
+            def values(*args):
+                value = _closed_form(*args)
+                return lambda i: wrong() if i % 2 else value(i)
+
+            monkeypatch.setattr(reachkit.solvers, "_closed_form", values)
+            for sys, ref in zip(systems, refs):
+                self.assert_same(greedy_min_reach(sys), ref)
+
     @staticmethod
     def systems_with_sinks(rng, c):
         """Node-local systems where many nodes reach only themselves: block
