@@ -327,17 +327,12 @@ def _lattice_survivors(
 
 def _sets_through(S: Sequence[int], n: int) -> int:
     """How many node sets the cardinality-ordered scan visits up to and
-    including the 0-based sorted ``S``: every smaller set, and the sets of
-    its size lexicographically up to it."""
+    including the 0-based sorted ``S``: every set of size at most
+    ``k = len(S)``, less the ``C(n - 1 - S[p], k - p)`` sets of size ``k``
+    after ``S`` that first differ from it at each position ``p``."""
     k = len(S)
-    count = sum(comb(n, size) for size in range(k)) + 1
-    prev = -1
-    for p, c in enumerate(S):
-        # the sets that agree with S before position p and hold a node
-        # strictly between prev and c there
-        count += comb(n - prev - 1, k - p) - comb(n - c, k - p)
-        prev = c
-    return count
+    after = sum(comb(n - 1 - c, k - p) for p, c in enumerate(S))
+    return sum(comb(n, s) for s in range(k + 1)) - after
 
 
 def exact_min_reach(
@@ -380,33 +375,11 @@ def exact_min_reach(
     heavy = sum(1 << j for j, w in enumerate(weights) if w >= prune_at)
     admits: dict[int, int] = {}  # heavy nodes left -> the nodes reaching them all
 
-    def last_nodes(prefix: int, j: int) -> Iterator[int]:
-        """The nodes ``i >= j`` that complete a prefix of reach ``prefix``
-        to a set that passes the test, in increasing order."""
-        left = heavy & ~prefix
-        nodes = admits.get(left)
-        if nodes is None:
-            nodes, by, rest = (1 << n) - 1, sys.reached_by, left
-            while rest:
-                low = rest & -rest
-                nodes &= by[low.bit_length() - 1]
-                rest ^= low
-            admits[left] = nodes
-        rest = nodes >> j << j
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if off(prefix | masks[i]) < prune_at:
-                yield i
-            elif off(prefix | later[i + 1]) >= prune_at:
-                return  # no later node completes the prefix either
-            rest ^= low
-
     def passing(k: int) -> Iterator[tuple[int, ...]]:
         """The 0-based k-subsets that pass the test, in lexicographic order:
         a depth-first search that drops a prefix when it fails the test
-        together with every later node, and takes its last node from
-        :func:`last_nodes`."""
+        together with every later node, and takes its last node only among
+        the nodes that reach every heavy node the prefix misses."""
         if k == 0:
             if off(0) < prune_at:
                 yield ()
@@ -417,8 +390,25 @@ def exact_min_reach(
         while True:
             need = k - len(chosen)
             if need == 1:
-                for i in last_nodes(covered[-1], j):
-                    yield (*chosen, i)
+                prefix = covered[-1]
+                left = heavy & ~prefix
+                nodes = admits.get(left)
+                if nodes is None:
+                    nodes, by, rest = (1 << n) - 1, sys.reached_by, left
+                    while rest:
+                        low = rest & -rest
+                        nodes &= by[low.bit_length() - 1]
+                        rest ^= low
+                    admits[left] = nodes
+                rest = nodes >> j << j
+                while rest:
+                    low = rest & -rest
+                    i = low.bit_length() - 1
+                    if off(prefix | masks[i]) < prune_at:
+                        yield (*chosen, i)
+                    elif off(prefix | later[i + 1]) >= prune_at:
+                        break  # no later node completes the prefix either
+                    rest ^= low
             elif j <= n - need and off(covered[-1] | later[j]) < prune_at:
                 chosen.append(j)
                 covered.append(covered[-1] | masks[j])
@@ -548,18 +538,6 @@ def greedy_min_reach(
             verdicts[i] = system._verdict(sys, Q, tol), Q
         return verdicts[i][0].residual_sq / scale / scale
 
-    def estimate(i: int) -> float:
-        """The value of a node-local candidate without its verdict."""
-        v = closed(i)
-        if v is None:
-            Q = node_basis(i)
-            if Q_S is not None:
-                # the columns of a node basis are orthonormal: sigma_max is 1
-                Q = extend_basis(Q_S, Q, tol, scale=1.0)
-            with np.errstate(over="ignore"):
-                v = dist_sq_to_basis(sys.offset, Q) / scale / scale
-        return v
-
     covered = 0  # reach of the selected nodes
     selected: list[int] = []
     Q_S = None  # the basis of selected
@@ -582,8 +560,16 @@ def greedy_min_reach(
         for i, bound in bounds.items():
             if lead is not None and bound > bounds[lead] + slack and bound > judge(lead) + slack:
                 continue
-            values[i] = estimate(i) if local else judge(i)
-            if lead is None or values[i] < values[lead]:
+            v = closed(i) if local else judge(i)
+            if v is None:
+                Q = node_basis(i)
+                if Q_S is not None:
+                    # the columns of a node basis are orthonormal: sigma_max is 1
+                    Q = extend_basis(Q_S, Q, tol, scale=1.0)
+                with np.errstate(over="ignore"):
+                    v = dist_sq_to_basis(sys.offset, Q) / scale / scale
+            values[i] = v
+            if lead is None or v < values[lead]:
                 lead = i
         judge(lead)
         # the winner's verdict is at most the least one judged and at least

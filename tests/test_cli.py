@@ -446,6 +446,15 @@ class TestInstanceSource:
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
     @pytest.mark.parametrize("command", ["roundtrip", "gen-hard"])
+    def test_neither_matrix_file_nor_random_exits_2(self, tmp_path, command, capsys):
+        argv = [command, "--d", "2"]
+        if command == "gen-hard":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: provide either --U FILE or --random M L\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["roundtrip", "gen-hard"])
     def test_matrix_file_and_random_exit_2(self, tmp_path, command, capsys):
         U = tmp_path / "U.json"
         U.write_text(json.dumps({"U": [[1.0, 0.0], [0.0, 1.0]]}))

@@ -222,6 +222,11 @@ class TestFindDisjointBlock:
 
 
 class TestExtractSolution:
+    def test_rejects_a_target_of_the_wrong_length(self):
+        inst = generate(np.array([[1.0, 0.0], [1.0, 1.0]]), d=3)
+        with pytest.raises(ValueError, match="xhat1 must have length 8, got 3"):
+            extract_solution(inst, [7], np.ones(3))
+
     def test_round_trip_identity(self):
         inst = generate(np.eye(2), d=2)
         y0 = np.array([1.0, 1.0])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ class TestRoundTrip:
         )
         assert docs_equal(parse_instance(instance_dict(doc)), doc)
 
+    def test_source_section_round_trips(self):
+        inst = generate(np.array([[1.0, 0.0], [1.0, 1.0]]), d=3, delta=0.5)
+        doc = InstanceDoc(system=inst.sys, source=inst.source, source_dims=inst.dims)
+        parsed = parse_instance(instance_dict(doc))
+        assert docs_equal(parsed, doc)
+        assert parsed.hard_instance().dims == inst.dims
+
 
 class TestParsing:
     def test_stack_expansion(self):
@@ -154,6 +162,13 @@ class TestParsing:
                     "x0": [0.0, 0.0],
                     "x1": [1.0, 0.0],
                 }
+            )
+
+    def test_identity_input_matrix_needs_m_equal_to_n(self):
+        with pytest.raises(InstanceFormatError, match=re.escape("B has shape (2, 2), expected (2, 3)")):
+            parse_instance(
+                {"n": 2, "m": 3, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+                 "t0": 0.0, "t1": 1.0, "x0": [0.0, 0.0], "x1": [1.0, 0.0]}
             )
 
     def test_integral_float_counts_are_read_as_integers(self):

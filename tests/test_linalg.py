@@ -13,6 +13,7 @@ from reachkit.linalg import (
     Tolerance,
     as_count,
     as_indices,
+    as_matrix,
     column_stacks,
     dist_sq_to_range,
     dist_sq_to_ranges,
@@ -69,6 +70,12 @@ class TestAsCount:
 
         monkeypatch.setattr(reachkit.linalg, "as_count", refuse)
         assert as_indices(range(1, 5), 4, "node") == (1, 2, 3, 4)
+
+
+class TestAsMatrix:
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=re.escape("A must be 2-dimensional, got shape (3,)")):
+            as_matrix(np.zeros(3), name="A")
 
 
 class TestRangeBasis:
@@ -198,6 +205,10 @@ class TestMatExp:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)), 1.0)
+
+    def test_rejects_non_finite_time(self):
+        with pytest.raises(ValueError, match="t must be finite"):
+            mat_exp(np.eye(2), np.inf)
 
     @pytest.mark.parametrize("c", [1e-200, 1e-9, 1e160])
     def test_rescaled_rotation(self, c):

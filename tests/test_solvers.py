@@ -166,6 +166,19 @@ def random_solver_system(rng):
     return LinearSystem(A=A, B=B, t0=0.0, t1=1.0 / c, x0=x0, x1=x1)
 
 
+def prefix_difference_sets_through(S, n):
+    """Reference for ``_sets_through``: every smaller set, plus, position by
+    position, the sets of ``S``'s size that agree with it before ``p`` and
+    hold a node strictly between ``S[p - 1]`` and ``S[p]`` there."""
+    k = len(S)
+    count = sum(comb(n, size) for size in range(k)) + 1
+    prev = -1
+    for p, c in enumerate(S):
+        count += comb(n - prev - 1, k - p) - comb(n - c, k - p)
+        prev = c
+    return count
+
+
 def outcome(solve, *args, **kwargs):
     try:
         return solve(*args, **kwargs)
@@ -764,6 +777,23 @@ BROADCAST = LinearSystem(
     A=np.zeros((2, 2)), B=np.array([[1.0], [1.0]]), t0=0.0, t1=1.0,
     x0=np.zeros(2), x1=np.array([1.0, 0.0]),
 )
+
+
+class TestSetsThrough:
+    """``nodes_pruned`` of the exact search rests on ``_sets_through``, the
+    1-based position of a set in the cardinality-ordered scan."""
+
+    def test_positions_in_the_scan_order(self):
+        for n in range(1, 8):
+            scan = [S for k in range(n + 1) for S in combinations(range(n), k)]
+            for position, S in enumerate(scan):
+                assert reachkit.solvers._sets_through(S, n) == position + 1
+
+    def test_matches_the_prefix_differences_at_n_200(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            S = sorted(rng.choice(200, size=int(rng.integers(13)), replace=False).tolist())
+            assert reachkit.solvers._sets_through(S, 200) == prefix_difference_sets_through(S, 200)
 
 
 class TestStructuralPrune:

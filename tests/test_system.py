@@ -215,6 +215,23 @@ class TestLinearSystemValidation:
         with pytest.raises(ValueError):
             LinearSystem(A, np.eye(2), 0.0, 1.0, np.zeros(2), np.ones(2))
 
+    def test_rejects_non_square_drift(self):
+        with pytest.raises(ValueError, match=re.escape("A must be square, got (2, 3)")):
+            LinearSystem(np.zeros((2, 3)), np.eye(2), 0.0, 1.0, np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (np.nan, 1.0)], ids=["t1-inf", "t0-nan"])
+    def test_rejects_non_finite_times(self, t0, t1):
+        with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+            LinearSystem(np.eye(2), np.eye(2), t0, t1, np.zeros(2), np.ones(2))
+
+    def test_rejects_non_finite_target(self):
+        with pytest.raises(ValueError, match="x1 contains non-finite entries"):
+            LinearSystem(np.eye(2), np.eye(2), 0.0, 1.0, np.zeros(2), [np.inf, 0.0])
+
+    def test_star_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="star system needs at least 2 nodes"):
+            star_system(1)
+
 
 class TestOverflowingDrift:
     """``exp(A (t1 - t0))`` overflows for ``A = diag(800, 0)``."""
