@@ -131,10 +131,10 @@ def _parse_system(data: dict) -> LinearSystem:
             raise InstanceFormatError(f"inconsistent key 'A.stack': {exc}") from exc
     else:
         A = _as_array(raw_A, "key 'A'", 2)
-    raw_B = _require(data, "B", "system section")
-    B = np.eye(n) if raw_B == "identity" else _as_array(raw_B, "key 'B'", 2)
     if A.shape != (n, n):
         raise InstanceFormatError(f"A has shape {A.shape}, expected ({n}, {n})")
+    raw_B = _require(data, "B", "system section")
+    B = np.eye(n) if raw_B == "identity" else _as_array(raw_B, "key 'B'", 2)
     if B.shape != (n, m):
         raise InstanceFormatError(f"B has shape {B.shape}, expected ({n}, {m})")
     try:

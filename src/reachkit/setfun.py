@@ -358,20 +358,16 @@ def check_supermodular(
     l, size = drops.shape
     # Base A violates if drops[x, A] < drops[x, A + y] for some x != y; when
     # y lies in A both sides are equal, so only the bases without y are
-    # tested.  first_y[A] and first_x[A] record A's first violating pair, y
-    # then x ascending.
-    first_y = np.full(size, -1)
-    first_x = np.zeros(size, dtype=int)
-    for y in range(l):
+    # tested.  first_y[A] is A's least violating y (l when there is none):
+    # y runs downwards, so the least is written last.
+    first_y = np.full(size, l)
+    for y in range(l - 1, -1, -1):
         lo, hi = _halves(drops, y)
         local = lo < hi - VIOLATION_SLACK
         local[y] = False
-        fy = first_y.reshape(-1, 2, 1 << y)[:, 0]
-        hit = (fy < 0) & local.any(axis=0)
-        fy[hit] = y
-        first_x.reshape(-1, 2, 1 << y)[:, 0][hit] = local[:, hit].argmax(axis=0)
+        first_y.reshape(-1, 2, 1 << y)[:, 0][local.any(axis=0)] = y
     violation = None
-    violated = np.flatnonzero(first_y >= 0)
+    violated = np.flatnonzero(first_y < l)
     if len(violated):
         # the largest base, and among those the lexicographically least
         # member tuple: the one holding the lowest bit where two differ, so
@@ -381,7 +377,11 @@ def check_supermodular(
         largest = sizes == sizes.max()
         reversed_masks = (bits[largest] << np.arange(l)[::-1]).sum(axis=1)
         base = int(violated[largest][reversed_masks.argmax()])
-        y, x = int(first_y[base]), int(first_x[base])
+        y = int(first_y[base])
+        # the least violating x at the witness base, read off its own drops
+        local = drops[:, base] < drops[:, base | 1 << y] - VIOLATION_SLACK
+        local[y] = False
+        x = int(local.argmax())
         witness = np.array([base, base | 1 << x, base | 1 << y, base | 1 << x | 1 << y])
         if kernel is not None:
             _fill(fn, values, witness[~kernel[witness]], tol)

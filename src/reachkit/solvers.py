@@ -58,13 +58,13 @@ together with every later candidate already fails the test: no subset below
 it passes.  The last node of a set is not searched for.  Call a node
 *heavy* when its own squared entry is ``>= 4 feas_rel**2``; a set whose
 reach misses a heavy node fails the test on that entry alone.  So the last
-node is taken only among the nodes that reach every heavy node the prefix
-misses (the AND of their ``LinearSystem.reached_by`` masks, built on first
-use and kept per set of missed heavy nodes), and only those get the test;
-after one fails it, the scan stops once the prefix together with every later
-node fails too.  ``nodes_pruned`` is the number of subsets the full scan
-visits up to the answer, less those evaluated.  If the full set fails,
-nothing is evaluated.
+node is taken among the nodes that reach the lowest heavy node the prefix
+misses (its ``LinearSystem.reached_by`` mask, built on first use), and only
+those that reach every heavy node the prefix misses get the test; after one
+fails it, the scan stops once the prefix together with every later node
+fails too.  Nothing is kept from one prefix to the next.  ``nodes_pruned``
+is the number of subsets the full scan visits up to the answer, less those
+evaluated.  If the full set fails, nothing is evaluated.
 The greedy solver scans candidates in index order and, once the round has a
 lead (its least value so far), skips one whose bound (the mass off the reach
 of the selected nodes and the candidate together) exceeds the lead's
@@ -373,13 +373,13 @@ def exact_min_reach(
     # a set whose reach misses a heavy node fails the test on that node alone
     weights = sys._offset_weights[1]
     heavy = sum(1 << j for j, w in enumerate(weights) if w >= prune_at)
-    admits: dict[int, int] = {}  # heavy nodes left -> the nodes reaching them all
 
     def passing(k: int) -> Iterator[tuple[int, ...]]:
         """The 0-based k-subsets that pass the test, in lexicographic order:
         a depth-first search that drops a prefix when it fails the test
-        together with every later node, and takes its last node only among
-        the nodes that reach every heavy node the prefix misses."""
+        together with every later node, and takes its last node among the
+        nodes that reach the lowest heavy node the prefix misses, testing
+        those that reach every heavy node it misses."""
         if k == 0:
             if off(0) < prune_at:
                 yield ()
@@ -392,23 +392,20 @@ def exact_min_reach(
             if need == 1:
                 prefix = covered[-1]
                 left = heavy & ~prefix
-                nodes = admits.get(left)
-                if nodes is None:
-                    nodes, by, rest = (1 << n) - 1, sys.reached_by, left
-                    while rest:
-                        low = rest & -rest
-                        nodes &= by[low.bit_length() - 1]
-                        rest ^= low
-                    admits[left] = nodes
-                rest = nodes >> j << j
+                # the nodes that reach the lowest heavy node left, or every
+                # node when none is left
+                rest = sys.reached_by[(left & -left).bit_length() - 1] if left else (1 << n) - 1
+                rest = rest >> j << j
                 while rest:
                     low = rest & -rest
+                    rest ^= low
                     i = low.bit_length() - 1
+                    if masks[i] & left != left:
+                        continue  # it misses another heavy node
                     if off(prefix | masks[i]) < prune_at:
                         yield (*chosen, i)
                     elif off(prefix | later[i + 1]) >= prune_at:
                         break  # no later node completes the prefix either
-                    rest ^= low
             elif j <= n - need and off(covered[-1] | later[j]) < prune_at:
                 chosen.append(j)
                 covered.append(covered[-1] | masks[j])
@@ -555,10 +552,10 @@ def greedy_min_reach(
             closed = _closed_form(sys, sinks, Q_S, covered)
         # skip a candidate whose bound exceeds the verdict of the lead (the
         # least value so far) by the slack; that verdict is at least its bound
-        values: dict[int, float] = {}
-        lead = None
+        lead = lead_value = None
         for i, bound in bounds.items():
             if lead is not None and bound > bounds[lead] + slack and bound > judge(lead) + slack:
+                skipped += 1
                 continue
             v = closed(i) if local else judge(i)
             if v is None:
@@ -568,18 +565,17 @@ def greedy_min_reach(
                     Q = extend_basis(Q_S, Q, tol, scale=1.0)
                 with np.errstate(over="ignore"):
                     v = dist_sq_to_basis(sys.offset, Q) / scale / scale
-            values[i] = v
-            if lead is None or v < values[lead]:
-                lead = i
+            explored += 1
+            if lead is None or v < lead_value:
+                lead, lead_value = i, v
         judge(lead)
         # the winner's verdict is at most the least one judged and at least
-        # its structural bound: judge every candidate so bounded
+        # its structural bound: judge every candidate so bounded (a skipped
+        # one's bound exceeds a judged verdict by the slack)
         least = min(map(judge, verdicts)) + slack
-        for i in values:
-            if bounds[i] <= least:
+        for i, bound in bounds.items():
+            if bound <= least:
                 judge(i)
-        explored += len(values)
-        skipped += len(bounds) - len(values)
         best_node = min(verdicts, key=lambda i: (verdicts[i][0].residual_sq, i))
         best, Q_S = verdicts[best_node]
         if current.residual_sq - best.residual_sq <= GREEDY_IMPROVEMENT_EPS:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -852,6 +853,26 @@ class TestErrorsNameTheFile:
             f"error: 'source.dims.l' of {out} does not match the instance generated from "
             "'source.U' with d = 2 (5, expected 3)\n"
         )
+
+    def test_misshapen_A_is_refused_before_B_is_expanded(self, star_file, tmp_path, capsys):
+        # an identity B of a 3000-node system is 72 MB; a 1x1 A is refused
+        # before it is built
+        path = tmp_path / "small_a.json"
+        path.write_text(json.dumps({
+            "n": 3000, "m": 3000, "A": [[0.0]], "B": "identity", "t0": 0, "t1": 1,
+            "x0": [0.0], "x1": [1.0],
+        }))
+        main(["check-feasible", star_file])  # warm lazy imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["check-feasible", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "A has shape (1, 1), expected (3000, 3000)" in capsys.readouterr().err
+        assert peak < 8e6
 
     def test_mistyped_section(self, tmp_path, capsys):
         path = tmp_path / "vs.json"

@@ -188,6 +188,36 @@ class TestCheckSupermodular:
         for fn in fns:
             assert report_tuple(check_supermodular(fn)) == nested_pair_scan(fn)
 
+    def test_witness_among_several_violating_pairs(self):
+        # at the witness base several y, or several x for the witness y,
+        # violate: the report names the least y, then the least x, below
+        # the lattice threshold (l = 5, 6) and above it (l = 7, 8)
+        rng = np.random.default_rng(71)
+        crowded = 0
+        for l in (5, 6, 7, 8):
+            for c in (1.0, 2.0, 3.0):
+                for _ in range(3):
+                    rows = int(rng.integers(3, 5))
+                    fn = ColumnSelectionFunction(
+                        v=rng.normal(size=rows), M=rng.normal(size=(rows, l)), c=c
+                    )
+                    report = check_supermodular(fn)
+                    assert report_tuple(report) == nested_pair_scan(fn)
+                    if report.supermodular:
+                        continue
+                    w = report.violation
+                    f = lambda *S: evaluate(fn, tuple(sorted(w.subset + S)))
+                    rest = [k for k in range(1, l + 1) if k not in w.subset]
+                    pairs = [
+                        (y, x) for y in rest for x in rest
+                        if x != y and f() - f(x) < f(y) - f(x, y) - 1e-9
+                    ]
+                    (y,) = set(w.superset) - set(w.subset)
+                    xs = [x for yy, x in pairs if yy == y]
+                    assert (y, w.element) == (min(pairs)[0], min(xs))
+                    crowded += len({yy for yy, _ in pairs}) >= 2 or len(xs) >= 2
+        assert crowded >= 10
+
     def test_at_cap(self):
         rng = np.random.default_rng(67)
         report = check_supermodular(orthonormal_fn(rng, 12))

@@ -1367,3 +1367,46 @@ class TestStructuralPrune:
         }
         result = solve(systems[name]())
         assert (result.nodes, result.nodes_explored, result.nodes_pruned) == counts
+
+    @pytest.mark.parametrize(
+        "name, budget, counts, off_calls",
+        [
+            ("diag200", 3, ((7, 90, 199), 1, 147888), 128),
+            ("generated0", 4, ((9, 10, 11), 12, 284), 78),
+            ("generated1", 4, ((11, 12, 13, 14), 348, 1589), 916),
+            ("generated2", 4, ((16, 17, 18), 218, 1124), 421),
+        ],
+    )
+    def test_exact_call_counts_are_pinned(self, monkeypatch, name, budget, counts, off_calls):
+        # the bound's calls and the verdicts of the exact search: a change to
+        # how its last level picks candidates shows here even when the
+        # answer stays the same.  In the generated instances every target
+        # node is reached by several nodes, so several heavy nodes can be
+        # left at the last level.
+        rng = np.random.default_rng(157)
+        sources = [
+            (rng.normal(size=(m, l)) * (rng.random(size=(m, l)) < 0.6), d)
+            for m, l, d in ((3, 4, 2), (4, 5, 2), (3, 5, 3))
+        ]
+        if name == "diag200":
+            sys = self.diagonal_system(
+                np.linspace(-1.0, 1.0, 200), {7: 1.0, 90: -2.0, 199: 0.5}
+            )
+        else:
+            sys = generate(*sources[int(name[-1])]).sys
+        calls = {"off": 0, "verdicts": 0}
+        off, feasible = LinearSystem.off_reach_sq, reachkit.solvers.is_feasible
+
+        def counting_off(self, mask):
+            calls["off"] += 1
+            return off(self, mask)
+
+        def counting_feasible(*args, **kwargs):
+            calls["verdicts"] += 1
+            return feasible(*args, **kwargs)
+
+        monkeypatch.setattr(LinearSystem, "off_reach_sq", counting_off)
+        monkeypatch.setattr(reachkit.solvers, "is_feasible", counting_feasible)
+        result = exact_min_reach(sys, budget=budget)
+        assert (result.nodes, result.nodes_explored, result.nodes_pruned) == counts
+        assert calls == {"off": off_calls, "verdicts": counts[1]}
