@@ -22,8 +22,10 @@ object.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -57,10 +59,8 @@ class InstanceDoc:
             raise InstanceFormatError(
                 f"{at}document does not bundle a system with a 'source' section"
             )
-        try:
+        with _reraised(f"{at}'source' section"):
             built = generate(self.source.U, self.source_dims.d, self.source.delta)
-        except ValueError as exc:
-            raise InstanceFormatError(f"{at}'source' section: {exc}") from exc
         dims = self.source_dims
         pairs = [
             *((f"'source.dims.{k}'", v, getattr(built.dims, k))
@@ -77,6 +77,16 @@ class InstanceDoc:
                     f"'source.U' with d = {dims.d}{value}"
                 )
         return HardInstance(sys=self.system, source=self.source, dims=dims)
+
+
+@contextmanager
+def _reraised(prefix: str) -> Iterator[None]:
+    """Re-raise a ValueError of the block, an InstanceFormatError included,
+    as ``InstanceFormatError(f"{prefix}: {exc}")``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InstanceFormatError(f"{prefix}: {exc}") from exc
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -124,11 +134,9 @@ def _parse_system(data: dict) -> LinearSystem:
         stack = _require(raw_A, "stack", "key 'A'")
         U = _as_array(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'", 2)
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
-        try:
+        with _reraised("inconsistent key 'A.stack'"):
             # checked here so the message names the file key, not stacked_corner's M
             A = stacked_corner(as_matrix(U, name="'A.stack.U'"), n, d)
-        except ValueError as exc:
-            raise InstanceFormatError(f"inconsistent key 'A.stack': {exc}") from exc
     else:
         A = _as_array(raw_A, "key 'A'", 2)
     if A.shape != (n, n):
@@ -137,7 +145,7 @@ def _parse_system(data: dict) -> LinearSystem:
     B = np.eye(n) if raw_B == "identity" else _as_array(raw_B, "key 'B'", 2)
     if B.shape != (n, m):
         raise InstanceFormatError(f"B has shape {B.shape}, expected ({n}, {m})")
-    try:
+    with _reraised("inconsistent system section"):
         return LinearSystem(
             A=A,
             B=B,
@@ -146,19 +154,15 @@ def _parse_system(data: dict) -> LinearSystem:
             x0=_as_array(_require(data, "x0", "system section"), "key 'x0'", 1),
             x1=_as_array(_require(data, "x1", "system section"), "key 'x1'", 1),
         )
-    except ValueError as exc:
-        raise InstanceFormatError(f"inconsistent system section: {exc}") from exc
 
 
 def _parse_varsel(data: dict, where: str) -> VarSelInstance:
-    try:
+    with _reraised(f"inconsistent {where}"):
         return VarSelInstance(
             U=_as_array(_require(data, "U", where), f"{where} key 'U'", 2),
             z=_as_array(_require(data, "z", where), f"{where} key 'z'", 1),
             delta=_float(_require(data, "delta", where), f"{where} key 'delta'"),
         )
-    except ValueError as exc:
-        raise InstanceFormatError(f"inconsistent {where}: {exc}") from exc
 
 
 def parse_instance(data: dict) -> InstanceDoc:
@@ -170,14 +174,12 @@ def parse_instance(data: dict) -> InstanceDoc:
     fn = None
     if "setfun" in data:
         section = data["setfun"]
-        try:
+        with _reraised("inconsistent 'setfun' section"):
             fn = ColumnSelectionFunction(
                 v=_as_array(_require(section, "v", "'setfun' section"), "'setfun.v'", 1),
                 M=_as_array(_require(section, "M", "'setfun' section"), "'setfun.M'", 2),
                 c=_float(section.get("c", 2.0), "'setfun.c'"),
             )
-        except ValueError as exc:
-            raise InstanceFormatError(f"inconsistent 'setfun' section: {exc}") from exc
     varsel = _parse_varsel(data["varsel"], "'varsel' section") if "varsel" in data else None
     source = None
     source_dims = None
@@ -293,15 +295,11 @@ def hard_instance_dict(inst: HardInstance) -> dict:
     ``A`` is written in its ``{"stack": ...}`` form rather than as a dense
     array, so the file records the construction and not just its expansion.
     """
-    data = _system_dict(inst.sys)
+    data = instance_dict(InstanceDoc(system=inst.sys, source=inst.source, source_dims=inst.dims))
     data["A"] = {"stack": {"U": inst.source.U.tolist(), "d": inst.dims.d}}
-    data["source"] = dict(_varsel_dict(inst.source), dims=asdict(inst.dims))
     return data
 
 
 def write_instance(doc: InstanceDoc | HardInstance, path: str | Path) -> None:
-    if isinstance(doc, HardInstance):
-        data = hard_instance_dict(doc)
-    else:
-        data = instance_dict(doc)
+    data = hard_instance_dict(doc) if isinstance(doc, HardInstance) else instance_dict(doc)
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

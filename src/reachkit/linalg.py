@@ -278,13 +278,13 @@ def column_stacks(M: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarra
     Yields ``(idx, stack)`` pairs: ``idx`` is a ``(b, k)`` array of column
     indices and ``stack[i]`` is ``M[:, idx[i]]``.  A chunk holds at most
     ``STACK_SUBSETS`` submatrices and at most ``STACK_ENTRIES`` entries, but
-    never fewer than one submatrix.
+    never fewer than one submatrix.  Each chunk of the scan fills one stack
+    of :func:`subset_stacks`, which gathers it.
     """
     size = _stack_size(M.shape[0], k)
     scan = combinations(range(M.shape[1]), k)
     while batch := list(islice(scan, size)):
-        idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
-        yield idx, M.T[idx].transpose(0, 2, 1)
+        yield from subset_stacks(M, np.array(batch, dtype=np.intp).reshape(len(batch), k))
 
 
 def subset_stacks(M: np.ndarray, idx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
