@@ -48,7 +48,7 @@ EXIT_CAP = 3
 # gen-hard and roundtrip refuse to generate a system whose n x n drift matrix
 # A (n = max(M, L) * (d + 1)) has more entries than this, before allocating
 # anything; A then takes at most 32 MiB.
-MAX_GENERATED_ENTRIES = 1 << 22
+MAX_GENERATED_ENTRIES = hardness.MAX_STACKED_ENTRIES
 
 # synthesize refuses, before synthesis, a report of more than this many floats
 # ((N + 1)(n + m + 1): the grid, the inputs and the states) and, where the

@@ -5,8 +5,9 @@ One JSON document carries up to four optional sections:
 * a system section (keys ``n, m, A, B, t0, t1, x0, x1``) describing the
   dynamics and the transfer task; ``A`` is either a row-major array of rows
   or ``{"stack": {"U": rows, "d": count}}``, which expands to the
-  corner-stacked matrix; ``B`` is either an array of rows or the string
-  ``"identity"``;
+  corner-stacked matrix, refused with :class:`CapacityError` before it
+  expands to more than ``hardness.MAX_STACKED_ENTRIES`` entries; ``B`` is
+  either an array of rows or the string ``"identity"``;
 * ``"setfun": {"v": [...], "M": rows, "c": exponent}`` for the
   distance-to-subspace set function (``c`` optional, default 2);
 * ``"varsel": {"U": rows, "z": [...], "delta": number}`` for a standalone
@@ -29,8 +30,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InstanceFormatError
-from .hardness import HardInstance, ReductionDims, generate, stacked_corner
+from .errors import CapacityError, InstanceFormatError
+from .hardness import (
+    MAX_STACKED_ENTRIES,
+    HardInstance,
+    ReductionDims,
+    generate,
+    stacked_corner,
+)
 from .linalg import as_count, as_matrix
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
@@ -134,6 +141,11 @@ def _parse_system(data: dict) -> LinearSystem:
         stack = _require(raw_A, "stack", "key 'A'")
         U = _as_array(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'", 2)
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
+        if n * n > MAX_STACKED_ENTRIES:
+            raise CapacityError(
+                f"key 'A.stack' expands to an n x n matrix with n = {n}: "
+                f"{n * n} entries, more than the cap of {MAX_STACKED_ENTRIES}"
+            )
         with _reraised("inconsistent key 'A.stack'"):
             # checked here so the message names the file key, not stacked_corner's M
             A = stacked_corner(as_matrix(U, name="'A.stack.U'"), n, d)
@@ -211,8 +223,8 @@ def load_instance(path: str | Path) -> InstanceDoc:
     data = _read_json(path)
     try:
         return parse_instance(data)
-    except InstanceFormatError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+    except (InstanceFormatError, CapacityError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_section(path: str | Path, name: str):

@@ -28,6 +28,14 @@ applied to a linear system is an affine map per interval,
 ``x_{j+1} = Phi x_j + d_j``; the stage formula applied once to unit rows
 gives ``Phi`` and the three input maps, every ``d_j`` is one product with
 them, and the states are summed by a Brent-Kung scan.
+
+A result that cannot be computed in floating point raises ValueError rather
+than coming back as NaN: a Gramian that is not finite (the input response
+overflows over ``[t0, t1]``), or an RK4 terminal state that is not finite
+(the step ``h`` lies outside RK4's stability region for the drift, or the
+states overflow; a finer grid may cure it).  The terminal error is a norm
+taken after dividing by the largest entry, so it does not overflow for
+states near the float range.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, as_count, mat_exp
-from .system import LinearSystem, input_columns
+from .system import LinearSystem, _peak_norm, input_columns
 
 
 @dataclass(frozen=True)
@@ -48,9 +56,10 @@ class SynthesisResult:
 
     ``grid`` holds ``N + 1`` strictly increasing times from ``t0`` to ``t1``;
     ``u_samples`` and ``x_samples`` hold one input/state vector per grid
-    point.  ``terminal_error`` is ``||x(t1) - x1||``; large values mean the
-    requested target is not reachable under the chosen node set, never that
-    the failure was silently smoothed over.
+    point.  ``terminal_error`` is ``||x(t1) - x1||``, taken after dividing
+    by the largest entry, so it is finite wherever the error itself is; large
+    values mean the requested target is not reachable under the chosen node
+    set, never that the failure was silently smoothed over.
     """
 
     grid: np.ndarray
@@ -218,20 +227,33 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     quadrature is summed by doubling without the stack
     (:func:`_doubling_gramian`).  ``N`` must be an integer of at least 2.
     The result is exactly symmetric and positive semidefinite up to
-    quadrature noise.
+    quadrature noise.  Raises ValueError when it is not finite.
     """
     N = as_count(N, "N (grid intervals)", 2)
     IB, cols = input_columns(sys, S)
-    if _stack_is_cheaper(N, cols.size, sys.n):
-        return _input_response(sys, S, N)[1]
-    h = (sys.t1 - sys.t0) / N
-    return _doubling_gramian(mat_exp(sys.A, h), IB, h, N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _stack_is_cheaper(N, cols.size, sys.n):
+            W = _input_response(sys, S, N)[1]
+        else:
+            h = (sys.t1 - sys.t0) / N
+            W = _doubling_gramian(mat_exp(sys.A, h), IB, h, N)
+    return _finite_gramian(W)
+
+
+def _finite_gramian(W: np.ndarray) -> np.ndarray:
+    """``W``, or ValueError if it has an entry that is not finite."""
+    if not np.all(np.isfinite(W)):
+        raise ValueError(
+            "reachability Gramian is not finite: the input response "
+            "exp(A (t1 - tau)) M(S) B overflows over [t0, t1]"
+        )
+    return W
 
 
 def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
     """Pseudoinverse of a symmetric PSD matrix, zeroing eigenvalues below
-    ``rank_rel`` times the largest."""
-    lam, V = np.linalg.eigh(W)
+    ``rank_rel`` times the largest; ValueError if ``W`` is not finite."""
+    lam, V = np.linalg.eigh(_finite_gramian(W))
     lam_max = float(lam[-1]) if lam.size else 0.0
     if lam_max <= 0.0:
         return np.zeros_like(W), 0
@@ -289,29 +311,14 @@ def min_energy_transfer(
     maps, every ``d_j`` is one product of the stacked interval inputs with
     them, and the states are summed by :func:`_scan_states`.  For
     infeasible targets the synthesized input reaches only the projection of
-    ``w`` onto the reachable set and ``terminal_error`` stays large.
+    ``w`` onto the reachable set and ``terminal_error`` stays large.  Raises
+    ValueError when the Gramian or the simulated terminal state is not
+    finite; the latter may be cured by a larger ``N``.
     """
     N = as_count(N, "N (grid intervals)", 2)
     IB, cols = input_columns(sys, S)
     n, r = sys.n, cols.size
     h = (sys.t1 - sys.t0) / N
-    half = mat_exp(sys.A, h / 2.0)
-    if _stack_is_cheaper(N, r, n):
-        grid, W, _, H = _input_response(sys, S, N)
-        W_pinv, gramian_rank = _thresholded_pinv(W, tol)
-        g = W_pinv @ sys.offset
-        # H is a transposed view of the contiguous rows H[j]^T
-        rows = H.transpose(0, 2, 1).reshape((N + 1) * r, n)
-        u_grid = (rows @ g).reshape(N + 1, r)
-        # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
-        u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
-    else:
-        E = mat_exp(sys.A, h)
-        W_pinv, gramian_rank = _thresholded_pinv(_doubling_gramian(E, IB, h, N), tol)
-        grid = np.linspace(sys.t0, sys.t1, N + 1)
-        V = _fill_backwards(W_pinv @ sys.offset, E, N)  # V[j] = v_(N-j)^T
-        u_grid = V @ IB
-        u_mid = V[1:] @ (half @ IB)
 
     def f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return x @ sys.A.T + u @ IB.T
@@ -325,17 +332,42 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # the step is linear in (x, u1, u2, u4): on unit rows it gives Phi^T
-    # over the stacked input maps Gamma_1, Gamma_2, Gamma_3
-    maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
-    x_samples = np.empty((N + 1, n))
-    x_samples[0] = sys.x0
-    x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
-    _scan_states(x_samples, maps[:n])
+    # overflow is caught by the finiteness checks, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = mat_exp(sys.A, h / 2.0)
+        if _stack_is_cheaper(N, r, n):
+            grid, W, _, H = _input_response(sys, S, N)
+            W_pinv, gramian_rank = _thresholded_pinv(W, tol)
+            g = W_pinv @ sys.offset
+            # H is a transposed view of the contiguous rows H[j]^T
+            rows = H.transpose(0, 2, 1).reshape((N + 1) * r, n)
+            u_grid = (rows @ g).reshape(N + 1, r)
+            # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
+            u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
+        else:
+            E = mat_exp(sys.A, h)
+            W_pinv, gramian_rank = _thresholded_pinv(_doubling_gramian(E, IB, h, N), tol)
+            grid = np.linspace(sys.t0, sys.t1, N + 1)
+            V = _fill_backwards(W_pinv @ sys.offset, E, N)  # V[j] = v_(N-j)^T
+            u_grid = V @ IB
+            u_mid = V[1:] @ (half @ IB)
+
+        # the step is linear in (x, u1, u2, u4): on unit rows it gives Phi^T
+        # over the stacked input maps Gamma_1, Gamma_2, Gamma_3
+        maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
+        x_samples = np.empty((N + 1, n))
+        x_samples[0] = sys.x0
+        x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
+        _scan_states(x_samples, maps[:n])
+        if not np.all(np.isfinite(x_samples[N])):
+            raise ValueError(
+                f"the simulated terminal state is not finite: RK4 on N = {N} grid "
+                f"intervals (step h = {h:.3g}) is unstable or overflows; refine N"
+            )
+        terminal_error = _peak_norm(x_samples[N] - sys.x1, "terminal error")
 
     u_samples = np.zeros((N + 1, sys.m))
     u_samples[:, cols] = u_grid
-    terminal_error = float(np.linalg.norm(x_samples[N] - sys.x1))
     return SynthesisResult(
         grid=grid,
         u_samples=u_samples,

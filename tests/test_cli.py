@@ -1,15 +1,17 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reachkit import cli
+from reachkit import cli, hardness
 from reachkit.cli import build_parser, main
 from reachkit.instance_io import InstanceDoc, load_instance, write_instance
 from reachkit.linalg import DEFAULT_TOL
@@ -546,6 +548,77 @@ class TestGeneratedSizeCap:
         argv = ["gen-hard", "--random", "100", "100", "--d", "2000", "--out", str(out)]
         assert main(argv) == 3
         assert "n = 200100" in capsys.readouterr().err
+
+
+class TestStackedFileSizeCap:
+    """A file's ``"A": {"stack": ...}`` is refused (exit 3) before it
+    expands past ``hardness.MAX_STACKED_ENTRIES`` entries."""
+
+    def test_a_small_file_naming_three_thousand_nodes_exits_3(self, star_file, tmp_path, capsys):
+        # 18 KB of JSON; the dense A and the identity B would take 72 MB each
+        n = 3000
+        path = tmp_path / "stack3000.json"
+        path.write_text(json.dumps({
+            "n": n, "m": n, "A": {"stack": {"U": [[1.0]], "d": 1}}, "B": "identity",
+            "t0": 0, "t1": 1, "x0": [0] * n, "x1": [1] * n,
+        }))
+        assert cli.MAX_GENERATED_ENTRIES == hardness.MAX_STACKED_ENTRIES == 1 << 22
+        main(["check-feasible", star_file])  # warm lazy imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["check-feasible", str(path), "--actuate", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: key 'A.stack' expands to an n x n matrix with n = 3000: "
+            "9000000 entries, more than the cap of 4194304\n"
+        )
+        assert peak < 8e6
+
+
+class TestSynthesisNotFinite:
+    """synthesize exits 2 with reachkit's own message when the Gramian or
+    the RK4 check is not finite."""
+
+    @pytest.mark.parametrize("n, grid, message", [
+        (2, "1000", "reachability Gramian is not finite"),
+        (20, "1000", "reachability Gramian is not finite"),
+        (None, "100", "terminal state is not finite"),
+    ], ids=["stack-path", "doubling-path", "stiff-rk4"])
+    def test_exits_2(self, tmp_path, capsys, n, grid, message):
+        if n is None:
+            # h * 1000 = 100, outside RK4's stability region
+            sys = LinearSystem(A=np.diag([-1000.0, -1.0]), B=np.eye(2), t0=0.0, t1=10.0,
+                               x0=np.ones(2), x1=np.full(2, 0.5))
+        else:
+            # exp(50 * 20) overflows the input response
+            sys = LinearSystem(A=np.diag([50.0] + [-1.0] * (n - 1)), B=np.eye(n),
+                               t0=0.0, t1=20.0, x0=np.zeros(n), x1=np.ones(n))
+        path = tmp_path / "sys.json"
+        write_instance(InstanceDoc(system=sys), path)
+        nodes = [str(i) for i in range(1, sys.n + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synthesize", str(path), "--actuate", *nodes, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err and "overflows" in captured.err
+
+    def test_huge_target_reports_a_finite_terminal_error(self, tmp_path, capsys):
+        sys = LinearSystem(A=np.zeros((2, 2)), B=np.eye(2), t0=0.0, t1=1.0,
+                           x0=np.zeros(2), x1=np.full(2, 1e200))
+        path = tmp_path / "huge.json"
+        write_instance(InstanceDoc(system=sys), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synthesize", str(path), "--actuate", "1", "2", "--grid", "10", "--json"])
+        assert code == 0
+        error = json.loads(capsys.readouterr().out)["terminal_error"]
+        assert math.isfinite(error) and error <= 1e-6 * math.hypot(1e200, 1e200)
 
 
 class TestSynthesisSizeCap:

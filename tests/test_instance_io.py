@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from reachkit.errors import InstanceFormatError
+from reachkit.errors import CapacityError, InstanceFormatError
 from reachkit.hardness import generate
 from reachkit.instance_io import (
     InstanceDoc,
@@ -295,6 +295,26 @@ class TestParsing:
     )
     def test_bad_counts_name_the_key(self, doc, where):
         with pytest.raises(InstanceFormatError, match=where):
+            parse_instance(doc)
+
+
+class TestStackedSizeCap:
+    def test_a_stack_at_the_cap_loads(self, tmp_path):
+        n = 2048  # n * n is hardness.MAX_STACKED_ENTRIES
+        path = tmp_path / "stack2048.json"
+        path.write_text(json.dumps({
+            "n": n, "m": 1, "A": {"stack": {"U": [[1.0]], "d": 1}}, "B": [[1.0]] * n,
+            "t0": 0, "t1": 1, "x0": [0] * n, "x1": [1] * n,
+        }))
+        sys = load_instance(path).system
+        assert sys.A.shape == (n, n) and sys.B.shape == (n, 1)
+        assert sys.A[0, n - 1] == 1.0 and np.count_nonzero(sys.A) == 1
+
+    def test_a_stack_past_the_cap_is_refused(self):
+        n = 2049
+        doc = {"n": n, "m": 1, "A": {"stack": {"U": [[1.0]], "d": 1}}, "B": [[1.0]] * n,
+               "t0": 0, "t1": 1, "x0": [0] * n, "x1": [1] * n}
+        with pytest.raises(CapacityError, match="n = 2049: 4198401 entries"):
             parse_instance(doc)
 
 

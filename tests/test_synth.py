@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -488,3 +490,64 @@ class TestMinEnergyTransfer:
         fine = min_energy_transfer(sys, [1], N=1000).terminal_error
         assert fine > 0.0
         assert coarse / fine >= 5.0
+
+
+def overflowing_system(n=2):
+    """``A = diag(50, -1, ..., -1)`` on ``[0, 20]``: ``exp(50 (t1 - tau))``
+    reaches ``e^1000`` and overflows the input response."""
+    return LinearSystem(
+        A=np.diag([50.0] + [-1.0] * (n - 1)), B=np.eye(n), t0=0.0, t1=20.0,
+        x0=np.zeros(n), x1=np.ones(n),
+    )
+
+
+def stiff_system():
+    """``A = diag(-1000, -1)`` on ``[0, 10]``: at ``N = 100`` the RK4 step
+    ``h = 0.1`` gives ``h * 1000 = 100``, outside RK4's stability region."""
+    return LinearSystem(
+        A=np.diag([-1000.0, -1.0]), B=np.eye(2), t0=0.0, t1=10.0,
+        x0=np.ones(2), x1=np.full(2, 0.5),
+    )
+
+
+class TestNotFinite:
+    """A synthesis that cannot be computed in floating point raises
+    ValueError, never a NaN result, and numpy does not warn on the way."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("stack", [True, False])
+    def test_overflowing_gramian_raises_on_each_path(self, stack, monkeypatch):
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        sys = overflowing_system()
+        with pytest.raises(ValueError, match="Gramian is not finite"):
+            min_energy_transfer(sys, [1, 2])
+        with pytest.raises(ValueError, match="Gramian is not finite"):
+            reach_gramian(sys, [1, 2])
+
+    def test_overflowing_gramian_raises_on_the_doubling_path(self):
+        # 20 input columns on 1000 intervals: the cost rule picks doubling
+        sys = overflowing_system(20)
+        assert not _stack_is_cheaper(1000, 20, 20)
+        with pytest.raises(ValueError, match="Gramian is not finite"):
+            min_energy_transfer(sys, range(1, 21))
+
+    def test_unstable_rk4_check_raises_and_a_finer_grid_cures_it(self):
+        with pytest.raises(ValueError, match="terminal state is not finite.*refine N"):
+            min_energy_transfer(stiff_system(), [1, 2], N=100)
+        # h * 1000 = 0.1, well inside RK4's stability interval (about -2.79, 0)
+        result = min_energy_transfer(stiff_system(), [1, 2], N=100_000)
+        assert result.terminal_error <= 1e-5
+
+    def test_terminal_error_of_a_huge_target_is_finite(self):
+        x1 = np.full(2, 1e200)
+        sys = LinearSystem(A=np.zeros((2, 2)), B=np.eye(2), t0=0.0, t1=1.0,
+                           x0=np.zeros(2), x1=x1)
+        result = min_energy_transfer(sys, [1, 2], N=10)
+        # ||x1|| itself overflows a plain sum of squares
+        assert np.isfinite(result.terminal_error)
+        assert result.terminal_error <= 1e-6 * max(1.0, math.hypot(*x1))
