@@ -32,7 +32,7 @@ from .linalg import DEFAULT_TOL, Tolerance, as_count, as_indices, as_matrix, as_
 from .solvers import VarSelInstance, check_varsel_solution, fit_support
 from .system import LinearSystem, check_node_set, is_feasible
 
-# The most entries a corner-stacked drift matrix may hold, about 32 MiB:
+# The most entries a corner-stacked drift matrix may hold (32 MiB of floats):
 # gen-hard and roundtrip generate no larger one, and an instance file's
 # "A": {"stack": ...} is refused before it expands past it.
 MAX_STACKED_ENTRIES = 1 << 22

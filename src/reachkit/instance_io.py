@@ -31,13 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError
-from .hardness import (
-    MAX_STACKED_ENTRIES,
-    HardInstance,
-    ReductionDims,
-    generate,
-    stacked_corner,
-)
+from .hardness import MAX_STACKED_ENTRIES, HardInstance, ReductionDims, generate, stacked_corner
 from .linalg import as_count, as_matrix
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
