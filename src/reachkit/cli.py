@@ -149,17 +149,17 @@ def _generate_from_args(args) -> hardness.HardInstance:
         raise ValueError("provide either --U FILE or --random M L")
     if args.d is None:
         raise ValueError("--d is required when generating an instance")
-    d = as_count(args.d, "stack count d", 1)
-    n = max(m, l) * (d + 1)
+    dims = hardness.reduction_dims(m, l, args.d)
+    n = dims.n
     if n * n > MAX_GENERATED_ENTRIES:
         raise CapacityError(
-            f"a {m}x{l} source stacked {d} times gives n = {n}: A would hold "
+            f"a {m}x{l} source stacked {dims.d} times gives n = {n}: A would hold "
             f"{n * n} entries, more than the cap of {MAX_GENERATED_ENTRIES}"
         )
     if args.U is None:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         U = rng.integers(0, 2, size=(m, l)).astype(float)
-    return hardness.generate(U, d=d, delta=0.0 if args.delta is None else args.delta)
+    return hardness.generate(U, d=dims.d, delta=0.0 if args.delta is None else args.delta)
 
 
 def cmd_gen_hard(args) -> Report:

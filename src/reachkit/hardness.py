@@ -49,6 +49,14 @@ class ReductionDims:
     n: int
 
 
+def reduction_dims(m: int, l: int, d: int) -> ReductionDims:
+    """The dims of the instance :func:`generate` builds from an ``m x l``
+    source stacked ``d`` times; ValueError if ``d`` is not a count of at
+    least 1."""
+    d = as_count(d, "stack count d", 1)
+    return ReductionDims(m=m, l=l, d=d, n=max(m, l) * (d + 1))
+
+
 @dataclass(frozen=True)
 class HardInstance:
     """A generated reachability instance bundled with its source
@@ -102,15 +110,14 @@ def generate(U, d: int, delta: float = 0.0) -> HardInstance:
     optimal sparsity keeps solution extraction in the pigeonhole regime.
     """
     U = as_matrix(U, name="U")
-    d = as_count(d, "stack count d", 1)
-    m, l = U.shape
-    n = max(m, l) * (d + 1)
+    dims = reduction_dims(*U.shape, d)
+    m, d, n = dims.m, dims.d, dims.n
     A = stacked_corner(U, n, d)
     x1 = np.zeros(n)
     x1[: m * d] = 1.0
     sys = LinearSystem(A=A, B=np.eye(n), t0=0.0, t1=1.0, x0=np.zeros(n), x1=x1)
     source = VarSelInstance(U=U, z=np.ones(m), delta=float(delta))
-    return HardInstance(sys=sys, source=source, dims=ReductionDims(m=m, l=l, d=d, n=n))
+    return HardInstance(sys=sys, source=source, dims=dims)
 
 
 def forward_map(

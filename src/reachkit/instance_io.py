@@ -14,7 +14,11 @@ One JSON document carries up to four optional sections:
   sparse variable-selection instance;
 * ``"source": {"U": rows, "z": [...], "delta": number, "dims": {...}}`` for
   the variable-selection instance a generated reachability instance encodes,
-  which makes reduction round-trips replayable from the file alone.
+  which makes reduction round-trips replayable from the file alone; it is
+  held to the same cap before it is rebuilt.
+
+Numbers are JSON numbers: ``true`` and ``"2"`` are refused where a number
+is read, as they are where a count is.
 
 Every document the writers here produce parses back to an equal in-memory
 object.
@@ -25,13 +29,16 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError
-from .hardness import MAX_STACKED_ENTRIES, HardInstance, ReductionDims, generate, stacked_corner
+from .hardness import (
+    MAX_STACKED_ENTRIES, HardInstance, ReductionDims, generate, reduction_dims, stacked_corner,
+)
 from .linalg import as_count, as_matrix
 from .setfun import ColumnSelectionFunction
 from .solvers import VarSelInstance
@@ -52,7 +59,10 @@ class InstanceDoc:
         """The bundled reduction instance, checked against a rebuild of
         ``generate(source.U, dims.d, source.delta)``: the dims, the system's
         ``A``, ``B``, ``x0`` and ``x1``, and ``source.z`` must all match.
-        ``path``, the file the document was read from, is named in errors."""
+        The dims and the system's size are checked, and a rebuild past
+        ``hardness.MAX_STACKED_ENTRIES`` entries refused with
+        :class:`CapacityError`, before anything is built.  ``path``, the
+        file the document was read from, is named in errors."""
         # the file leads these messages, except the key mismatches below,
         # which lead with the key
         at, of = ("", "") if path is None else (f"{path}: ", f" of {path}")
@@ -60,23 +70,33 @@ class InstanceDoc:
             raise InstanceFormatError(
                 f"{at}document does not bundle a system with a 'source' section"
             )
-        with _reraised(f"{at}'source' section"):
-            built = generate(self.source.U, self.source_dims.d, self.source.delta)
         dims = self.source_dims
-        pairs = [
-            *((f"'source.dims.{k}'", v, getattr(built.dims, k))
-              for k, v in asdict(dims).items()),
+
+        def match(pairs) -> None:
+            for where, got, want in pairs:
+                if not np.array_equal(got, want):
+                    value = f" ({got}, expected {want})" if np.ndim(got) == 0 else ""
+                    raise InstanceFormatError(
+                        f"{where}{of} does not match the instance generated from "
+                        f"'source.U' with d = {dims.d}{value}"
+                    )
+
+        with _reraised(f"{at}'source' section"):
+            want = reduction_dims(*self.source.U.shape, dims.d)
+        match((f"'source.dims.{k}'", v, getattr(want, k)) for k, v in asdict(dims).items())
+        n = want.n
+        if n * n > MAX_STACKED_ENTRIES:
+            raise CapacityError(
+                f"{at}'source' section expands to an n x n system with n = {n}: "
+                f"{n * n} entries, more than the cap of {MAX_STACKED_ENTRIES}"
+            )
+        match([("key 'A'", self.system.A.shape, (n, n))])
+        built = generate(self.source.U, dims.d, self.source.delta)
+        match([
             *((f"key '{k}'", getattr(self.system, k), getattr(built.sys, k))
               for k in ("A", "B", "x0", "x1")),
             ("'source.z'", self.source.z, built.source.z),
-        ]
-        for where, got, want in pairs:
-            if not np.array_equal(got, want):
-                value = f" ({got}, expected {want})" if np.ndim(got) == 0 else ""
-                raise InstanceFormatError(
-                    f"{where}{of} does not match the instance generated from "
-                    f"'source.U' with d = {dims.d}{value}"
-                )
+        ])
         return HardInstance(sys=self.system, source=self.source, dims=dims)
 
 
@@ -108,22 +128,34 @@ def _int(value, where: str, least: int = 0) -> int:
         raise InstanceFormatError(str(exc)) from exc
 
 
+# The types json gives a number; float() would also read True as 1.0 and "2" as 2.0
+_NUMBERS = {int, float}
+
+
 def _float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{where} is not a number: {value!r}") from exc
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # an int past the float range
+            pass
+    raise InstanceFormatError(f"{where} is not a number: {value!r}")
 
 
 def _as_array(value, where: str, ndim: int) -> np.ndarray:
-    """``value`` as a float array of ``ndim`` dimensions (1 or 2)."""
+    """``value`` as a float array of ``ndim`` dimensions (1 or 2), whose
+    entries are all numbers; a bool among numbers is refused, though the
+    array's dtype would not show it."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{where} is not a numeric array: {exc}") from exc
     if arr.ndim != ndim:
         shape = "a flat array of numbers" if ndim == 1 else "an array of row arrays"
         raise InstanceFormatError(f"{where} must be {shape}")
+    rows = value if ndim == 2 else [value]
+    if not _NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) not in _NUMBERS)
+        raise InstanceFormatError(f"{where} is not a numeric array: {bad!r} is not a number")
     return arr
 
 

@@ -12,14 +12,14 @@ The reachability Gramian is its Simpson quadrature
 The minimum-energy open-loop input steering the system to the target is
 ``H[j]^T W^+ w``.
 
-Two paths compute ``W`` and the input, and a cost rule on the grid size,
-the number of input columns and ``n`` picks one per call (see
-:func:`_stack_is_cheaper`).  With few input columns, the stack ``H`` itself
-is filled by doubling passes and ``W`` is one symmetric product of its
-``sqrt(h c_j)``-weighted rows (:func:`_input_response`).  With many, ``W``
-is summed without the stack: the Simpson weights repeat with period 2 away
-from the ends, so the middle of the sum is a geometric Lyapunov series in
-``E^2``, summed by binary doubling, and the ends are added by Horner steps
+Two paths compute ``W`` and the input, and :func:`_gramian` picks one per
+call by a cost rule on the grid size, the number of input columns and ``n``
+(see :func:`_stack_is_cheaper`).  With few input columns, the stack ``H``
+itself is filled by doubling passes and ``W`` is one symmetric product of
+its ``sqrt(h c_j)``-weighted rows.  With many, ``W`` is summed without the
+stack: the Simpson weights repeat with period 2 away from the ends, so the
+middle of the sum is a geometric Lyapunov series in ``E^2``, summed by
+binary doubling, and the ends are added by Horner steps
 (:func:`_doubling_gramian`); the input is then read off the ``N + 1``
 vectors ``E^(N - j)^T W^+ w``, filled by the same doubling passes as the
 stack.  A fixed-step RK4 simulation of the actuated dynamics then
@@ -139,30 +139,6 @@ def _fill_backwards(last: np.ndarray, step: np.ndarray, N: int) -> np.ndarray:
     return R
 
 
-def _input_response(
-    sys: LinearSystem, S: Iterable[int], N: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid, its Gramian, the nonzero input columns and their response.
-
-    ``H[j] = exp(A (t1 - tau_j)) M(S) B[:, cols]`` for the ``N + 1`` grid
-    times ``tau_j``, with ``cols`` the nonzero columns of ``M(S) B``.  The
-    stack is stored as rows ``R[j] = H[j]^T``, filled by
-    :func:`_fill_backwards` with the step ``exp(A h)^T``, and ``H`` is
-    returned as a transposed view of it.  The Gramian
-    ``h sum_j c_j H[j] H[j]^T``, with ``c`` the unit-spacing Simpson weights,
-    is one symmetric product of the ``sqrt(h c_j)``-weighted rows with
-    themselves.  ``N`` is an ``int`` of at least 2.
-    """
-    IB, cols = input_columns(sys, S)
-    n, r = sys.n, cols.size
-    h = (sys.t1 - sys.t0) / N
-    R = _fill_backwards(IB.T, mat_exp(sys.A, h).T, N)
-    # sqrt needs the Simpson weights positive; Y.T @ Y is a symmetric rank-k product
-    Y = (R * np.sqrt(h * _simpson_weights(N))[:, None, None]).reshape((N + 1) * r, n)
-    grid = np.linspace(sys.t0, sys.t1, N + 1)
-    return grid, Y.T @ Y, cols, R.transpose(0, 2, 1)
-
-
 def _periodic_window(N: int) -> tuple[np.ndarray, int, int]:
     """The Simpson weights ``d_i = c_(N - i)``, indexed by the power ``i`` of
     ``E``, and the window ``[lo, hi)`` on which they repeat with period 2.
@@ -217,43 +193,61 @@ def _doubling_gramian(E: np.ndarray, IB: np.ndarray, h: float, N: int) -> np.nda
     return (0.5 * h) * (Y + Y.T)
 
 
-def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
-    """Reachability Gramian of the actuated system over ``[t0, t1]``.
+def _gramian(
+    sys: LinearSystem, IB: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The Simpson Gramian of the input columns ``IB`` on ``N`` intervals,
+    the step ``E = exp(A h)`` and, on the stack path, the response stack.
 
-    ``W = integral of exp(A (t1 - tau)) M(S) B B^T M(S) exp(A^T (t1 - tau))``
-    evaluated by composite Simpson quadrature on ``N`` grid intervals.  With
-    few input columns it is one symmetric product of the weighted rows of
-    the input response stack (:func:`_input_response`); with many, the same
-    quadrature is summed by doubling without the stack
-    (:func:`_doubling_gramian`).  ``N`` must be an integer of at least 2.
-    The result is exactly symmetric and positive semidefinite up to
-    quadrature noise.  Raises ValueError when it is not finite.
+    :func:`_stack_is_cheaper` picks the path.  On the stack path the rows
+    ``R[j] = H[j]^T = IB^T E^(N - j)^T`` are filled by
+    :func:`_fill_backwards` and the Gramian ``h sum_j c_j H[j] H[j]^T`` is
+    one symmetric product of the ``sqrt(h c_j)``-weighted rows with
+    themselves; on the doubling path it is :func:`_doubling_gramian` and
+    ``R`` is None.  ``N`` is an ``int`` of at least 2.  Raises ValueError
+    when the Gramian is not finite.
     """
-    N = as_count(N, "N (grid intervals)", 2)
-    IB, cols = input_columns(sys, S)
+    n, r = IB.shape
+    h = (sys.t1 - sys.t0) / N
+    # overflow is caught by the finiteness check, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        if _stack_is_cheaper(N, cols.size, sys.n):
-            W = _input_response(sys, S, N)[1]
+        E = mat_exp(sys.A, h)
+        if _stack_is_cheaper(N, r, n):
+            R = _fill_backwards(IB.T, E.T, N)
+            # sqrt needs the Simpson weights positive; Y.T @ Y is a symmetric rank-k product
+            Y = (R * np.sqrt(h * _simpson_weights(N))[:, None, None]).reshape((N + 1) * r, n)
+            W = Y.T @ Y
         else:
-            h = (sys.t1 - sys.t0) / N
-            W = _doubling_gramian(mat_exp(sys.A, h), IB, h, N)
-    return _finite_gramian(W)
-
-
-def _finite_gramian(W: np.ndarray) -> np.ndarray:
-    """``W``, or ValueError if it has an entry that is not finite."""
+            R = None
+            W = _doubling_gramian(E, IB, h, N)
     if not np.all(np.isfinite(W)):
         raise ValueError(
             "reachability Gramian is not finite: the input response "
             "exp(A (t1 - tau)) M(S) B overflows over [t0, t1]"
         )
-    return W
+    return W, E, R
+
+
+def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
+    """Reachability Gramian of the actuated system over ``[t0, t1]``.
+
+    ``W = integral of exp(A (t1 - tau)) M(S) B B^T M(S) exp(A^T (t1 - tau))``
+    evaluated by composite Simpson quadrature on ``N`` grid intervals, on
+    the path :func:`_gramian` picks: with few input columns one symmetric
+    product of the weighted rows of the input response stack, with many the
+    same quadrature summed by doubling without the stack
+    (:func:`_doubling_gramian`).  ``N`` must be an integer of at least 2.
+    The result is exactly symmetric and positive semidefinite up to
+    quadrature noise.  Raises ValueError when it is not finite.
+    """
+    N = as_count(N, "N (grid intervals)", 2)
+    return _gramian(sys, input_columns(sys, S)[0], N)[0]
 
 
 def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
-    """Pseudoinverse of a symmetric PSD matrix, zeroing eigenvalues below
-    ``rank_rel`` times the largest; ValueError if ``W`` is not finite."""
-    lam, V = np.linalg.eigh(_finite_gramian(W))
+    """Pseudoinverse of a finite symmetric PSD matrix, zeroing eigenvalues
+    below ``rank_rel`` times the largest."""
+    lam, V = np.linalg.eigh(W)
     lam_max = float(lam[-1]) if lam.size else 0.0
     if lam_max <= 0.0:
         return np.zeros_like(W), 0
@@ -298,9 +292,9 @@ def min_energy_transfer(
 
     The input is ``u(t) = B^T M(S) exp(A^T (t1 - t)) W^+ w`` with ``W`` the
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
-    ``w`` the transfer offset ``sys.offset``.  ``W`` comes from the path
-    :func:`reach_gramian` would take.  On the stack path the input is read
-    off the response stack; on the doubling path it is
+    ``w`` the transfer offset ``sys.offset``.  ``W`` comes from
+    :func:`_gramian`, on the path it picks.  On the stack path the input is
+    read off the response stack; on the doubling path it is
     ``u(tau_j) = (M(S) B)^T v_(N-j)`` with ``v_i = exp(A h)^i^T W^+ w``, one
     vector per grid point, so the memory is ``O(N n)``.  The state is then
     integrated by fixed-step RK4 on the same ``N``-interval grid the
@@ -332,23 +326,20 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    W, E, R = _gramian(sys, IB, N)
+    grid = np.linspace(sys.t0, sys.t1, N + 1)
     # overflow is caught by the finiteness checks, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
+        W_pinv, gramian_rank = _thresholded_pinv(W, tol)
+        g = W_pinv @ sys.offset
         half = mat_exp(sys.A, h / 2.0)
-        if _stack_is_cheaper(N, r, n):
-            grid, W, _, H = _input_response(sys, S, N)
-            W_pinv, gramian_rank = _thresholded_pinv(W, tol)
-            g = W_pinv @ sys.offset
-            # H is a transposed view of the contiguous rows H[j]^T
-            rows = H.transpose(0, 2, 1).reshape((N + 1) * r, n)
+        if R is not None:
+            rows = R.reshape(-1, n)
             u_grid = (rows @ g).reshape(N + 1, r)
             # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
             u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
         else:
-            E = mat_exp(sys.A, h)
-            W_pinv, gramian_rank = _thresholded_pinv(_doubling_gramian(E, IB, h, N), tol)
-            grid = np.linspace(sys.t0, sys.t1, N + 1)
-            V = _fill_backwards(W_pinv @ sys.offset, E, N)  # V[j] = v_(N-j)^T
+            V = _fill_backwards(g, E, N)  # V[j] = v_(N-j)^T
             u_grid = V @ IB
             u_mid = V[1:] @ (half @ IB)
 

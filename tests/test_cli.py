@@ -578,6 +578,33 @@ class TestStackedFileSizeCap:
         )
         assert peak < 8e6
 
+    def test_a_source_section_naming_three_thousand_nodes_exits_3(
+        self, star_file, tmp_path, capsys
+    ):
+        # 165 bytes; the system generated from the source would take 72 MB
+        # for A alone, and it is refused before it is built
+        path = tmp_path / "source3000.json"
+        path.write_text(
+            '{"n":2,"m":2,"A":[[0,1],[0,0]],"B":"identity","t0":0,"t1":1,"x0":[0,0],'
+            '"x1":[1,1],"source":{"U":[[1.0]],"z":[1.0],"delta":0,'
+            '"dims":{"m":1,"l":1,"d":2999,"n":3000}}}\n'
+        )
+        assert path.stat().st_size == 165
+        main(["check-feasible", star_file])  # warm lazy imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["roundtrip", "--file", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'source' section expands to an n x n system with n = 3000: "
+            "9000000 entries, more than the cap of 4194304\n"
+        )
+        assert peak < 8e6
+
 
 class TestSynthesisNotFinite:
     """synthesize exits 2 with reachkit's own message when the Gramian or
@@ -723,6 +750,27 @@ class TestMalformedInstance:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("t0", True, "key 't0' is not a number: True"),
+            ("t1", "2", "key 't1' is not a number: '2'"),
+            ("x0", ["0", False], "key 'x0' is not a numeric array: '0' is not a number"),
+            ("x1", [1, True], "key 'x1' is not a numeric array: True is not a number"),
+            ("t1", 10**400, "key 't1' is not a number: 1000"),
+            ("x1", [1, 10**400], "key 'x1' is not a numeric array: int too large"),
+        ],
+        ids=["t0", "t1", "x0", "x1", "t1-past-float-range", "x1-past-float-range"],
+    )
+    def test_numbers_are_json_numbers(self, tmp_path, capsys, key, value, message):
+        # float() would read each value as a number the file never wrote
+        doc = {"n": 2, "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",
+               "t0": 0.0, "t1": 2.0, "x0": [0.0, 0.0], "x1": [1.0, 1.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["check-feasible", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 # A report line whose number is roundoff (it can differ across BLAS builds)

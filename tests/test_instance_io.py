@@ -371,6 +371,24 @@ class TestHardInstanceConsistency:
         with pytest.raises(InstanceFormatError, match=where):
             doc.hard_instance()
 
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (("source", "dims", "d"), 2999, r"'source.dims.n' .*\(9, expected 9000\)"),
+            (("source", "dims"), {"m": 2, "l": 3, "d": 1, "n": 6}, "key 'A'"),
+        ],
+        ids=["dims", "system-size"],
+    )
+    def test_size_mismatch_is_found_before_the_rebuild(self, keys, value, where, monkeypatch):
+        monkeypatch.setattr("reachkit.instance_io.generate", None)  # calling it fails
+        data = self.document()
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(InstanceFormatError, match=where):
+            parse_instance(data).hard_instance()
+
 
 def system_doc(**keys):
     data = {"n": 2, "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",

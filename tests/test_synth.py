@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from reachkit.linalg import DEFAULT_TOL, mat_exp
 from reachkit.synth import (
     _SIMPSON_HEAD,
     _doubling_gramian,
+    _gramian,
     _input_columns,
-    _input_response,
     _periodic_window,
     _simpson_weights,
     _stack_is_cheaper,
@@ -23,6 +24,7 @@ from reachkit.synth import (
 from reachkit.system import (
     LinearSystem,
     actuation_mask,
+    input_columns,
     is_feasible,
     masked_input_matrix,
     reachability_matrix,
@@ -106,7 +108,9 @@ def rel_diff(got, want):
 def stage_loop_reference(sys, S, N):
     """State samples by the per-interval RK4 stage loop, fed the same grid
     and midpoint inputs that ``min_energy_transfer`` computes."""
-    _, W, _, H = _input_response(sys, S, N)
+    with mock.patch("reachkit.synth._stack_is_cheaper", return_value=True):
+        W, _, R = _gramian(sys, _input_columns(sys, S)[0], N)
+    H = R.transpose(0, 2, 1)
     g = _thresholded_pinv(W, DEFAULT_TOL)[0] @ sys.offset
     h = (sys.t1 - sys.t0) / N
     IB = H[N]
@@ -238,7 +242,8 @@ class TestGramianPaths:
     the cost rule, so the rule cannot hide either one."""
 
     @pytest.mark.parametrize("N", [2, 3, 7, 16, 17, 18, 33, 34, 101, 1000, 1001])
-    def test_gramians_agree(self, N):
+    def test_gramians_agree(self, N, monkeypatch):
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: True)
         rng = np.random.default_rng(300 + N)
         for n in (2, 3, 5, 8, 13, 21, 30):
             A = 0.5 * rng.normal(size=(n, n))
@@ -249,9 +254,10 @@ class TestGramianPaths:
                     x0=np.zeros(n), x1=np.zeros(n),
                 )
                 S = range(1, n + 1)
-                stack = _input_response(sys, S, N)[1]
+                IB = _input_columns(sys, S)[0]
+                stack = _gramian(sys, IB, N)[0]
                 h = 1.5 / N
-                doubling = _doubling_gramian(mat_exp(A, h), _input_columns(sys, S)[0], h, N)
+                doubling = _doubling_gramian(mat_exp(A, h), IB, h, N)
                 assert rel_diff(doubling, stack) <= 1e-12, (n, m)
                 assert np.array_equal(stack, stack.T)
                 assert np.array_equal(doubling, doubling.T)
@@ -289,6 +295,23 @@ class TestGramianPaths:
             assert rel_diff(doubled.x_samples, on_stack.x_samples) <= 1e-12
             assert doubled.gramian_rank == on_stack.gramian_rank == n
             assert np.array_equal(doubled.grid, on_stack.grid)
+
+    @pytest.mark.parametrize("stack", [True, False], ids=["stack", "doubling"])
+    def test_input_columns_are_gathered_once_per_call(self, stack, monkeypatch):
+        # M(S) B is built once per call and shared by the Gramian and the input
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return input_columns(*args)
+
+        monkeypatch.setattr("reachkit.synth.input_columns", counting)
+        sys = star_system(40)
+        min_energy_transfer(sys, [1], N=1000)
+        assert len(calls) == 1
+        reach_gramian(sys, [1], N=1000)
+        assert len(calls) == 2
 
     def test_cost_rule_placements(self):
         # one input column: the stack fills no more rows than the vector
