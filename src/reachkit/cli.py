@@ -18,7 +18,10 @@ its instance from ``--file`` or from the generation flags, never from both.
 ``gen-hard`` and ``roundtrip`` exit 3 before generating an instance whose
 drift matrix would hold more than ``MAX_GENERATED_ENTRIES`` entries, and
 ``synthesize`` exits 3 before synthesis when its report or its response
-stack would hold more than ``MAX_SYNTH_FLOATS`` floats.
+stack would hold more than ``MAX_SYNTH_FLOATS`` floats.  Both caps are
+``hardness.MAX_STACKED_ENTRIES`` (2^22), are read when a command runs, and
+are enforced by :func:`reachkit.errors.refuse_past_cap`, which also refuses
+an instance file's oversized stacked ``A`` or ``source`` section.
 ``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
 ``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
 """
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hardness, instance_io, setfun, solvers
-from .errors import CapacityError, InfeasibleError, InstanceFormatError
+from .errors import CapacityError, InfeasibleError, InstanceFormatError, refuse_past_cap
 from .linalg import DEFAULT_TOL, Tolerance, as_count
 from .system import check_node_set, input_columns, is_feasible
 
@@ -53,10 +56,10 @@ MAX_GENERATED_ENTRIES = hardness.MAX_STACKED_ENTRIES
 # synthesize refuses, before synthesis, a report of more than this many floats
 # ((N + 1)(n + m + 1): the grid, the inputs and the states) and, where the
 # response stack is the cheaper path, a stack of more than this many
-# ((N + 1) r n for r actuated input columns).  The stack then takes at most
-# 32 MiB, and the report at most 32 MiB of floats before its Python lists and
-# JSON text.
-MAX_SYNTH_FLOATS = 1 << 22
+# ((N + 1) r n for r actuated input columns): the same 2^22 as above.  The
+# stack then takes at most 32 MiB, and the report at most 32 MiB of floats
+# before its Python lists and JSON text.
+MAX_SYNTH_FLOATS = hardness.MAX_STACKED_ENTRIES
 
 Report = tuple[bool, dict, list[str]]
 
@@ -151,11 +154,9 @@ def _generate_from_args(args) -> hardness.HardInstance:
         raise ValueError("--d is required when generating an instance")
     dims = hardness.reduction_dims(m, l, args.d)
     n = dims.n
-    if n * n > MAX_GENERATED_ENTRIES:
-        raise CapacityError(
-            f"a {m}x{l} source stacked {dims.d} times gives n = {n}: A would hold "
-            f"{n * n} entries, more than the cap of {MAX_GENERATED_ENTRIES}"
-        )
+    refuse_past_cap(n * n, MAX_GENERATED_ENTRIES,
+                    f"a {m}x{l} source stacked {dims.d} times gives n = {n}: A would hold",
+                    "entries")
     if args.U is None:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         U = rng.integers(0, 2, size=(m, l)).astype(float)
@@ -207,18 +208,13 @@ def cmd_synthesize(args) -> Report:
     system = instance_io.load_section(args.file, "system")
     N, n = args.grid, system.n
     report = (N + 1) * (n + system.m + 1)
-    if report > MAX_SYNTH_FLOATS:
-        raise CapacityError(
-            f"a report on {N} grid intervals would hold {report} floats, "
-            f"more than the cap of {MAX_SYNTH_FLOATS}"
-        )
+    refuse_past_cap(report, MAX_SYNTH_FLOATS,
+                    f"a report on {N} grid intervals would hold", "floats")
     r = input_columns(system, args.actuate)[1].size
-    if synth._stack_is_cheaper(N, r, n) and (N + 1) * r * n > MAX_SYNTH_FLOATS:
-        raise CapacityError(
-            f"the response stack of {r} input columns on {N} grid intervals "
-            f"would hold {(N + 1) * r * n} floats, more than the cap of "
-            f"{MAX_SYNTH_FLOATS}"
-        )
+    if synth._stack_is_cheaper(N, r, n):
+        refuse_past_cap((N + 1) * r * n, MAX_SYNTH_FLOATS,
+                        f"the response stack of {r} input columns on {N} grid intervals "
+                        "would hold", "floats")
     tol = _tolerance(args)
     verdict = is_feasible(system, args.actuate, tol)
     result = synth.min_energy_transfer(system, args.actuate, N=args.grid, tol=tol)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and :func:`refuse_past_cap`,
+the one refusal of work past a size cap before it is allocated."""
 
 
 class ReachkitError(Exception):
@@ -7,6 +8,13 @@ class ReachkitError(Exception):
 
 class CapacityError(ReachkitError):
     """A brute-force routine was asked to exceed its configured size cap."""
+
+
+def refuse_past_cap(count: int, cap: int, what: str, unit: str) -> None:
+    """Raise :class:`CapacityError` if ``count`` exceeds ``cap``, with the
+    message ``f"{what} {count} {unit}, more than the cap of {cap}"``."""
+    if count > cap:
+        raise CapacityError(f"{what} {count} {unit}, more than the cap of {cap}")
 
 
 class InfeasibleError(ReachkitError):

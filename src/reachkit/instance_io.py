@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, InstanceFormatError
+from .errors import CapacityError, InstanceFormatError, refuse_past_cap
 from .hardness import (
     MAX_STACKED_ENTRIES, HardInstance, ReductionDims, generate, reduction_dims, stacked_corner,
 )
@@ -85,11 +85,9 @@ class InstanceDoc:
             want = reduction_dims(*self.source.U.shape, dims.d)
         match((f"'source.dims.{k}'", v, getattr(want, k)) for k, v in asdict(dims).items())
         n = want.n
-        if n * n > MAX_STACKED_ENTRIES:
-            raise CapacityError(
-                f"{at}'source' section expands to an n x n system with n = {n}: "
-                f"{n * n} entries, more than the cap of {MAX_STACKED_ENTRIES}"
-            )
+        refuse_past_cap(n * n, MAX_STACKED_ENTRIES,
+                        f"{at}'source' section expands to an n x n system with n = {n}:",
+                        "entries")
         match([("key 'A'", self.system.A.shape, (n, n))])
         built = generate(self.source.U, dims.d, self.source.delta)
         match([
@@ -167,11 +165,8 @@ def _parse_system(data: dict) -> LinearSystem:
         stack = _require(raw_A, "stack", "key 'A'")
         U = _as_array(_require(stack, "U", "key 'A.stack'"), "'A.stack.U'", 2)
         d = _int(_require(stack, "d", "key 'A.stack'"), "'A.stack.d'")
-        if n * n > MAX_STACKED_ENTRIES:
-            raise CapacityError(
-                f"key 'A.stack' expands to an n x n matrix with n = {n}: "
-                f"{n * n} entries, more than the cap of {MAX_STACKED_ENTRIES}"
-            )
+        refuse_past_cap(n * n, MAX_STACKED_ENTRIES,
+                        f"key 'A.stack' expands to an n x n matrix with n = {n}:", "entries")
         with _reraised("inconsistent key 'A.stack'"):
             # checked here so the message names the file key, not stacked_corner's M
             A = stacked_corner(as_matrix(U, name="'A.stack.U'"), n, d)
