@@ -18,7 +18,11 @@ One JSON document carries up to four optional sections:
   held to the same cap before it is rebuilt.
 
 Numbers are JSON numbers: ``true`` and ``"2"`` are refused where a number
-is read, as they are where a count is.
+is read, as they are where a count is.  A file that cannot be decoded (not
+UTF-8, an integer of more than Python's 4300 digits, nesting past the
+decoder's recursion limit) is refused as invalid JSON is, with
+:class:`InstanceFormatError` naming the file.  Both caps are checked by
+:func:`reachkit.errors.refuse_past_cap`.
 
 Every document the writers here produce parses back to an equal in-memory
 object.
@@ -231,13 +235,16 @@ def parse_instance(data: dict) -> InstanceDoc:
 
 
 def _read_json(path: str | Path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer past Python's digit limit, or
+        # nesting deeper than the decoder's recursion limit
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> InstanceDoc:

@@ -74,7 +74,10 @@ class Tolerance:
     feas_rel
         Residual threshold for subspace-membership tests: a vector ``w`` is
         accepted as a member when its squared distance to the subspace is at
-        most ``feas_rel**2 * max(1, ||w||^2)``.
+        most ``feas_rel**2 * max(1, ||w||^2)``.  Its square must be a
+        positive float, so ``feas_rel`` has a floor of about 1.57e-162; below
+        it the threshold would be 0 and the exact solver's pruning would
+        drop every subset.
     """
 
     rank_rel: float = 1e-9
@@ -85,6 +88,11 @@ class Tolerance:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
+        if self.feas_rel**2 == 0.0:
+            raise ValueError(
+                "feas_rel must be at least about 1.57e-162, so that its square is "
+                f"positive, got {self.feas_rel!r}"
+            )
 
 
 DEFAULT_TOL = Tolerance()

@@ -773,6 +773,56 @@ class TestMalformedInstance:
         assert message in capsys.readouterr().err
 
 
+class TestUndecodableInstance:
+    """A file that cannot be read as JSON text exits 2 with the file named,
+    whatever the decoder raised."""
+
+    FILES = {
+        # a UTF-16 byte order mark is not UTF-8
+        "not-utf8": b"\xff\xfe{}",
+        # Python's int() refuses more than 4300 digits
+        "long-integer": (
+            b'{"n": 2, "m": 2, "A": [[0, 0], [0, 0]], "B": "identity", "t0": 0, "t1": 1, '
+            b'"x0": [0, 0], "x1": [' + b"1" * 5000 + b', 0]}'
+        ),
+        # deeper than the decoder's recursion limit
+        "deep-nesting": b"[" * 200_000,
+    }
+
+    @staticmethod
+    def assert_refused(argv, path, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_check_feasible_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(self.FILES[name])
+        self.assert_refused(["check-feasible", str(path)], path, capsys)
+
+    def test_deep_matrix_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_bytes(self.FILES["deep-nesting"])
+        out = tmp_path / "inst.json"
+        argv = ["gen-hard", "--U", str(path), "--d", "1", "--out", str(out)]
+        self.assert_refused(argv, path, capsys)
+        assert not out.exists()
+
+
+class TestFeasibilityToleranceFloor:
+    def test_a_threshold_whose_square_underflows_exits_2(self, capsys):
+        # at 1e-300 the exact search would call the feasible fixture infeasible
+        argv = ["solve-exact", "tests/fixtures/greedy_gap.json", "--tol-feas", "1e-300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: feas_rel ")
+        assert "got 1e-300" in captured.err
+
+
 # A report line whose number is roundoff (it can differ across BLAS builds)
 # is pinned by its label, its format and a bound on its size.
 ROUNDOFF = re.compile(r"-?\d\.\d{6}e[+-]\d{2}")

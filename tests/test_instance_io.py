@@ -389,6 +389,20 @@ class TestHardInstanceConsistency:
         with pytest.raises(InstanceFormatError, match=where):
             parse_instance(data).hard_instance()
 
+    @pytest.mark.parametrize("d, error, where", [
+        (2047, InstanceFormatError, "key 'A'"),
+        (2048, CapacityError, r"n = 2049: 4198401 entries, more than the cap of 4194304"),
+    ], ids=["at-the-cap", "past-the-cap"])
+    def test_source_section_cap_boundary(self, d, error, where, monkeypatch):
+        # a 1 x 1 source stacked d times gives n = d + 1; at d = 2047, n * n
+        # is hardness.MAX_STACKED_ENTRIES, so the cap passes and the 2-node
+        # system fails its size check instead
+        monkeypatch.setattr("reachkit.instance_io.generate", None)  # calling it fails
+        data = system_doc(source={"U": [[1.0]], "z": [1.0], "delta": 0.0,
+                                  "dims": {"m": 1, "l": 1, "d": d, "n": d + 1}})
+        with pytest.raises(error, match=where):
+            parse_instance(data).hard_instance()
+
 
 def system_doc(**keys):
     data = {"n": 2, "m": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "B": "identity",

@@ -233,6 +233,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(feas_rel=bad)
 
+    def test_feas_rel_whose_square_underflows_is_refused(self):
+        # 1e-300 squared is 0: every membership threshold would be 0
+        with pytest.raises(ValueError, match=r"feas_rel .*square .*got 1e-300"):
+            Tolerance(feas_rel=1e-300)
+        assert Tolerance(rank_rel=1e-300).rank_rel == 1e-300
+
     def test_rank_threshold_is_relative(self):
         # a scaled copy of a rank-2 matrix keeps rank 2
         A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])

@@ -15,7 +15,7 @@ import reachkit.solvers
 from reachkit.errors import CapacityError, InfeasibleError
 from reachkit.hardness import generate
 from reachkit.instance_io import load_instance
-from reachkit.linalg import DEFAULT_TOL, dist_sq_to_ranges, mat_exp
+from reachkit.linalg import DEFAULT_TOL, Tolerance, dist_sq_to_ranges, mat_exp
 from reachkit.solvers import (
     DEFAULT_EXACT_CAP,
     GREEDY_IMPROVEMENT_EPS,
@@ -204,6 +204,14 @@ class TestExactMinReach:
             assert result.nodes == (1,)
             assert result.cardinality == 1
             assert result.feasible and result.optimal
+
+    def test_subnormal_feasibility_threshold_matches_is_feasible(self):
+        # 1e-160 squared is subnormal, yet positive: the prune threshold
+        # 4 feas_rel**2 still passes the star's empty offsets
+        tol = Tolerance(feas_rel=1e-160)
+        assert 0.0 < tol.feas_rel**2 < np.finfo(float).tiny
+        assert exact_min_reach(star_system(5), tol=tol).nodes == (1,)
+        assert is_feasible(star_system(5), [1], tol).feasible
 
     def test_drift_only_transfer_needs_nothing(self):
         rng = np.random.default_rng(61)
