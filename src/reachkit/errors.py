@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and :func:`refuse_past_cap`,
-the one refusal of work past a size cap before it is allocated."""
+the refusal shared by the size caps checked before an allocation."""
 
 
 class ReachkitError(Exception):

@@ -75,9 +75,9 @@ class Tolerance:
         Residual threshold for subspace-membership tests: a vector ``w`` is
         accepted as a member when its squared distance to the subspace is at
         most ``feas_rel**2 * max(1, ||w||^2)``.  Its square must be a
-        positive float, so ``feas_rel`` has a floor of about 1.57e-162; below
-        it the threshold would be 0 and the exact solver's pruning would
-        drop every subset.
+        positive float, so ``feas_rel`` has a floor of about 1.57e-162;
+        below it the threshold is 0, and the exact search's pruning calls
+        feasible instances infeasible.
     """
 
     rank_rel: float = 1e-9

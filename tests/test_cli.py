@@ -111,6 +111,15 @@ class TestCheckFeasible:
 
 
 class TestSolve:
+    def test_feasibility_threshold_whose_square_underflows_exits_2(self, capsys):
+        # at 1e-300 the exact search would call the feasible fixture infeasible
+        argv = ["solve-exact", "tests/fixtures/greedy_gap.json", "--tol-feas", "1e-300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: feas_rel ")
+        assert "got 1e-300" in captured.err
+
     def test_exact_star(self, star_file, capsys):
         assert main(["solve-exact", star_file]) == 0
         out = capsys.readouterr().out
@@ -810,17 +819,6 @@ class TestUndecodableInstance:
         argv = ["gen-hard", "--U", str(path), "--d", "1", "--out", str(out)]
         self.assert_refused(argv, path, capsys)
         assert not out.exists()
-
-
-class TestFeasibilityToleranceFloor:
-    def test_a_threshold_whose_square_underflows_exits_2(self, capsys):
-        # at 1e-300 the exact search would call the feasible fixture infeasible
-        argv = ["solve-exact", "tests/fixtures/greedy_gap.json", "--tol-feas", "1e-300"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: feas_rel ")
-        assert "got 1e-300" in captured.err
 
 
 # A report line whose number is roundoff (it can differ across BLAS builds)
