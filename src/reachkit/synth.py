@@ -6,9 +6,12 @@ an actual input signal.  On the uniform grid ``tau_0 < ... < tau_N`` with
 spacing ``h = (t1 - t0) / N``, the input response is
 ``H[j] = E^(N - j) M(S) B`` with ``E = exp(A h)``, restricted to the
 nonzero columns of ``M(S) B`` (:func:`reachkit.system.input_columns`).
-The reachability Gramian is its Simpson quadrature
+One matrix exponential is formed per call, the half step
+``exp(A h/2)`` that RK4 needs at the interval midpoints, and ``E`` is its
+square.  The reachability Gramian is the Simpson quadrature
 ``W = h sum_j c_j H[j] H[j]^T``, with ``c_j`` the Simpson weights (scipy's
-``simpson`` applied to the unit vectors, all positive).
+``simpson`` applied to the unit vectors, all positive), computed once per
+grid size and cached.
 The minimum-energy open-loop input steering the system to the target is
 ``H[j]^T W^+ w``.
 
@@ -27,7 +30,10 @@ independently confirms (or honestly refutes) that the target is hit.  RK4
 applied to a linear system is an affine map per interval,
 ``x_{j+1} = Phi x_j + d_j``; the stage formula applied once to unit rows
 gives ``Phi`` and the three input maps, every ``d_j`` is one product with
-them, and the states are summed by a Brent-Kung scan.
+them, and the states are summed by a Brent-Kung scan.  On the doubling path
+the three interval inputs are fixed linear images of the vector
+``v_(N-j-1)``, so ``d_j = v_(N-j-1)^T D`` with one ``n x n`` map ``D``,
+and the stage formula runs on ``2 n`` rows that give ``Phi^T`` and ``D``.
 
 A result that cannot be computed in floating point raises ValueError rather
 than coming back as NaN: a Gramian that is not finite (the input response
@@ -40,6 +46,7 @@ states near the float range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -73,7 +80,12 @@ class SynthesisResult:
 # scipy has shipped repeats a period-2 pattern this far from either end.
 _SIMPSON_HEAD = 8
 
+# Grid sizes whose Simpson weights are kept; a caller uses one or a few grids,
+# and each entry holds N + 1 floats.
+_WEIGHT_GRIDS = 8
 
+
+@functools.lru_cache(maxsize=_WEIGHT_GRIDS)
 def _simpson_weights(N: int) -> np.ndarray:
     """Unit-spacing weights ``c`` with ``c @ y == simpson(y, dx=1.0, axis=0)``
     for ``N + 1`` samples.
@@ -84,12 +96,15 @@ def _simpson_weights(N: int) -> np.ndarray:
     ``2 * _SIMPSON_HEAD + 1`` intervals, and the weight pair that starts its
     interior is repeated until the grid has ``N`` intervals, so the weights
     take ``O(N)`` memory where the ``N + 1`` unit vectors would take
-    ``O(N^2)``.
+    ``O(N^2)``.  They are cached per ``N`` and read-only, since every
+    caller shares them.
     """
     M = min(N, 2 * _SIMPSON_HEAD + N % 2)
     short = simpson(np.eye(M + 1), dx=1.0, axis=0)
     head, rest = short[:_SIMPSON_HEAD], short[_SIMPSON_HEAD:]
-    return np.concatenate([head, np.tile(rest[:2], (N - M) // 2), rest])
+    c = np.concatenate([head, np.tile(rest[:2], (N - M) // 2), rest])
+    c.flags.writeable = False
+    return c
 
 
 _input_columns = input_columns  # still importable from here under this name
@@ -139,13 +154,15 @@ def _fill_backwards(last: np.ndarray, step: np.ndarray, N: int) -> np.ndarray:
     return R
 
 
+@functools.lru_cache(maxsize=_WEIGHT_GRIDS)
 def _periodic_window(N: int) -> tuple[np.ndarray, int, int]:
     """The Simpson weights ``d_i = c_(N - i)``, indexed by the power ``i`` of
     ``E``, and the window ``[lo, hi)`` on which they repeat with period 2.
 
     ``lo`` and ``hi - lo`` are even and ``d[lo + 2k + b] == d[lo + b]``
     exactly inside the window; outside it lie at most a few entries at each
-    end, where scipy's end rules apply.
+    end, where scipy's end rules apply.  Cached per ``N``; ``d`` is a
+    read-only view of :func:`_simpson_weights`.
     """
     d = _simpson_weights(N)[::-1]
     mid = N // 2 & ~1
@@ -197,9 +214,11 @@ def _gramian(
     sys: LinearSystem, IB: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The Simpson Gramian of the input columns ``IB`` on ``N`` intervals,
-    the step ``E = exp(A h)`` and, on the stack path, the response stack.
+    the half step ``exp(A h/2)`` and, on the stack path, the response stack.
 
-    :func:`_stack_is_cheaper` picks the path.  On the stack path the rows
+    The half step is the one matrix exponential formed; the step
+    ``E = exp(A h)`` is its square.  :func:`_stack_is_cheaper` picks the
+    path.  On the stack path the rows
     ``R[j] = H[j]^T = IB^T E^(N - j)^T`` are filled by
     :func:`_fill_backwards` and the Gramian ``h sum_j c_j H[j] H[j]^T`` is
     one symmetric product of the ``sqrt(h c_j)``-weighted rows with
@@ -211,7 +230,8 @@ def _gramian(
     h = (sys.t1 - sys.t0) / N
     # overflow is caught by the finiteness check, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        E = mat_exp(sys.A, h)
+        half = mat_exp(sys.A, h / 2.0)
+        E = half @ half
         if _stack_is_cheaper(N, r, n):
             R = _fill_backwards(IB.T, E.T, N)
             # sqrt needs the Simpson weights positive; Y.T @ Y is a symmetric rank-k product
@@ -225,7 +245,7 @@ def _gramian(
             "reachability Gramian is not finite: the input response "
             "exp(A (t1 - tau)) M(S) B overflows over [t0, t1]"
         )
-    return W, E, R
+    return W, half, R
 
 
 def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndarray:
@@ -293,17 +313,24 @@ def min_energy_transfer(
     The input is ``u(t) = B^T M(S) exp(A^T (t1 - t)) W^+ w`` with ``W`` the
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
     ``w`` the transfer offset ``sys.offset``.  ``W`` comes from
-    :func:`_gramian`, on the path it picks.  On the stack path the input is
-    read off the response stack; on the doubling path it is
-    ``u(tau_j) = (M(S) B)^T v_(N-j)`` with ``v_i = exp(A h)^i^T W^+ w``, one
-    vector per grid point, so the memory is ``O(N n)``.  The state is then
-    integrated by fixed-step RK4 on the same ``N``-interval grid the
+    :func:`_gramian`, on the path it picks, together with the half step
+    ``exp(A h/2)``, the one matrix exponential of the call.  The state is
+    then integrated by fixed-step RK4 on the same ``N``-interval grid the
     quadrature used, which avoids any interpolation bookkeeping between the
     two.  Each RK4 step is the affine map ``x_{j+1} = Phi x_j + d_j``, with
-    ``d_j`` linear in the interval's three stage inputs: the stage formula
-    is evaluated once on unit rows, which gives ``Phi`` and the three input
-    maps, every ``d_j`` is one product of the stacked interval inputs with
-    them, and the states are summed by :func:`_scan_states`.  For
+    ``d_j`` linear in the interval's three stage inputs, and the states are
+    summed by :func:`_scan_states`.  On the stack path the inputs at the
+    grid points and midpoints are read off the response stack, the stage
+    formula is evaluated once on ``n + 3 r`` unit rows, which gives ``Phi``
+    and the three input maps, and every ``d_j`` is one product of the
+    stacked interval inputs with them.  On the doubling path the input is
+    ``u(tau_j) = (M(S) B)^T v_(N-j)`` with ``v_i = E^i^T W^+ w``, one vector
+    per grid point, so the memory is ``O(N n)``.  Since
+    ``v_(N-j) = E^T v_(N-j-1)``, the three inputs of interval ``j`` are
+    fixed maps of ``v_(N-j-1)`` and ``d_j = v_(N-j-1)^T D``: the stage
+    formula is evaluated once on the ``2 n`` rows
+    ``(x, u1, u2, u4) = ([I; 0], [0; E IB], [0; exp(A h/2) IB], [0; IB])``,
+    whose first ``n`` rows are ``Phi^T`` and last ``n`` rows ``D``.  For
     infeasible targets the synthesized input reaches only the projection of
     ``w`` onto the reachable set and ``terminal_error`` stays large.  Raises
     ValueError when the Gramian or the simulated terminal state is not
@@ -326,29 +353,33 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    W, E, R = _gramian(sys, IB, N)
+    W, half, R = _gramian(sys, IB, N)
     grid = np.linspace(sys.t0, sys.t1, N + 1)
     # overflow is caught by the finiteness checks, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         W_pinv, gramian_rank = _thresholded_pinv(W, tol)
         g = W_pinv @ sys.offset
-        half = mat_exp(sys.A, h / 2.0)
+        x_samples = np.empty((N + 1, n))
+        x_samples[0] = sys.x0
+        # the step is linear in (x, u1, u2, u4): on unit rows x it gives Phi^T,
+        # and on the input rows the drive of the states
         if R is not None:
             rows = R.reshape(-1, n)
             u_grid = (rows @ g).reshape(N + 1, r)
             # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
             u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
+            # the input rows give the stacked maps Gamma_1, Gamma_2, Gamma_3
+            maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
+            x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
         else:
+            E = half @ half
             V = _fill_backwards(g, E, N)  # V[j] = v_(N-j)^T
             u_grid = V @ IB
-            u_mid = V[1:] @ (half @ IB)
-
-        # the step is linear in (x, u1, u2, u4): on unit rows it gives Phi^T
-        # over the stacked input maps Gamma_1, Gamma_2, Gamma_3
-        maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
-        x_samples = np.empty((N + 1, n))
-        x_samples[0] = sys.x0
-        x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
+            # interval j reads V[j] @ IB = V[j + 1] @ E IB, V[j + 1] @ half IB
+            # and V[j + 1] @ IB, so its drive is V[j + 1] @ D
+            x, lift = np.split(np.eye(2 * n), 2, axis=1)
+            maps = rk4_step(x, lift @ (E @ IB), lift @ (half @ IB), lift @ IB)
+            x_samples[1:] = V[1:] @ maps[n:]
         _scan_states(x_samples, maps[:n])
         if not np.all(np.isfinite(x_samples[N])):
             raise ValueError(

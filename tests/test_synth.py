@@ -107,9 +107,12 @@ def rel_diff(got, want):
 
 def stage_loop_reference(sys, S, N):
     """State samples by the per-interval RK4 stage loop, fed the same grid
-    and midpoint inputs that ``min_energy_transfer`` computes."""
+    and midpoint inputs that ``min_energy_transfer`` computes: the Gramian
+    of the path the cost rule picks, and the inputs read off the stack."""
+    IB = _input_columns(sys, S)[0]
+    W = _gramian(sys, IB, N)[0]
     with mock.patch("reachkit.synth._stack_is_cheaper", return_value=True):
-        W, _, R = _gramian(sys, _input_columns(sys, S)[0], N)
+        R = _gramian(sys, IB, N)[2]
     H = R.transpose(0, 2, 1)
     g = _thresholded_pinv(W, DEFAULT_TOL)[0] @ sys.offset
     h = (sys.t1 - sys.t0) / N
@@ -160,6 +163,30 @@ class TestResponseStack:
         # the Gramian product weights the stack rows by their square roots
         for N in [*range(2, 41), 1000, 1001]:
             assert (_simpson_weights(N) > 0).all(), N
+
+    def test_simpson_runs_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return simpson(*args, **kwargs)
+
+        monkeypatch.setattr("reachkit.synth.simpson", counting)
+        _simpson_weights.cache_clear()
+        _periodic_window.cache_clear()
+        sys = star_system(5)
+        for stack in (True, False, True, False):
+            monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n, v=stack: v)
+            for N in (200, 201):
+                min_energy_transfer(sys, range(1, 6), N=N)
+                reach_gramian(sys, [1], N=N)
+        assert len(calls) == 2
+        # every caller shares the cached weights, so none may write to them
+        for N in (200, 201):
+            with pytest.raises(ValueError, match="read-only"):
+                _simpson_weights(N)[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                _periodic_window(N)[0][0] = 1.0
 
     def test_transfer_computes_offset_once(self, monkeypatch):
         import reachkit.synth
@@ -234,6 +261,28 @@ class TestResponseStack:
             tracemalloc.stop()
         assert result.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(sys.x1))
         assert peak <= 10 * (N + 1) * n * 8
+
+    def test_peak_memory_of_the_doubling_drive(self):
+        # the RK4 drive is read off the vector stack itself, so beside it
+        # lie only the grid inputs and the returned inputs and states: no
+        # midpoint inputs and no stacked interval inputs
+        n, N = 30, 5000
+        rng = np.random.default_rng(131)
+        sys = LinearSystem(
+            A=rng.normal(size=(n, n)) / np.sqrt(n) - 1.5 * np.eye(n), B=np.eye(n),
+            t0=0.0, t1=1.0, x0=rng.normal(size=n), x1=rng.normal(size=n),
+        )
+        S = range(1, n + 1)
+        assert not _stack_is_cheaper(N, n, n)
+        min_energy_transfer(sys, S, N=N)  # warm lazy imports and the weights
+        tracemalloc.start()
+        try:
+            result = min_energy_transfer(sys, S, N=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(sys.x1))
+        assert peak <= 5 * (N + 1) * n * 8
 
 
 class TestGramianPaths:
@@ -313,6 +362,27 @@ class TestGramianPaths:
         reach_gramian(sys, [1], N=1000)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("stack", [True, False], ids=["stack", "doubling"])
+    def test_one_matrix_exponential_per_call(self, stack, monkeypatch):
+        # exp(A h/2) is formed once; the step exp(A h) is its square
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return mat_exp(*args)
+
+        monkeypatch.setattr("reachkit.synth.mat_exp", counting)
+        rng = np.random.default_rng(137)
+        sys = LinearSystem(
+            A=0.5 * rng.normal(size=(6, 6)), B=np.eye(6), t0=0.0, t1=1.0,
+            x0=rng.normal(size=6), x1=rng.normal(size=6),
+        )
+        min_energy_transfer(sys, range(1, 7), N=200)
+        assert len(calls) == 1
+        reach_gramian(sys, range(1, 7), N=200)
+        assert len(calls) == 2
+
     def test_cost_rule_placements(self):
         # one input column: the stack fills no more rows than the vector
         # recurrence would, so it stays
@@ -335,6 +405,23 @@ class TestStepMap:
         "N", [2, 3, 7, 15, 16, 17, 101, 127, 128, 129, 1000, 1001, 1023, 1024, 1025]
     )
     def test_matches_stage_loop(self, N):
+        rng = np.random.default_rng(200 + N)
+        for _ in range(4):
+            n, m = 5, 3
+            sys = LinearSystem(
+                A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)),
+                t0=0.0, t1=1.5, x0=rng.normal(size=n), x1=rng.normal(size=n),
+            )
+            for S in ([2, 4], range(1, n + 1)):
+                x_ref = stage_loop_reference(sys, S, N)
+                x_samples = min_energy_transfer(sys, S, N=N).x_samples
+                assert rel_diff(x_samples, x_ref) <= 1e-12
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 15, 16, 17, 101])
+    def test_doubling_drive_matches_stage_loop(self, N, monkeypatch):
+        # with at most 3 input columns the cost rule keeps these grids on the
+        # stack, so the doubling path is forced
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: False)
         rng = np.random.default_rng(200 + N)
         for _ in range(4):
             n, m = 5, 3
