@@ -31,6 +31,7 @@ object.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -241,10 +242,17 @@ def _read_json(path: str | Path):
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (ValueError, RecursionError) as exc:
-        # bytes that are not UTF-8, an integer past Python's digit limit, or
-        # nesting deeper than the decoder's recursion limit
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or nesting deeper than the decoder's
+        # recursion limit
         raise InstanceFormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        # the one other ValueError of json.loads: int() refusing a literal
+        # past the interpreter's digit limit
+        raise InstanceFormatError(
+            f"{path}: an integer literal has more digits than the JSON "
+            f"decoder's limit of {sys.get_int_max_str_digits()}"
+        ) from exc
 
 
 def load_instance(path: str | Path) -> InstanceDoc:

@@ -805,12 +805,25 @@ class TestUndecodableInstance:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert "Traceback" not in captured.err
+        return captured.err
 
     @pytest.mark.parametrize("name", FILES)
     def test_check_feasible_exits_2(self, tmp_path, capsys, name):
         path = tmp_path / f"{name}.json"
         path.write_bytes(self.FILES[name])
         self.assert_refused(["check-feasible", str(path)], path, capsys)
+
+    def test_long_integer_is_refused_in_reachkit_words(self, tmp_path, capsys):
+        # the interpreter's advice names a call a command-line user cannot make
+        path = tmp_path / "long-integer.json"
+        path.write_bytes(self.FILES["long-integer"])
+        err = self.assert_refused(["check-feasible", str(path)], path, capsys)
+        assert "set_int_max_str_digits" not in err
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"error: {path}: an integer literal has more digits than the JSON "
+            f"decoder's limit of {limit}\n"
+        )
 
     def test_deep_matrix_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
