@@ -419,20 +419,10 @@ class TestStepMap:
 
     @pytest.mark.parametrize("N", [2, 3, 7, 15, 16, 17, 101])
     def test_doubling_drive_matches_stage_loop(self, N, monkeypatch):
-        # with at most 3 input columns the cost rule keeps these grids on the
-        # stack, so the doubling path is forced
+        # with at most 3 input columns the cost rule keeps every grid above on
+        # the stack, so the doubling path is forced on the same systems
         monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: False)
-        rng = np.random.default_rng(200 + N)
-        for _ in range(4):
-            n, m = 5, 3
-            sys = LinearSystem(
-                A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)),
-                t0=0.0, t1=1.5, x0=rng.normal(size=n), x1=rng.normal(size=n),
-            )
-            for S in ([2, 4], range(1, n + 1)):
-                x_ref = stage_loop_reference(sys, S, N)
-                x_samples = min_energy_transfer(sys, S, N=N).x_samples
-                assert rel_diff(x_samples, x_ref) <= 1e-12
+        self.test_matches_stage_loop(N)
 
     @pytest.mark.parametrize(
         "S, dead_rows", [([], []), ([2, 3], [1, 2])], ids=["empty", "zero-rows"]
