@@ -58,7 +58,11 @@ MAX_GENERATED_ENTRIES = hardness.MAX_STACKED_ENTRIES
 # response stack is the cheaper path, a stack of more than this many
 # ((N + 1) r n for r actuated input columns): the same 2^22 as above.  The
 # stack then takes at most 32 MiB, and the report at most 32 MiB of floats
-# before its Python lists and JSON text.
+# before its Python lists and JSON text.  The stack check stays keyed to n,
+# although synthesis fills the stack on the k <= n rows of R(S): where the
+# cost rule picks the stack at n rows, (N + 1) r n over-approximates the
+# (N + 1) r k stack, and where it picks it only at k rows, the rule's fixed
+# part keeps that stack below the cap once the report is.
 MAX_SYNTH_FLOATS = hardness.MAX_STACKED_ENTRIES
 
 Report = tuple[bool, dict, list[str]]

@@ -94,9 +94,10 @@ or an SVD.  Any other candidate is valued on its node's basis
 :func:`reachkit.system.reachability_matrix` ``(sys, [i])``, kept for the
 call (up to ``linalg.STACK_ENTRIES`` floats of them; a node past that is
 built again when needed), and projected twice off ``Q_S`` with one small
-SVD (:func:`reachkit.linalg.extend_basis`) when there is a ``Q_S``; a
-one-node verdict reuses that basis.  An estimate spans the reachable space
-of ``S + {i}`` in exact arithmetic only: the Krylov build of ``S + {i}`` drops
+SVD (:func:`reachkit.linalg.extend_basis`) when there is a ``Q_S``.  In
+the first round there is none, so such a value is the one-node verdict's
+own: the verdict is taken at once, on the kept basis.  An estimate spans
+the reachable space of ``S + {i}`` in exact arithmetic only: the Krylov build of ``S + {i}`` drops
 directions under ``rank_rel ||A||_F`` and may keep fewer or more of them, so
 an estimate can lie far from its verdict either way.  So estimates only
 choose the lead, and two rules keep the answer that of the verdicts.  A skip
@@ -499,7 +500,8 @@ def greedy_min_reach(
     For a node-local ``B`` candidates are valued in closed form where their
     Krylov space is known (nodes that reach neither the offset nor the selected
     nodes, and nodes that reach only themselves), and otherwise from per-node
-    Krylov bases; only the candidates that set a skip or that can win are
+    Krylov bases; beyond the first round, whose node-basis values are
+    verdicts, only the candidates that set a skip or that can win are
     judged (see the module docstring).  The nodes and residual are those of
     valuing every candidate by ``is_feasible``.
     """
@@ -558,11 +560,12 @@ def greedy_min_reach(
                 skipped += 1
                 continue
             v = closed(i) if local else judge(i)
-            if v is None:
-                Q = node_basis(i)
-                if Q_S is not None:
-                    # the columns of a node basis are orthonormal: sigma_max is 1
-                    Q = extend_basis(Q_S, Q, tol, scale=1.0)
+            if v is None and not selected:
+                # valued on its node basis alone, which is the verdict's
+                v = judge(i)
+            elif v is None:
+                # the columns of a node basis are orthonormal: sigma_max is 1
+                Q = extend_basis(Q_S, node_basis(i), tol, scale=1.0)
                 with np.errstate(over="ignore"):
                     v = dist_sq_to_basis(sys.offset, Q) / scale / scale
             explored += 1

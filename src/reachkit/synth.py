@@ -35,6 +35,19 @@ the three interval inputs are fixed linear images of the vector
 ``v_(N-j-1)``, so ``d_j = v_(N-j-1)^T D`` with one ``n x n`` map ``D``,
 and the stage formula runs on ``2 n`` rows that give ``Phi^T`` and ``D``.
 
+The input response ``exp(A t) M(S) B`` lives on the rows of the structural
+reach ``R(S)`` (:func:`reachkit.system.reached_rows`): the span of the axes
+``e_j``, ``j`` in ``R(S)``, holds every nonzero row of ``M(S) B`` and is
+mapped into itself by ``A``, so ``A[i, j] = 0`` for ``j`` in ``R(S)`` and
+``i`` outside it.  The Gramian, its pseudoinverse and the input therefore
+only involve the ``k = |R(S)|`` reached rows: the one matrix exponential is
+that of the ``k x k`` block ``A[R, R]``, the Gramian is ``k x k`` (zero
+elsewhere in ``n x n``), the path is picked for ``k`` rows, and on the
+doubling path the stage formula runs on ``n + k`` rows, whose last ``k``
+give a ``k x n`` drive map.  The RK4 check still simulates all ``n`` states
+on the full ``A``.  When ``R(S)`` is every node (or empty) nothing is
+gathered and the arithmetic is the full-``n`` one.
+
 A result that cannot be computed in floating point raises ValueError rather
 than coming back as NaN: a Gramian that is not finite (the input response
 overflows over ``[t0, t1]``), or an RK4 terminal state that is not finite
@@ -54,7 +67,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, as_count, mat_exp
-from .system import LinearSystem, _peak_norm, input_columns
+from .system import LinearSystem, _peak_norm, input_columns, reached_rows
 
 
 @dataclass(frozen=True)
@@ -210,15 +223,26 @@ def _doubling_gramian(E: np.ndarray, IB: np.ndarray, h: float, N: int) -> np.nda
     return (0.5 * h) * (Y + Y.T)
 
 
+def _reached(sys: LinearSystem, S: Iterable[int]) -> np.ndarray | None:
+    """The rows of ``R(S)`` (:func:`reachkit.system.reached_rows`) that the
+    synthesis is restricted to, or None where it runs on all ``n`` rows:
+    ``R(S)`` is every node, or empty (then ``M(S) B`` has no column)."""
+    rows = reached_rows(sys, S)
+    return None if rows.size in (0, sys.n) else rows
+
+
 def _gramian(
-    sys: LinearSystem, IB: np.ndarray, N: int
+    sys: LinearSystem, IB: np.ndarray, N: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The Simpson Gramian of the input columns ``IB`` on ``N`` intervals,
     the half step ``exp(A h/2)`` and, on the stack path, the response stack.
 
-    The half step is the one matrix exponential formed; the step
-    ``E = exp(A h)`` is its square.  :func:`_stack_is_cheaper` picks the
-    path.  On the stack path the rows
+    With ``rows`` given, all three are those of the block ``A[rows, rows]``
+    with input ``IB[rows]``: for ``rows = R(S)`` the Gramian is the block of
+    the full one on ``R(S) x R(S)``, which is zero elsewhere (see the module
+    docstring).  The half step is the one matrix exponential formed; the
+    step ``E = exp(A h)`` is its square.  :func:`_stack_is_cheaper` picks
+    the path for the ``k`` rows.  On the stack path the rows
     ``R[j] = H[j]^T = IB^T E^(N - j)^T`` are filled by
     :func:`_fill_backwards` and the Gramian ``h sum_j c_j H[j] H[j]^T`` is
     one symmetric product of the ``sqrt(h c_j)``-weighted rows with
@@ -226,11 +250,14 @@ def _gramian(
     ``R`` is None.  ``N`` is an ``int`` of at least 2.  Raises ValueError
     when the Gramian is not finite.
     """
+    A = sys.A
+    if rows is not None:
+        A, IB = A[np.ix_(rows, rows)], IB[rows]
     n, r = IB.shape
     h = (sys.t1 - sys.t0) / N
     # overflow is caught by the finiteness check, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        half = mat_exp(sys.A, h / 2.0)
+        half = mat_exp(A, h / 2.0)
         E = half @ half
         if _stack_is_cheaper(N, r, n):
             R = _fill_backwards(IB.T, E.T, N)
@@ -256,12 +283,20 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     the path :func:`_gramian` picks: with few input columns one symmetric
     product of the weighted rows of the input response stack, with many the
     same quadrature summed by doubling without the stack
-    (:func:`_doubling_gramian`).  ``N`` must be an integer of at least 2.
+    (:func:`_doubling_gramian`).  It is computed on the ``k x k`` block of
+    the rows ``R(S)`` the actuated nodes reach, and placed in an ``n x n``
+    zero matrix.  ``N`` must be an integer of at least 2.
     The result is exactly symmetric and positive semidefinite up to
     quadrature noise.  Raises ValueError when it is not finite.
     """
     N = as_count(N, "N (grid intervals)", 2)
-    return _gramian(sys, input_columns(sys, S)[0], N)[0]
+    rows = _reached(sys, S)
+    W = _gramian(sys, input_columns(sys, S)[0], N, rows)[0]
+    if rows is None:
+        return W
+    full = np.zeros((sys.n, sys.n))
+    full[np.ix_(rows, rows)] = W
+    return full
 
 
 def _thresholded_pinv(W: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
@@ -314,7 +349,9 @@ def min_energy_transfer(
     reachability Gramian, ``W^+`` its rank-thresholded pseudoinverse, and
     ``w`` the transfer offset ``sys.offset``.  ``W`` comes from
     :func:`_gramian`, on the path it picks, together with the half step
-    ``exp(A h/2)``, the one matrix exponential of the call.  The state is
+    ``exp(A h/2)``, the one matrix exponential of the call; all three, the
+    pseudoinverse and the input fill are taken on the ``k`` rows of
+    ``R(S)``, where ``W`` and ``w`` are the blocks of the full ones.  The state is
     then integrated by fixed-step RK4 on the same ``N``-interval grid the
     quadrature used, which avoids any interpolation bookkeeping between the
     two.  Each RK4 step is the affine map ``x_{j+1} = Phi x_j + d_j``, with
@@ -328,9 +365,10 @@ def min_energy_transfer(
     per grid point, so the memory is ``O(N n)``.  Since
     ``v_(N-j) = E^T v_(N-j-1)``, the three inputs of interval ``j`` are
     fixed maps of ``v_(N-j-1)`` and ``d_j = v_(N-j-1)^T D``: the stage
-    formula is evaluated once on the ``2 n`` rows
+    formula is evaluated once on the ``n + k`` rows
     ``(x, u1, u2, u4) = ([I; 0], [0; E IB], [0; exp(A h/2) IB], [0; IB])``,
-    whose first ``n`` rows are ``Phi^T`` and last ``n`` rows ``D``.  For
+    with ``E`` and ``IB`` on the reached rows, whose first ``n`` rows are
+    ``Phi^T`` and last ``k`` rows ``D`` (``k x n``).  For
     infeasible targets the synthesized input reaches only the projection of
     ``w`` onto the reachable set and ``terminal_error`` stays large.  Raises
     ValueError when the Gramian or the simulated terminal state is not
@@ -353,32 +391,35 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    W, half, R = _gramian(sys, IB, N)
+    rows = _reached(sys, S)
+    W, half, R = _gramian(sys, IB, N, rows)
+    k = W.shape[0]
     grid = np.linspace(sys.t0, sys.t1, N + 1)
     # overflow is caught by the finiteness checks, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         W_pinv, gramian_rank = _thresholded_pinv(W, tol)
-        g = W_pinv @ sys.offset
+        g = W_pinv @ (sys.offset if rows is None else sys.offset[rows])
         x_samples = np.empty((N + 1, n))
         x_samples[0] = sys.x0
         # the step is linear in (x, u1, u2, u4): on unit rows x it gives Phi^T,
         # and on the input rows the drive of the states
         if R is not None:
-            rows = R.reshape(-1, n)
-            u_grid = (rows @ g).reshape(N + 1, r)
+            flat = R.reshape(-1, k)
+            u_grid = (flat @ g).reshape(N + 1, r)
             # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
-            u_mid = (rows[r:] @ (half.T @ g)).reshape(N, r)
+            u_mid = (flat[r:] @ (half.T @ g)).reshape(N, r)
             # the input rows give the stacked maps Gamma_1, Gamma_2, Gamma_3
             maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
             x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
         else:
+            IB_R = IB if rows is None else IB[rows]
             E = half @ half
             V = _fill_backwards(g, E, N)  # V[j] = v_(N-j)^T
-            u_grid = V @ IB
-            # interval j reads V[j] @ IB = V[j + 1] @ E IB, V[j + 1] @ half IB
-            # and V[j + 1] @ IB, so its drive is V[j + 1] @ D
-            x, lift = np.split(np.eye(2 * n), 2, axis=1)
-            maps = rk4_step(x, lift @ (E @ IB), lift @ (half @ IB), lift @ IB)
+            u_grid = V @ IB_R
+            # interval j reads V[j] @ IB_R = V[j + 1] @ E IB_R,
+            # V[j + 1] @ half IB_R and V[j + 1] @ IB_R, so its drive is V[j + 1] @ D
+            x, lift = np.split(np.eye(n + k), [n], axis=1)
+            maps = rk4_step(x, lift @ (E @ IB_R), lift @ (half @ IB_R), lift @ IB_R)
             x_samples[1:] = V[1:] @ maps[n:]
         _scan_states(x_samples, maps[:n])
         if not np.all(np.isfinite(x_samples[N])):

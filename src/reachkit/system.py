@@ -201,10 +201,14 @@ class LinearSystem:
         """Boolean ``n x n`` matrix whose entry ``[i, j]`` says that node
         ``i`` reaches node ``j``: ``j`` is ``i`` or a descendant of it in the
         graph of ``A``, and ``i`` has a nonzero row of ``B``.  Taken by
-        repeated boolean squaring of the adjacency pattern; read-only."""
+        repeated squaring of the adjacency pattern as ``float32`` through
+        BLAS, which numpy's ``bool`` product does not use: each entry of the
+        square counts paths, at most ``n``, so it is exact while
+        ``n < 2**24``; read-only."""
         closure = (self.A != 0.0).T | np.eye(self.n, dtype=bool)
         while True:
-            longer = closure @ closure
+            C = closure.astype(np.float32)
+            longer = C @ C > 0.0
             if np.array_equal(longer, closure):
                 break
             closure = longer
@@ -307,6 +311,18 @@ def input_columns(sys: LinearSystem, S: Iterable[int]) -> tuple[np.ndarray, np.n
     block = np.zeros((sys.n, cols.size))
     block[idx] = sys.B[idx][:, cols]
     return block, cols
+
+
+def reached_rows(sys: LinearSystem, S: Iterable[int]) -> np.ndarray:
+    """The nodes of the structural reach ``R(S)``, as increasing 0-based
+    indices read off the closure cached for :attr:`LinearSystem.reach`.
+
+    The span of the axes ``e_j``, ``j`` in ``R(S)``, holds every nonzero row
+    of ``M(S) B`` and is mapped into itself by ``A``, so the input response
+    ``exp(A t) M(S) B`` lives on these rows.
+    """
+    idx = [i - 1 for i in check_node_set(S, sys.n)]
+    return np.flatnonzero(sys._closure[idx].any(axis=0))
 
 
 def first_block_kept(sys: LinearSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -651,3 +651,65 @@ class TestNotFinite:
         # ||x1|| itself overflows a plain sum of squares
         assert np.isfinite(result.terminal_error)
         assert result.terminal_error <= 1e-6 * max(1.0, math.hypot(*x1))
+
+
+def two_block_system():
+    """An upstream block of nodes 1-5 feeding a downstream block of nodes
+    6-8, which does not feed back: ``R([6, 7])`` is the downstream block, so
+    synthesis runs on k = 3 of n = 8 rows."""
+    rng = np.random.default_rng(521)
+    A = 0.5 * rng.normal(size=(8, 8))
+    A[:5, 5:] = 0.0
+    x1 = np.zeros(8)
+    x1[5:] = rng.normal(size=3)
+    return LinearSystem(A=A, B=np.eye(8), t0=0.0, t1=1.0, x0=np.zeros(8), x1=x1)
+
+
+class TestReachedRows:
+    """Synthesis runs on the rows of R(S): the input response of the actuated
+    nodes never leaves them."""
+
+    def test_two_block_fixture_reaches_the_downstream_block(self):
+        from reachkit.system import reached_rows
+
+        sys = two_block_system()
+        assert reached_rows(sys, [6, 7]).tolist() == [5, 6, 7]
+        assert reached_rows(sys, [1]).tolist() == list(range(8))
+        assert reached_rows(sys, []).tolist() == []
+
+    def test_star_exponentiates_one_row(self, monkeypatch):
+        shapes = []
+
+        def recording(A, t):
+            shapes.append(np.shape(A))
+            return mat_exp(A, t)
+
+        monkeypatch.setattr("reachkit.synth.mat_exp", recording)
+        sys = star_system(40)
+        min_energy_transfer(sys, [1], N=1000)
+        reach_gramian(sys, [1], N=1000)
+        assert shapes == [(1, 1), (1, 1)]
+
+    def test_gramian_lives_on_the_reach(self):
+        sys = two_block_system()
+        S, N = [6, 7], 200
+        W = reach_gramian(sys, S, N=N)
+        off = np.ones((8, 8), dtype=bool)
+        off[5:, 5:] = False
+        assert not W[off].any()
+        assert np.array_equal(W, W.T)
+        assert rel_diff(W, propagator_reference(sys, S, N)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("stack", [True, False], ids=["stack", "doubling"])
+    @pytest.mark.parametrize("N", [7, 200, 1001])
+    def test_transfer_matches_the_references(self, stack, N, monkeypatch):
+        sys = two_block_system()
+        S = [6, 7]
+        _, u_ref, x_ref = propagator_reference(sys, S, N)
+        x_loop = stage_loop_reference(sys, S, N)
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        result = min_energy_transfer(sys, S, N=N)
+        assert result.gramian_rank == 3
+        assert rel_diff(result.u_samples, u_ref) <= 1e-6
+        assert rel_diff(result.x_samples, x_ref) <= 1e-6
+        assert rel_diff(result.x_samples, x_loop) <= 1e-12

@@ -553,3 +553,43 @@ class TestIntegerIndices:
     def test_range_message_is_kept(self):
         with pytest.raises(ValueError, match=r"node indices must lie in 1\.\.4, got \[0, 2\]"):
             check_node_set([2, 0], 4)
+
+
+class TestClosureThroughBlas:
+    """The float32 squaring gives the closure of boolean squaring."""
+
+    @staticmethod
+    def boolean_closure(sys):
+        closure = (sys.A != 0.0).T | np.eye(sys.n, dtype=bool)
+        while True:
+            longer = closure @ closure
+            if np.array_equal(longer, closure):
+                break
+            closure = longer
+        closure[~(sys.B != 0.0).any(axis=1)] = False
+        return closure
+
+    def test_matches_boolean_squaring(self):
+        from pathlib import Path
+
+        from reachkit.instance_io import load_section
+        from reachkit.system import _row_masks
+
+        rng = np.random.default_rng(541)
+        fixtures = Path(__file__).parent / "fixtures"
+        systems = [load_section(fixtures / name, "system")
+                   for name in ("dense20.json", "greedy_gap.json")]
+        for n in (1, 2, 5, 17, 60, 130):
+            for density in (0.0, 1.5 / n, 3.0 / n, 0.3):
+                A = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+                B = rng.normal(size=(n, 2)) * (rng.random((n, 1)) < 0.7)
+                systems.append(LinearSystem(A=A, B=B, t0=0.0, t1=1.0,
+                                            x0=np.zeros(n), x1=np.ones(n)))
+            chain = np.eye(n, k=-1)
+            systems.append(LinearSystem(A=chain, B=np.eye(n), t0=0.0, t1=1.0,
+                                        x0=np.zeros(n), x1=np.ones(n)))
+        for sys in systems:
+            closure = self.boolean_closure(sys)
+            assert np.array_equal(sys._closure, closure)
+            assert sys.reach == _row_masks(closure)
+            assert sys.reached_by == _row_masks(closure.T)
