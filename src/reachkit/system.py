@@ -53,6 +53,8 @@ for every ``B``.  The computed basis leaks up to about ``1e-13`` off
 ``R(S)``, so a bound is only trusted with a margin (see
 :mod:`reachkit.solvers`).  ``LinearSystem.reached_by`` holds, per node, the
 nodes that reach it; it is packed from the same cached closure on first use.
+:func:`reached_rows` gives ``R(S)`` as row indices, the rows that the
+synthesis in :mod:`reachkit.synth` is restricted to.
 """
 
 from __future__ import annotations
