@@ -44,9 +44,16 @@ only involve the ``k = |R(S)|`` reached rows: the one matrix exponential is
 that of the ``k x k`` block ``A[R, R]``, the Gramian is ``k x k`` (zero
 elsewhere in ``n x n``), the path is picked for ``k`` rows, and on the
 doubling path the stage formula runs on ``n + k`` rows, whose last ``k``
-give a ``k x n`` drive map.  The RK4 check still simulates all ``n`` states
-on the full ``A``.  When ``R(S)`` is every node (or empty) nothing is
-gathered and the arithmetic is the full-``n`` one.
+give a ``k x n`` drive map.  The RK4 check simulates the ``k`` reached
+states alone when ``x0`` is zero off ``R(S)``: the rows ``C`` off ``R(S)``
+then follow ``x_C' = A[C, C] x_C`` from ``x_C = 0``, since ``A[C, R] = 0``
+and no input enters them, so they stay zero and feed nothing into
+``R(S)``; the states are placed in an ``(N + 1) x n`` zero array.  A start
+state that is nonzero off ``R(S)`` moves there and feeds ``R(S)``, so it
+keeps the simulation of all ``n`` states on the full ``A``.  When ``R(S)``
+is every node (or empty) nothing is gathered and the arithmetic is the
+full-``n`` one; when ``S`` is every node and no row of ``B`` is zero, that
+is known without the structural closure.
 
 A result that cannot be computed in floating point raises ValueError rather
 than coming back as NaN: a Gramian that is not finite (the input response
@@ -67,7 +74,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import DEFAULT_TOL, Tolerance, as_count, mat_exp
-from .system import LinearSystem, _peak_norm, input_columns, reached_rows
+from .system import LinearSystem, _peak_norm, check_node_set, input_columns, reached_rows
 
 
 @dataclass(frozen=True)
@@ -223,10 +230,17 @@ def _doubling_gramian(E: np.ndarray, IB: np.ndarray, h: float, N: int) -> np.nda
     return (0.5 * h) * (Y + Y.T)
 
 
-def _reached(sys: LinearSystem, S: Iterable[int]) -> np.ndarray | None:
+def _reached(sys: LinearSystem, S: tuple[int, ...]) -> np.ndarray | None:
     """The rows of ``R(S)`` (:func:`reachkit.system.reached_rows`) that the
     synthesis is restricted to, or None where it runs on all ``n`` rows:
-    ``R(S)`` is every node, or empty (then ``M(S) B`` has no column)."""
+    ``R(S)`` is every node, or empty (then ``M(S) B`` has no column).
+
+    ``S`` is a validated node tuple (:func:`reachkit.system.check_node_set`).
+    When it holds every node and no row of ``B`` is zero, each node reaches
+    itself, so ``R(S)`` is every node without the structural closure.
+    """
+    if len(S) == sys.n and sys.input_pattern.any(axis=1).all():
+        return None
     rows = reached_rows(sys, S)
     return None if rows.size in (0, sys.n) else rows
 
@@ -290,6 +304,7 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     quadrature noise.  Raises ValueError when it is not finite.
     """
     N = as_count(N, "N (grid intervals)", 2)
+    S = check_node_set(S, sys.n)
     rows = _reached(sys, S)
     W = _gramian(sys, input_columns(sys, S)[0], N, rows)[0]
     if rows is None:
@@ -351,36 +366,53 @@ def min_energy_transfer(
     :func:`_gramian`, on the path it picks, together with the half step
     ``exp(A h/2)``, the one matrix exponential of the call; all three, the
     pseudoinverse and the input fill are taken on the ``k`` rows of
-    ``R(S)``, where ``W`` and ``w`` are the blocks of the full ones.  The state is
-    then integrated by fixed-step RK4 on the same ``N``-interval grid the
-    quadrature used, which avoids any interpolation bookkeeping between the
-    two.  Each RK4 step is the affine map ``x_{j+1} = Phi x_j + d_j``, with
-    ``d_j`` linear in the interval's three stage inputs, and the states are
-    summed by :func:`_scan_states`.  On the stack path the inputs at the
-    grid points and midpoints are read off the response stack, the stage
-    formula is evaluated once on ``n + 3 r`` unit rows, which gives ``Phi``
-    and the three input maps, and every ``d_j`` is one product of the
-    stacked interval inputs with them.  On the doubling path the input is
-    ``u(tau_j) = (M(S) B)^T v_(N-j)`` with ``v_i = E^i^T W^+ w``, one vector
-    per grid point, so the memory is ``O(N n)``.  Since
-    ``v_(N-j) = E^T v_(N-j-1)``, the three inputs of interval ``j`` are
-    fixed maps of ``v_(N-j-1)`` and ``d_j = v_(N-j-1)^T D``: the stage
-    formula is evaluated once on the ``n + k`` rows
+    ``R(S)``, where ``W`` and ``w`` are the blocks of the full ones.  The
+    state is then integrated by fixed-step RK4 on the same ``N``-interval
+    grid the quadrature used, which avoids any interpolation bookkeeping
+    between the two.  When ``x0`` is zero off ``R(S)``, RK4 integrates the
+    ``k`` reached states alone, on ``A[R, R]``, and the states off ``R(S)``
+    are exact zeros; otherwise it integrates all ``n`` states on the full
+    ``A`` (see the module docstring).  Write ``n_x`` for the number of
+    states integrated.  Each RK4 step is the affine map
+    ``x_{j+1} = Phi x_j + d_j``, with ``d_j`` linear in the interval's three
+    stage inputs, and the states are summed by :func:`_scan_states`.  On the
+    stack path the inputs at the grid points and midpoints are read off the
+    response stack, the stage formula is evaluated once on ``n_x + 3 r``
+    unit rows, which gives ``Phi`` and the three input maps, and every
+    ``d_j`` is one product of the stacked interval inputs with them.  On the
+    doubling path the input is ``u(tau_j) = (M(S) B)^T v_(N-j)`` with
+    ``v_i = E^i^T W^+ w``, one vector per grid point, so the memory is
+    ``O(N n)``.  Since ``v_(N-j) = E^T v_(N-j-1)``, the three inputs of
+    interval ``j`` are fixed maps of ``v_(N-j-1)`` and
+    ``d_j = v_(N-j-1)^T D``: the stage formula is evaluated once on the
+    ``n_x + k`` rows
     ``(x, u1, u2, u4) = ([I; 0], [0; E IB], [0; exp(A h/2) IB], [0; IB])``,
-    with ``E`` and ``IB`` on the reached rows, whose first ``n`` rows are
-    ``Phi^T`` and last ``k`` rows ``D`` (``k x n``).  For
+    with ``E`` and ``IB`` on the reached rows, whose first ``n_x`` rows are
+    ``Phi^T`` and last ``k`` rows ``D`` (``k x n_x``).  For
     infeasible targets the synthesized input reaches only the projection of
     ``w`` onto the reachable set and ``terminal_error`` stays large.  Raises
     ValueError when the Gramian or the simulated terminal state is not
     finite; the latter may be cured by a larger ``N``.
     """
     N = as_count(N, "N (grid intervals)", 2)
+    S = check_node_set(S, sys.n)
     IB, cols = input_columns(sys, S)
-    n, r = sys.n, cols.size
+    r = cols.size
     h = (sys.t1 - sys.t0) / N
+    rows = _reached(sys, S)
+    W, half, R = _gramian(sys, IB, N, rows)
+    k = W.shape[0]
+    IB_R = IB if rows is None else IB[rows]
+    # the states off R(S) start at zero and stay there, so RK4 runs on R(S)
+    on_reach = rows is not None and not np.delete(sys.x0, rows).any()
+    if on_reach:
+        A, IB_x, x0 = sys.A[np.ix_(rows, rows)], IB_R, sys.x0[rows]
+    else:
+        A, IB_x, x0 = sys.A, IB, sys.x0
+    n_x = x0.size
 
     def f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return x @ sys.A.T + u @ IB.T
+        return x @ A.T + u @ IB_x.T
 
     def rk4_step(x: np.ndarray, u1, u2, u4) -> np.ndarray:
         """One RK4 step of ``x' = A x + IB u``, with states and inputs
@@ -391,16 +423,13 @@ def min_energy_transfer(
         k4 = f(x + h * k3, u4)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    rows = _reached(sys, S)
-    W, half, R = _gramian(sys, IB, N, rows)
-    k = W.shape[0]
     grid = np.linspace(sys.t0, sys.t1, N + 1)
     # overflow is caught by the finiteness checks, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         W_pinv, gramian_rank = _thresholded_pinv(W, tol)
         g = W_pinv @ (sys.offset if rows is None else sys.offset[rows])
-        x_samples = np.empty((N + 1, n))
-        x_samples[0] = sys.x0
+        x_samples = np.empty((N + 1, n_x))
+        x_samples[0] = x0
         # the step is linear in (x, u1, u2, u4): on unit rows x it gives Phi^T,
         # and on the input rows the drive of the states
         if R is not None:
@@ -409,24 +438,26 @@ def min_energy_transfer(
             # the response at the midpoint tau_j + h/2 is exp(A h/2) H[j + 1]
             u_mid = (flat[r:] @ (half.T @ g)).reshape(N, r)
             # the input rows give the stacked maps Gamma_1, Gamma_2, Gamma_3
-            maps = rk4_step(*np.split(np.eye(n + 3 * r), [n, n + r, n + 2 * r], axis=1))
-            x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n:]
+            maps = rk4_step(*np.split(np.eye(n_x + 3 * r), [n_x, n_x + r, n_x + 2 * r], axis=1))
+            x_samples[1:] = np.concatenate([u_grid[:-1], u_mid, u_grid[1:]], axis=1) @ maps[n_x:]
         else:
-            IB_R = IB if rows is None else IB[rows]
             E = half @ half
             V = _fill_backwards(g, E, N)  # V[j] = v_(N-j)^T
             u_grid = V @ IB_R
             # interval j reads V[j] @ IB_R = V[j + 1] @ E IB_R,
             # V[j + 1] @ half IB_R and V[j + 1] @ IB_R, so its drive is V[j + 1] @ D
-            x, lift = np.split(np.eye(n + k), [n], axis=1)
+            x, lift = np.split(np.eye(n_x + k), [n_x], axis=1)
             maps = rk4_step(x, lift @ (E @ IB_R), lift @ (half @ IB_R), lift @ IB_R)
-            x_samples[1:] = V[1:] @ maps[n:]
-        _scan_states(x_samples, maps[:n])
+            x_samples[1:] = V[1:] @ maps[n_x:]
+        _scan_states(x_samples, maps[:n_x])
         if not np.all(np.isfinite(x_samples[N])):
             raise ValueError(
                 f"the simulated terminal state is not finite: RK4 on N = {N} grid "
                 f"intervals (step h = {h:.3g}) is unstable or overflows; refine N"
             )
+        if on_reach:
+            reached, x_samples = x_samples, np.zeros((N + 1, sys.n))
+            x_samples[:, rows] = reached
         terminal_error = _peak_norm(x_samples[N] - sys.x1, "terminal error")
 
     u_samples = np.zeros((N + 1, sys.m))

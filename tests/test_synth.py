@@ -15,6 +15,7 @@ from reachkit.synth import (
     _gramian,
     _input_columns,
     _periodic_window,
+    _scan_states,
     _simpson_weights,
     _stack_is_cheaper,
     _thresholded_pinv,
@@ -653,16 +654,36 @@ class TestNotFinite:
         assert result.terminal_error <= 1e-6 * max(1.0, math.hypot(*x1))
 
 
-def two_block_system():
+def two_block_system(start=()):
     """An upstream block of nodes 1-5 feeding a downstream block of nodes
     6-8, which does not feed back: ``R([6, 7])`` is the downstream block, so
-    synthesis runs on k = 3 of n = 8 rows."""
+    synthesis runs on k = 3 of n = 8 rows.
+
+    ``x0`` is nonzero on the 1-based nodes ``start`` and zero elsewhere, and
+    ``x1`` is its drift plus a part on the downstream block, which nodes 6
+    and 7 reach."""
     rng = np.random.default_rng(521)
     A = 0.5 * rng.normal(size=(8, 8))
     A[:5, 5:] = 0.0
     x1 = np.zeros(8)
     x1[5:] = rng.normal(size=3)
-    return LinearSystem(A=A, B=np.eye(8), t0=0.0, t1=1.0, x0=np.zeros(8), x1=x1)
+    x0 = np.zeros(8)
+    x0[[i - 1 for i in start]] = rng.normal(size=len(start))
+    if start:
+        x1 += mat_exp(A, 1.0) @ x0
+    return LinearSystem(A=A, B=np.eye(8), t0=0.0, t1=1.0, x0=x0, x1=x1)
+
+
+def scanned_widths(monkeypatch):
+    """Record the number of state columns each ``_scan_states`` call gets."""
+    widths = []
+
+    def recording(x, P):
+        widths.append(x.shape[1])
+        return _scan_states(x, P)
+
+    monkeypatch.setattr("reachkit.synth._scan_states", recording)
+    return widths
 
 
 class TestReachedRows:
@@ -713,3 +734,88 @@ class TestReachedRows:
         assert rel_diff(result.u_samples, u_ref) <= 1e-6
         assert rel_diff(result.x_samples, x_ref) <= 1e-6
         assert rel_diff(result.x_samples, x_loop) <= 1e-12
+
+    def test_star_scans_the_reached_state_alone(self, monkeypatch):
+        widths = scanned_widths(monkeypatch)
+        result = min_energy_transfer(star_system(40), [1], N=1000)
+        assert widths == [1]
+        assert not result.x_samples[:, 1:].any()
+        assert result.terminal_error <= 1e-6
+
+    @pytest.mark.parametrize("stack", [True, False], ids=["stack", "doubling"])
+    @pytest.mark.parametrize("N", [7, 200, 1001])
+    @pytest.mark.parametrize(
+        "start, width", [((6, 7, 8), 3), ((1, 2, 3, 4, 5), 8)], ids=["reached", "upstream"]
+    )
+    def test_start_state_matches_the_references(self, start, width, stack, N, monkeypatch):
+        # a start on R(S) is simulated on its 3 rows; one upstream of it moves
+        # and feeds R(S), so all 8 states are simulated
+        sys = two_block_system(start)
+        S = [6, 7]
+        _, u_ref, x_ref = propagator_reference(sys, S, N)
+        x_loop = stage_loop_reference(sys, S, N)
+        monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        widths = scanned_widths(monkeypatch)
+        result = min_energy_transfer(sys, S, N=N)
+        assert widths == [width]
+        assert result.gramian_rank == 3
+        assert rel_diff(result.u_samples, u_ref) <= 1e-6
+        assert rel_diff(result.x_samples, x_ref) <= 1e-6
+        assert rel_diff(result.x_samples, x_loop) <= 1e-12
+        if width == 3:
+            assert not result.x_samples[:, :5].any()
+        if N == 1001:
+            assert result.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(sys.x1))
+
+
+class TestOneShotNodeSets:
+    """A node set given as an iterator is read once, so it gives the same
+    result as the list of its nodes."""
+
+    def test_gramian_of_an_iterator(self):
+        sys = star_system(4)
+        W = reach_gramian(sys, iter([1]))
+        assert np.array_equal(W, reach_gramian(sys, [1]))
+        assert W[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "make, S",
+        [(lambda: star_system(40), [1]), (lambda: two_block_system((6, 7, 8)), [6, 7])],
+        ids=["star", "two-block"],
+    )
+    def test_transfer_of_a_generator(self, make, S):
+        sys = make()
+        want = min_energy_transfer(sys, S, N=200)
+        got = min_energy_transfer(sys, (i for i in S), N=200)
+        assert np.array_equal(got.u_samples, want.u_samples)
+        assert np.array_equal(got.x_samples, want.x_samples)
+        assert got.terminal_error == want.terminal_error
+        assert got.gramian_rank == want.gramian_rank
+
+    def test_star_iterator_exponentiates_one_row(self, monkeypatch):
+        shapes = []
+
+        def recording(A, t):
+            shapes.append(np.shape(A))
+            return mat_exp(A, t)
+
+        monkeypatch.setattr("reachkit.synth.mat_exp", recording)
+        min_energy_transfer(star_system(40), iter([1]), N=1000)
+        assert shapes == [(1, 1)]
+
+    def test_every_node_with_input_skips_the_closure(self):
+        rng = np.random.default_rng(523)
+        n = 20
+        sys = LinearSystem(
+            A=rng.normal(size=(n, n)) / np.sqrt(n) - np.eye(n), B=np.eye(n),
+            t0=0.0, t1=1.0, x0=rng.normal(size=n), x1=rng.normal(size=n),
+        )
+        min_energy_transfer(sys, range(1, n + 1), N=200)
+        reach_gramian(sys, range(1, n + 1), N=200)
+        assert "_closure" not in sys.__dict__
+        # a zero row of B reaches nothing, so the closure decides R(S)
+        B = np.eye(n)
+        B[3] = 0.0
+        sys = LinearSystem(A=sys.A, B=B, t0=0.0, t1=1.0, x0=sys.x0, x1=sys.x1)
+        min_energy_transfer(sys, range(1, n + 1), N=200)
+        assert "_closure" in sys.__dict__
