@@ -18,10 +18,15 @@ its instance from ``--file`` or from the generation flags, never from both.
 ``gen-hard`` and ``roundtrip`` exit 3 before generating an instance whose
 drift matrix would hold more than ``MAX_GENERATED_ENTRIES`` entries, and
 ``synthesize`` exits 3 before synthesis when its report or its response
-stack would hold more than ``MAX_SYNTH_FLOATS`` floats.  Both caps are
+stack would hold more than ``MAX_SYNTH_FLOATS`` floats; the stack is counted
+by :func:`reachkit.synth._stack_floats` on the rows synthesis fills, and is
+0 where synthesis builds none.  Both caps are
 ``hardness.MAX_STACKED_ENTRIES`` (2^22), are read when a command runs, and
 are enforced by :func:`reachkit.errors.refuse_past_cap`, which also refuses
 an instance file's oversized stacked ``A`` or ``source`` section.
+``synthesize`` reports the verdict's ``reachability_rank`` and, when the
+Gramian's rank is below it, says that the synthesized input cannot reach
+every direction the rank test keeps; its exit code follows the verdict.
 ``REACHKIT_MAX_EXACT_N`` overrides the exact solver's node-count cap.  It and
 ``--random M L`` follow the count rule of :func:`reachkit.linalg.as_count`.
 """
@@ -41,7 +46,7 @@ import numpy as np
 from . import hardness, instance_io, setfun, solvers
 from .errors import CapacityError, InfeasibleError, InstanceFormatError, refuse_past_cap
 from .linalg import DEFAULT_TOL, Tolerance, as_count
-from .system import check_node_set, input_columns, is_feasible
+from .system import check_node_set, is_feasible
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,15 +59,10 @@ EXIT_CAP = 3
 MAX_GENERATED_ENTRIES = hardness.MAX_STACKED_ENTRIES
 
 # synthesize refuses, before synthesis, a report of more than this many floats
-# ((N + 1)(n + m + 1): the grid, the inputs and the states) and, where the
-# response stack is the cheaper path, a stack of more than this many
-# ((N + 1) r n for r actuated input columns): the same 2^22 as above.  The
-# stack then takes at most 32 MiB, and the report at most 32 MiB of floats
-# before its Python lists and JSON text.  The stack check stays keyed to n,
-# although synthesis fills the stack on the k <= n rows of R(S): where the
-# cost rule picks the stack at n rows, (N + 1) r n over-approximates the
-# (N + 1) r k stack, and where it picks it only at k rows, the rule's fixed
-# part keeps that stack below the cap once the report is.
+# ((N + 1)(n + m + 1): the grid, the inputs and the states) and a response
+# stack of more than this many (synth._stack_floats): the same 2^22 as above.
+# The stack then takes at most 32 MiB, and the report at most 32 MiB of floats
+# before its Python lists and JSON text.
 MAX_SYNTH_FLOATS = hardness.MAX_STACKED_ENTRIES
 
 Report = tuple[bool, dict, list[str]]
@@ -214,11 +214,10 @@ def cmd_synthesize(args) -> Report:
     report = (N + 1) * (n + system.m + 1)
     refuse_past_cap(report, MAX_SYNTH_FLOATS,
                     f"a report on {N} grid intervals would hold", "floats")
-    r = input_columns(system, args.actuate)[1].size
-    if synth._stack_is_cheaper(N, r, n):
-        refuse_past_cap((N + 1) * r * n, MAX_SYNTH_FLOATS,
-                        f"the response stack of {r} input columns on {N} grid intervals "
-                        "would hold", "floats")
+    r, stack = synth._stack_floats(system, args.actuate, N)
+    refuse_past_cap(stack, MAX_SYNTH_FLOATS,
+                    f"the response stack of {r} input columns on {N} grid intervals "
+                    "would hold", "floats")
     tol = _tolerance(args)
     verdict = is_feasible(system, args.actuate, tol)
     result = synth.min_energy_transfer(system, args.actuate, N=args.grid, tol=tol)
@@ -226,6 +225,7 @@ def cmd_synthesize(args) -> Report:
         "terminal_error": result.terminal_error,
         "gramian_rank": result.gramian_rank,
         "feasible": verdict.feasible,
+        "reachability_rank": verdict.rank,
         "grid_intervals": args.grid,
         "grid": result.grid.tolist(),
         "u": result.u_samples.tolist(),
@@ -236,6 +236,10 @@ def cmd_synthesize(args) -> Report:
         f"gramian rank = {result.gramian_rank}",
         "feasible" if verdict.feasible else "infeasible (best-effort transfer)",
     ]
+    if result.gramian_rank < verdict.rank:
+        lines.append(f"gramian rank {result.gramian_rank} is below the reachability rank "
+                     f"{verdict.rank}: the synthesized input cannot reach every direction "
+                     "the rank test keeps")
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n")
         lines.append(f"wrote {args.out}")

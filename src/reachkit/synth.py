@@ -16,14 +16,15 @@ The minimum-energy open-loop input steering the system to the target is
 ``H[j]^T W^+ w``.
 
 Two paths compute ``W`` and the input, and :func:`_gramian` picks one per
-call by a cost rule on the grid size, the number of input columns and ``n``
-(see :func:`_stack_is_cheaper`).  With few input columns, the stack ``H``
-itself is filled by doubling passes and ``W`` is one symmetric product of
-its ``sqrt(h c_j)``-weighted rows.  With many, ``W`` is summed without the
-stack: the Simpson weights repeat with period 2 away from the ends, so the
-middle of the sum is a geometric Lyapunov series in ``E^2``, summed by
-binary doubling, and the ends are added by Horner steps
-(:func:`_doubling_gramian`); the input is then read off the ``N + 1``
+call by a cost rule on the grid size, the number of input columns and the
+number of rows (see :func:`_stack_is_cheaper`); :func:`_stack_floats`
+counts the stack that rule builds, before any synthesis.  With few input
+columns, the stack ``H`` itself is filled by doubling passes and ``W`` is
+one symmetric product of its ``sqrt(h c_j)``-weighted rows.  With many,
+``W`` is summed without the stack: the Simpson weights repeat with period 2
+away from the ends, so the middle of the sum is a geometric Lyapunov series
+in ``E^2``, summed by binary doubling, and the ends are added by Horner
+steps (:func:`_doubling_gramian`); the input is then read off the ``N + 1``
 vectors ``E^(N - j)^T W^+ w``, filled by the same doubling passes as the
 stack.  A fixed-step RK4 simulation of the actuated dynamics then
 independently confirms (or honestly refutes) that the target is hit.  RK4
@@ -230,19 +231,38 @@ def _doubling_gramian(E: np.ndarray, IB: np.ndarray, h: float, N: int) -> np.nda
     return (0.5 * h) * (Y + Y.T)
 
 
-def _reached(sys: LinearSystem, S: tuple[int, ...]) -> np.ndarray | None:
-    """The rows of ``R(S)`` (:func:`reachkit.system.reached_rows`) that the
+def _reached(
+    sys: LinearSystem, S: Iterable[int], N: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The checked grid size ``N``, the input columns ``IB`` of ``M(S) B``
+    and their indices ``cols`` (:func:`reachkit.system.input_columns`), and
+    the rows of ``R(S)`` (:func:`reachkit.system.reached_rows`) that the
     synthesis is restricted to, or None where it runs on all ``n`` rows:
     ``R(S)`` is every node, or empty (then ``M(S) B`` has no column).
 
-    ``S`` is a validated node tuple (:func:`reachkit.system.check_node_set`).
-    When it holds every node and no row of ``B`` is zero, each node reaches
+    ``N`` must be an integer of at least 2, and ``S`` is read once.  When
+    ``S`` holds every node and no row of ``B`` is zero, each node reaches
     itself, so ``R(S)`` is every node without the structural closure.
     """
+    N = as_count(N, "N (grid intervals)", 2)
+    S = check_node_set(S, sys.n)
+    IB, cols = input_columns(sys, S)
     if len(S) == sys.n and sys.input_pattern.any(axis=1).all():
-        return None
+        return N, IB, cols, None
     rows = reached_rows(sys, S)
-    return None if rows.size in (0, sys.n) else rows
+    return N, IB, cols, None if rows.size in (0, sys.n) else rows
+
+
+def _stack_floats(sys: LinearSystem, S: Iterable[int], N: int) -> tuple[int, int]:
+    """The number ``r`` of input columns of ``M(S) B`` and the number of
+    floats in the response stack that :func:`_gramian` fills for ``S`` on
+    ``N`` intervals: ``(N + 1) r k`` on the ``k`` rows synthesis runs on
+    (:func:`_reached`) where :func:`_stack_is_cheaper` picks the stack, and
+    0 where it picks the doubling path, which builds no stack.
+    """
+    N, _, cols, rows = _reached(sys, S, N)
+    r, k = cols.size, sys.n if rows is None else rows.size
+    return r, (N + 1) * r * k if _stack_is_cheaper(N, r, k) else 0
 
 
 def _gramian(
@@ -303,10 +323,8 @@ def reach_gramian(sys: LinearSystem, S: Iterable[int], N: int = 1000) -> np.ndar
     The result is exactly symmetric and positive semidefinite up to
     quadrature noise.  Raises ValueError when it is not finite.
     """
-    N = as_count(N, "N (grid intervals)", 2)
-    S = check_node_set(S, sys.n)
-    rows = _reached(sys, S)
-    W = _gramian(sys, input_columns(sys, S)[0], N, rows)[0]
+    N, IB, _, rows = _reached(sys, S, N)
+    W = _gramian(sys, IB, N, rows)[0]
     if rows is None:
         return W
     full = np.zeros((sys.n, sys.n))
@@ -394,12 +412,9 @@ def min_energy_transfer(
     ValueError when the Gramian or the simulated terminal state is not
     finite; the latter may be cured by a larger ``N``.
     """
-    N = as_count(N, "N (grid intervals)", 2)
-    S = check_node_set(S, sys.n)
-    IB, cols = input_columns(sys, S)
+    N, IB, cols, rows = _reached(sys, S, N)
     r = cols.size
     h = (sys.t1 - sys.t0) / N
-    rows = _reached(sys, S)
     W, half, R = _gramian(sys, IB, N, rows)
     k = W.shape[0]
     IB_R = IB if rows is None else IB[rows]

@@ -392,6 +392,43 @@ class TestSynthesize:
         write_instance(InstanceDoc(system=sys), path)
         assert main(["synthesize", str(path), "--actuate", "1", "--grid", "100"]) == 1
 
+    def test_gramian_rank_below_the_reachability_rank_is_said(self, tmp_path, capsys):
+        # a 6-node single-input integrator chain: node 1 reaches all six
+        # states, but the Gramian's smallest eigenvalue is about 6e-11 of its
+        # largest, below rank_rel, so the synthesized input misses e6
+        n = 6
+        A = np.zeros((n, n))
+        A[np.arange(1, n), np.arange(n - 1)] = 1.0
+        chain = LinearSystem(A=A, B=np.eye(n)[:, :1], t0=0.0, t1=1.0,
+                             x0=np.zeros(n), x1=np.eye(n)[-1])
+        path = tmp_path / "chain.json"
+        write_instance(InstanceDoc(system=chain), path)
+        argv = ["synthesize", str(path), "--actuate", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("terminal_error = ")
+        assert lines[1:] == [
+            "gramian rank = 5",
+            "feasible",
+            "gramian rank 5 is below the reachability rank 6: the synthesized input "
+            "cannot reach every direction the rank test keeps",
+        ]
+        assert main([*argv, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["gramian_rank"], data["reachability_rank"], data["feasible"]) == (5, 6, True)
+        assert data["terminal_error"] > 0.1
+        assert main(["check-feasible", str(path), "--actuate", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["reachability_rank"] == 6
+
+    def test_star_gramian_keeps_the_reachability_rank(self, star_file, capsys):
+        argv = ["synthesize", star_file, "--actuate", "1", "--grid", "200"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["gramian rank = 1", "feasible"]
+        assert main([*argv, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["gramian_rank"], data["reachability_rank"]) == (1, 1)
+
 
 class TestRoundtrip:
     def test_generated_instance_verifies(self, capsys):
@@ -725,6 +762,45 @@ class TestSynthesisSizeCap:
         argv = ["synthesize", star_file, "--actuate", "1", "--grid", "1000000000"]
         assert main(argv) == 3
         assert "would hold 11000000011 floats" in capsys.readouterr().err
+
+    @pytest.fixture
+    def diagonal_file(self, tmp_path):
+        # A = diag(-linspace(0.5, 1.5, 8)), B = I: each node reaches itself
+        # alone, so synthesis on nodes 1..j runs on j rows, not on 8; at
+        # --grid 200 the report holds 201 * 17 = 3417 floats
+        n = 8
+        x1 = [1.0, -1.0, 0.5] + [0.0] * (n - 3)
+        doc = {"n": n, "m": n, "A": np.diag(-np.linspace(0.5, 1.5, n)).tolist(),
+               "B": "identity", "t0": 0.0, "t1": 1.0, "x0": [0.0] * n, "x1": x1}
+        path = tmp_path / "diagonal8.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_the_stack_is_counted_on_the_reached_rows(self, monkeypatch, diagonal_file, capsys):
+        # the stack holds 201 * 3 * 3 = 1809 floats, not 201 * 3 * 8 = 4824
+        from reachkit.synth import _stack_is_cheaper
+
+        assert _stack_is_cheaper(200, 3, 3)
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 201 * 17)
+        argv = ["synthesize", diagonal_file, "--actuate", "1", "2", "3", "--grid", "200", "--json"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["x"]) == 201
+
+    def test_a_stack_on_the_reached_rows_past_the_cap_exits_3(
+        self, monkeypatch, diagonal_file, capsys, nothing_synthesized
+    ):
+        from reachkit.synth import _stack_is_cheaper
+
+        assert _stack_is_cheaper(200, 6, 6)
+        monkeypatch.setattr(cli, "MAX_SYNTH_FLOATS", 7235)
+        nodes = ["1", "2", "3", "4", "5", "6"]
+        assert main(["synthesize", diagonal_file, "--actuate", *nodes, "--grid", "200"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the response stack of 6 input columns on 200 grid intervals "
+            "would hold 7236 floats, more than the cap of 7235\n"
+        )
 
 
 class TestUsage:

@@ -17,6 +17,7 @@ from reachkit.synth import (
     _periodic_window,
     _scan_states,
     _simpson_weights,
+    _stack_floats,
     _stack_is_cheaper,
     _thresholded_pinv,
     min_energy_transfer,
@@ -766,6 +767,48 @@ class TestReachedRows:
             assert not result.x_samples[:, :5].any()
         if N == 1001:
             assert result.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(sys.x1))
+
+
+def dense_system(n=20):
+    """A dense stable system with B = I: every node actuated reaches every
+    node, on the doubling path at N = 200."""
+    rng = np.random.default_rng(523)
+    return LinearSystem(
+        A=rng.normal(size=(n, n)) / np.sqrt(n) - np.eye(n), B=np.eye(n),
+        t0=0.0, t1=1.0, x0=rng.normal(size=n), x1=rng.normal(size=n),
+    )
+
+
+class TestStackFloats:
+    """``_stack_floats`` counts the response stack that ``_gramian`` fills,
+    so the CLI's size cap reads the stack synthesis builds."""
+
+    @pytest.mark.parametrize(
+        "make, S, N, stack, counted",
+        [
+            (lambda: star_system(40), [1], 1000, None, (1, 1001 * 1 * 1)),
+            (two_block_system, [6, 7], 200, True, (2, 201 * 2 * 3)),
+            (two_block_system, [6, 7], 200, False, (2, 0)),
+            (dense_system, range(1, 21), 200, None, (20, 0)),
+        ],
+        ids=["star", "two-block-stack", "two-block-doubling", "dense-doubling"],
+    )
+    def test_counts_the_stack_gramian_fills(self, make, S, N, stack, counted, monkeypatch):
+        if stack is not None:
+            monkeypatch.setattr("reachkit.synth._stack_is_cheaper", lambda N, r, n: stack)
+        sizes = []
+
+        def recording(*args, **kwargs):
+            W, half, R = _gramian(*args, **kwargs)
+            sizes.append(0 if R is None else R.size)
+            return W, half, R
+
+        monkeypatch.setattr("reachkit.synth._gramian", recording)
+        sys = make()
+        min_energy_transfer(sys, S, N=N)
+        reach_gramian(sys, S, N=N)
+        assert _stack_floats(sys, S, N) == counted
+        assert sizes == [counted[1]] * 2
 
 
 class TestOneShotNodeSets:
