@@ -550,8 +550,7 @@ def greedy_min_reach(
             i: off(covered | reach[i - 1]) if reach[i - 1] & support & ~covered else base
             for i in range(1, n + 1) if i not in selected
         }
-        if local:
-            closed = _closed_form(sys, sinks, Q_S, covered)
+        value = _closed_form(sys, sinks, Q_S, covered) if local else judge
         # skip a candidate whose bound exceeds the verdict of the lead (the
         # least value so far) by the slack; that verdict is at least its bound
         lead = lead_value = None
@@ -559,7 +558,7 @@ def greedy_min_reach(
             if lead is not None and bound > bounds[lead] + slack and bound > judge(lead) + slack:
                 skipped += 1
                 continue
-            v = closed(i) if local else judge(i)
+            v = value(i)
             if v is None and not selected:
                 # valued on its node basis alone, which is the verdict's
                 v = judge(i)

@@ -429,6 +429,15 @@ class TestSynthesize:
         data = json.loads(capsys.readouterr().out)
         assert (data["gramian_rank"], data["reachability_rank"]) == (1, 1)
 
+    def test_no_actuated_node_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "star40.json"
+        write_instance(InstanceDoc(system=star_system(40)), path)
+        assert main(["synthesize", str(path), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert (data["gramian_rank"], data["reachability_rank"]) == (0, 0)
+        assert data["feasible"] is False
+        assert data["terminal_error"] == 1.0
+
 
 class TestRoundtrip:
     def test_generated_instance_verifies(self, capsys):

@@ -810,6 +810,17 @@ class TestStackFloats:
         assert _stack_floats(sys, S, N) == counted
         assert sizes == [counted[1]] * 2
 
+    def test_an_empty_node_set_has_no_input_column(self):
+        # M(S) B has no column: nothing is stacked, the input is zero and the
+        # state stays at x0 = 0, a distance ||x1|| = 1 from the target
+        sys = star_system(40)
+        assert _stack_floats(sys, [], 1000) == (0, 0)
+        res = min_energy_transfer(sys, [], N=1000)
+        assert res.u_samples.shape == (1001, 40)
+        assert not res.u_samples.any()
+        assert res.gramian_rank == 0
+        assert res.terminal_error == 1.0
+
 
 class TestOneShotNodeSets:
     """A node set given as an iterator is read once, so it gives the same
